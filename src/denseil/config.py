@@ -4,9 +4,11 @@ Every section rejects unknown keys so a typo fails loudly instead of
 silently training with a default.
 """
 
-import inspect
 import json
-from dataclasses import dataclass
+import math
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -59,6 +61,8 @@ class OptimConfig:
             raise ConfigError("optimizer betas must lie in [0, 1)")
         if self.decay_interval < 0:
             raise ConfigError("optimizer.decay_interval must be nonnegative")
+        if self.decay_factor <= 0:
+            raise ConfigError("optimizer.decay_factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -68,13 +72,12 @@ class RunConfig:
     dtype: str = "float32"
     partitions: int = 4
     checkpoint_interval: int = 0
-    outdir: str = None
-    data: SynthConfig = None
-    encoder: EncoderConfig = None
-    decoder: DecoderConfig = None
-    sampling: SamplingConfig = None
-    loss: LossConfig = None
-    optimizer: OptimConfig = None
+    data: SynthConfig = field(default_factory=SynthConfig)
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    decoder: DecoderConfig = field(default_factory=DecoderConfig)
+    sampling: SamplingConfig = field(default_factory=SamplingConfig)
+    loss: LossConfig = field(default_factory=LossConfig)
+    optimizer: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -85,73 +88,75 @@ class RunConfig:
             raise ConfigError("checkpoint_interval must be nonnegative")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError("dtype must be float32 or float64")
+        # limits across sections: every config that loads can also train
+        steps = self.encoder.num_downsampling()
+        if self.data.height % (1 << steps) or self.data.width % (1 << steps):
+            raise ConfigError("data.height and data.width must be divisible "
+                              "by 2**%d for this encoder" % steps)
+        final_height = self.data.height >> steps
+        if self.partitions > final_height:
+            raise ConfigError("partitions=%d exceeds the final encoder map "
+                              "height %d" % (self.partitions, final_height))
+        self.decoder.sources_for(self.encoder.num_blocks)
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
 
-_SECTIONS = {
-    "data": SynthConfig,
-    "encoder": EncoderConfig,
-    "decoder": DecoderConfig,
-    "sampling": SamplingConfig,
-    "loss": LossConfig,
-    "optimizer": OptimConfig,
-}
-_TOP_KEYS = ("seed", "epochs", "dtype", "partitions", "checkpoint_interval",
-             "outdir")
-_TUPLE_KEYS = ("channels", "dense_sources")
+def _check_value(key, value, hint, default):
+    """``value`` if its JSON type fits the field annotation ``hint``.
+
+    A list (or tuple) of ints becomes a tuple, an int passes as a float, a
+    float must be finite, and None passes only where the default is None.
+    """
+    if value is None and default is None:
+        return None
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        if type(value) in (list, tuple) and all(type(v) is int for v in value):
+            return tuple(value)
+    elif type(value) is float and hint is float:
+        if math.isfinite(value):
+            return value
+    elif type(value) is hint or (type(value), hint) == (int, float):
+        return value
+    kind = "list of int" if typing.get_origin(hint) is tuple else hint.__name__
+    raise ConfigError("%s must be %s, got %s" % (key, kind, json.dumps(value)))
 
 
-def _build_section(name, cls, obj):
+def _build(cls, obj, name=None):
+    """The dataclass ``cls`` from a JSON object; ``name`` is its section."""
     if not isinstance(obj, dict):
-        raise ConfigError("section %r must be an object" % name)
-    allowed = set(inspect.signature(cls).parameters)
-    unknown = set(obj) - allowed
+        raise ConfigError("section %r must be an object" % name if name
+                          else "config root must be an object")
+    prefix = name + "." if name else ""
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(obj) - set(known))
     if unknown:
-        raise ConfigError("unknown key %s.%s" % (name, sorted(unknown)[0]))
+        raise ConfigError("unknown key %s%s" % (prefix, unknown[0]))
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in obj.items():
-        if key in _TUPLE_KEYS and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        if is_dataclass(hints[key]):
+            kwargs[key] = _build(hints[key], value, key)
+        else:
+            kwargs[key] = _check_value(prefix + key, value, hints[key],
+                                       known[key].default)
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError("section %r: %s" % (name, err))
+    except ValueError as err:
+        raise ConfigError("section %r: %s" % (name, err) if name else str(err))
 
 
 def run_config_from_dict(obj) -> RunConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be an object")
-    unknown = set(obj) - set(_TOP_KEYS) - set(_SECTIONS)
-    if unknown:
-        raise ConfigError("unknown key %r" % sorted(unknown)[0])
-    sections = {name: _build_section(name, cls, obj.get(name, {}))
-                for name, cls in _SECTIONS.items()}
-    top = {key: obj[key] for key in _TOP_KEYS if key in obj}
-    try:
-        return RunConfig(**top, **sections)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err))
+    return _build(RunConfig, obj)
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    out = {key: getattr(cfg, key) for key in _TOP_KEYS}
-    for name, cls in _SECTIONS.items():
-        section = getattr(cfg, name)
-        body = {}
-        for key in inspect.signature(cls).parameters:
-            value = getattr(section, key)
-            if isinstance(value, tuple):
-                value = list(value)
-            body[key] = value
-        out[name] = body
-    return out
+    return asdict(cfg)
 
 
 def load_run_config(path) -> RunConfig:

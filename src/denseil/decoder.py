@@ -11,6 +11,7 @@ backbone at once; queries always come from the normalized hidden state.
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,33 +24,36 @@ VARIANTS = ("TransEnc", "TransDec", "DenseIL")
 FUSIONS = ("attention", "summation", "concatenation")
 
 
+@dataclass(frozen=True)
 class DecoderConfig:
     """Shape and wiring of the decoder stack.
 
     ``dense_sources`` holds 1-based encoder block indices whose pooled tokens
     feed the interaction sub-layer; None defers to the model default (all
-    blocks from the second up). ``ffn_before_dense`` and ``posemb_per_block``
-    are exploratory wiring toggles, off by default.
+    blocks from the second up). ``ffn_hidden`` None makes the FFN as wide as
+    ``d``; the stored value is always resolved to a width.
     """
 
-    def __init__(self, R=2, d=64, heads=4, ffn_hidden=None, variant="DenseIL",
-                 fusion="attention", dense_sources=None,
-                 ffn_before_dense=False, posemb_per_block=False):
-        self.R = int(R)
-        self.d = int(d)
-        self.heads = int(heads)
-        self.ffn_hidden = int(ffn_hidden) if ffn_hidden is not None else self.d
-        self.variant = str(variant)
-        self.fusion = str(fusion)
-        self.dense_sources = tuple(dense_sources) if dense_sources is not None else None
-        self.ffn_before_dense = bool(ffn_before_dense)
-        self.posemb_per_block = bool(posemb_per_block)
+    R: int = 2
+    d: int = 64
+    heads: int = 4
+    ffn_hidden: int | None = None
+    variant: str = "DenseIL"
+    fusion: str = "attention"
+    dense_sources: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.ffn_hidden is None:
+            object.__setattr__(self, "ffn_hidden", self.d)
         if self.variant not in VARIANTS:
             raise ShapeError("unknown variant %r" % self.variant)
         if self.fusion not in FUSIONS:
             raise ShapeError("unknown fusion %r" % self.fusion)
         if self.R < 0:
             raise ShapeError("block count must be >= 0")
+        if self.d < 2 or min(self.heads, self.ffn_hidden) < 1:
+            raise ShapeError("d must be at least 2, heads and ffn_hidden "
+                             "positive")
         if self.d % self.heads:
             raise ShapeError("width %d not divisible by %d heads" % (self.d, self.heads))
 
@@ -173,29 +177,18 @@ def decoder_forward(tokens: TokenMatrix, pyramid_tokens, emb, cfg: DecoderConfig
     sources = [raw[l] for l in source_ids]
 
     x = tokens.tokens
-    emb_t = None
     if emb is not None:
-        emb_t = Tensor(emb.combined.astype(x.dtype))
-        if not cfg.posemb_per_block:
-            x = tn.add(x, emb_t)
+        x = tn.add(x, Tensor(emb.combined.astype(x.dtype)))
 
     state = DecoderState()
     for r in range(1, cfg.R + 1):
-        if cfg.posemb_per_block and emb_t is not None:
-            x = tn.add(x, emb_t)
         prefix = "decoder.block%d" % r
         x, w_self = self_attention_block(x, params, prefix + ".selfattn", cfg.heads)
         w_dense = None
-        if cfg.variant == "TransEnc":
-            x = _ffn_block(x, params, prefix + ".ffn")
-        elif cfg.ffn_before_dense:
-            x = _ffn_block(x, params, prefix + ".ffn")
+        if cfg.variant != "TransEnc":
             x, w_dense = dense_attention(x, sources, params, prefix + ".dense",
                                          cfg.heads, cfg.fusion)
-        else:
-            x, w_dense = dense_attention(x, sources, params, prefix + ".dense",
-                                         cfg.heads, cfg.fusion)
-            x = _ffn_block(x, params, prefix + ".ffn")
+        x = _ffn_block(x, params, prefix + ".ffn")
         state.hidden.append(x.data.copy())
         state.self_attn.append(w_self)
         state.dense_attn.append(w_dense)

@@ -10,22 +10,26 @@ the whole pyramid.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import imageops, tensor as tn
 from .tensor import Param, ShapeError, Tensor
 
 
+@dataclass(frozen=True)
 class EncoderConfig:
-    def __init__(self, channels=(16, 32, 64, 128), downsample_last=False,
-                 in_channels=3, in_height=32, in_width=16):
-        self.channels = tuple(int(c) for c in channels)
-        self.downsample_last = bool(downsample_last)
-        self.in_channels = int(in_channels)
-        self.in_height = int(in_height)
-        self.in_width = int(in_width)
+    """Block widths of the encoder; the input shape comes from the data."""
+
+    channels: tuple[int, ...] = (16, 32, 64, 128)
+    downsample_last: bool = False
+
+    def __post_init__(self):
         if len(self.channels) < 2:
             raise ShapeError("encoder needs at least 2 blocks")
+        if self.channels[0] < 1:
+            raise ShapeError("encoder channels must be positive")
         if any(b <= a for a, b in zip(self.channels, self.channels[1:])):
             raise ShapeError("encoder channels must be strictly increasing")
 
@@ -40,24 +44,17 @@ class EncoderConfig:
         L = self.num_blocks
         return [2 if (l < L or self.downsample_last) else 1 for l in range(1, L + 1)]
 
-    def output_dims(self):
-        """Spatial dims of each block's output, as (H_l, W_l) pairs."""
-        h, w = self.in_height, self.in_width
-        dims = []
-        for stride in self.block_strides():
-            h, w = h // stride, w // stride
-            dims.append((h, w))
-        return dims
 
-
-def init_encoder(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float64):
+def init_encoder(cfg: EncoderConfig, in_channels: int, rng: np.random.Generator,
+                 dtype=np.float64):
     """He-initialized conv weights plus unit-gain batch norms.
 
-    Returns (params dict, bn-state dict), both keyed by hierarchical names.
+    ``in_channels`` is the frame channel count. Returns (params dict,
+    bn-state dict), both keyed by hierarchical names.
     """
     params = {}
     states = {}
-    cin = cfg.in_channels
+    cin = in_channels
     for l, cout in enumerate(cfg.channels, start=1):
         for k, c_from in ((1, cin), (2, cout)):
             fan_in = c_from * 9

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tn
-from .config import RunConfig, write_run_config
+from .config import ConfigError, RunConfig, write_run_config
 from .data import Corpus, pk_batches, restricted_sample
 from .flops import estimate_decoder_flops
 from .losses import total_loss
@@ -46,6 +46,15 @@ def decoder_flops(cfg: RunConfig) -> dict:
         encoder_channels=cfg.encoder.channels)
 
 
+def _check_frame_shape(cfg: RunConfig, tracklets):
+    """Reject tracklets whose (C, H, W) frames differ from ``cfg.data``."""
+    want = (cfg.data.channels, cfg.data.height, cfg.data.width)
+    for tr in tracklets:
+        if tr.frames.shape[1:] != want:
+            raise ConfigError("corpus frames are %s (C, H, W), config "
+                              "data says %s" % (tr.frames.shape[1:], want))
+
+
 def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
     """Train a fresh model on the corpus; returns (model, RunReport).
 
@@ -56,6 +65,7 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
     t0 = time.perf_counter()
     if not corpus.train:
         raise ValueError("corpus has no training split")
+    _check_frame_shape(cfg, corpus.train + corpus.query + corpus.gallery)
     model = build_model(cfg)
     opt = Adam(model.params, cfg.optimizer.beta1, cfg.optimizer.beta2,
                cfg.optimizer.eps)
@@ -133,6 +143,7 @@ def evaluate_model(model: Model, cfg: RunConfig, corpus: Corpus,
     galleries = queries if self_match else corpus.gallery
     if not queries or not galleries:
         raise ValueError("corpus is missing an eval split")
+    _check_frame_shape(cfg, queries + galleries)
     q = np.stack([embed_tracklet(model, cfg, tr) for tr in queries])
     g = q if self_match else np.stack(
         [embed_tracklet(model, cfg, tr) for tr in galleries])
@@ -174,19 +185,12 @@ def _axis_values(axis: str, cfg: RunConfig):
 def _with_setting(cfg: RunConfig, axis: str, value):
     if axis == "P":
         return replace(cfg, partitions=value)
-    dec = cfg.decoder
-    # when sweeping d, let the hidden width track it instead of pinning the
-    # base config's resolved value
-    hidden = None if axis == "d" else dec.ffn_hidden
-    kwargs = dict(R=dec.R, d=dec.d, heads=dec.heads, ffn_hidden=hidden,
-                  variant=dec.variant, fusion=dec.fusion,
-                  dense_sources=dec.dense_sources,
-                  ffn_before_dense=dec.ffn_before_dense,
-                  posemb_per_block=dec.posemb_per_block)
-    kwargs[axis] = value
+    change = {axis: value}
+    if axis == "d":
+        change["ffn_hidden"] = value  # the hidden width tracks d
     if axis == "dense_sources":
-        kwargs["variant"] = "DenseIL"
-    return replace(cfg, decoder=type(dec)(**kwargs))
+        change["variant"] = "DenseIL"  # the only variant that reads them
+    return replace(cfg, decoder=replace(cfg.decoder, **change))
 
 
 def _value_label(value):

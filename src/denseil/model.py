@@ -36,7 +36,8 @@ def build_model(cfg: RunConfig) -> Model:
     dtype = cfg.np_dtype()
     d = cfg.decoder.d
 
-    params, states = init_encoder(cfg.encoder, rng, dtype=dtype)
+    params, states = init_encoder(cfg.encoder, cfg.data.channels, rng,
+                                  dtype=dtype)
     for l, c in enumerate(cfg.encoder.channels, start=1):
         name = "adapter.block%d.w" % l
         w = rng.normal(0.0, c ** -0.5, (c, d)).astype(dtype)

@@ -78,7 +78,5 @@ def stack_partitions(pyramid, P: int, adapters):
     frames = pyramid[0].shape[0]
     mapped = []
     for block, adapter in zip(pyramid, adapters):
-        if block.shape[2] < P:
-            raise ShapeError("block height %d is smaller than P=%d" % (block.shape[2], P))
         mapped.append(TokenMatrix(matmul(ppool(block, P), adapter), frames, P))
     return mapped[-1], mapped[:-1]

@@ -15,7 +15,7 @@ MICRO = {
     "data": {"num_identities": 4, "tracklets_per_identity": 4, "cameras": 3,
              "frames_per_tracklet": 8, "height": 16, "width": 8,
              "occlusion_prob": 0.2, "jitter": 1, "seed": 1},
-    "encoder": {"channels": [6, 12], "in_height": 16, "in_width": 8},
+    "encoder": {"channels": [6, 12]},
     "decoder": {"R": 1, "d": 12, "heads": 2},
     "sampling": {"chunks": 4, "k_ids": 2, "t_per_id": 2},
     "optimizer": {"lr": 1e-3, "decay_interval": 1},

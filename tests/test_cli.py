@@ -114,6 +114,50 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "lern_rate" in capsys.readouterr().err
 
 
+REMOVED_KEYS = [
+    {"outdir": "runs"},
+    {"encoder": {"in_channels": 3}},
+    {"encoder": {"in_height": 64}},
+    {"encoder": {"in_width": 8}},
+    {"decoder": {"ffn_before_dense": True}},
+    {"decoder": {"posemb_per_block": True}},
+]
+
+
+@pytest.mark.parametrize("override", [
+    {"epochs": 1.5},
+    {"epochs": True},
+    {"seed": "3"},
+    {"sampling": {"chunks": 2.5}},
+    {"decoder": {"R": 1.7}},
+    {"decoder": {"R": "2"}},
+    {"partitions": 64},
+] + REMOVED_KEYS, ids=json.dumps)
+def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
+                                                       override):
+    tmp_path, _, data_dir = workspace
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(micro_dict(**override)))
+    for argv in (["flops", "--config", str(bad)],
+                 ["train", "--config", str(bad), "--data", str(data_dir),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("denseil: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_config_disagreeing_with_corpus_exits_1(workspace, capsys):
+    tmp_path, _, data_dir = workspace
+    tall = tmp_path / "tall.json"
+    tall.write_text(json.dumps(micro_dict(data={"height": 32})))
+    assert main(["train", "--config", str(tall), "--data", str(data_dir),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "(3, 16, 8)" in err and "(3, 32, 8)" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_files_exit_3(tmp_path, capsys):
     assert main(["flops", "--config", str(tmp_path / "nope.json")]) == 3
     cfg = tmp_path / "run.json"

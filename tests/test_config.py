@@ -47,6 +47,8 @@ def test_bad_values_rejected():
         run_config_from_dict({"data": {"occlusion_prob": 2.0}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"optimizer": {"beta1": 1.0}})
+    with pytest.raises(ConfigError, match="decay_factor"):
+        run_config_from_dict({"optimizer": {"decay_factor": 0}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"sampling": {"chunks": 0}})
 
@@ -69,15 +71,15 @@ def test_round_trip_through_dict():
         "encoder": {"channels": [8, 16, 32]},
     })
     again = run_config_from_dict(run_config_to_dict(cfg))
-    assert run_config_to_dict(again) == run_config_to_dict(cfg)
+    assert again == cfg
 
 
 def test_file_round_trip(tmp_path):
     cfg = run_config_from_dict({"seed": 3, "epochs": 5})
     path = tmp_path / "run.json"
     write_run_config(cfg, path)
-    back = load_run_config(path)
-    assert run_config_to_dict(back) == run_config_to_dict(cfg)
+    again = load_run_config(path)
+    assert again == cfg
 
 
 def test_malformed_json_rejected(tmp_path):

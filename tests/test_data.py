@@ -169,7 +169,7 @@ def test_lower_similarity_spreads_the_difference():
 def test_coarse_pooling_hides_the_confusable_pair():
     a, b = clean_pair()
     cfg = EncoderConfig(channels=(8, 16))
-    params, states = init_encoder(cfg, stream(0, 999))
+    params, states = init_encoder(cfg, 3, stream(0, 999))
     tokens = {}
     for name, tr in (("a", a), ("b", b)):
         clip = tn.Tensor(tr.frames.astype(np.float64))

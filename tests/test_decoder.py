@@ -263,16 +263,6 @@ def test_forward_gradcheck_one_block():
     gradcheck(loss, tensors)
 
 
-def test_posemb_per_block_flag_changes_output():
-    cfg_a = dec.DecoderConfig(R=2, d=8, heads=2)
-    cfg_b = dec.DecoderConfig(R=2, d=8, heads=2, posemb_per_block=True)
-    params, tokens, pyr = build_stack(cfg_a, L=2, I=2, P=2, seed=79)
-    emb = posemb.step_emb(2, 2, 8)
-    a, _ = dec.decoder_forward(tokens, pyr, emb, cfg_a, params)
-    b, _ = dec.decoder_forward(tokens, pyr, emb, cfg_b, params)
-    assert np.abs(a.data - b.data).max() > 1e-8
-
-
 # ------------------------------------------------------------ classify head
 
 

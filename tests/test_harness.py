@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from denseil.harness import (TrainingDiverged, ablate, embed_tracklet,
-                             evaluate_model, train_run)
+from denseil.config import ConfigError
+from denseil.harness import (TrainingDiverged, _with_setting, ablate,
+                             embed_tracklet, evaluate_model, train_run)
 from denseil.imageops import RunningStatsError
 from denseil.model import build_model
 from micro import micro_corpus, micro_run_config
@@ -77,6 +79,14 @@ def test_divergence_aborts_with_location():
 def test_eval_before_training_rejected():
     cfg = micro_run_config()
     with pytest.raises(RunningStatsError):
+        evaluate_model(build_model(cfg), cfg, micro_corpus())
+
+
+def test_corpus_frame_shape_must_match_config():
+    cfg = micro_run_config(data={"height": 32})  # the corpus is 16 px tall
+    with pytest.raises(ConfigError, match=r"\(3, 16, 8\).*\(3, 32, 8\)"):
+        train_run(cfg, micro_corpus())
+    with pytest.raises(ConfigError, match=r"\(3, 16, 8\).*\(3, 32, 8\)"):
         evaluate_model(build_model(cfg), cfg, micro_corpus())
 
 
@@ -184,6 +194,19 @@ def test_ablate_dense_sources_values(tmp_path):
     cfg = micro_run_config(epochs=1)
     rows = ablate(cfg, "dense_sources", micro_corpus())
     assert [r[0] for r in rows] == ["2", "1+2"]
+
+
+def test_with_setting_changes_one_knob_plus_its_tied_field():
+    cfg = micro_run_config(decoder={"ffn_hidden": 24, "variant": "TransEnc"})
+    run = _with_setting(cfg, "d", 32)
+    assert (run.decoder.d, run.decoder.ffn_hidden) == (32, 32)
+    assert replace(run, decoder=cfg.decoder) == cfg
+    run = _with_setting(cfg, "dense_sources", (1, 2))
+    assert run.decoder.dense_sources == (1, 2)
+    assert run.decoder.variant == "DenseIL"
+    assert run.decoder.ffn_hidden == 24
+    assert _with_setting(cfg, "R", 0).decoder.ffn_hidden == 24
+    assert _with_setting(cfg, "P", 1).decoder == cfg.decoder
 
 
 def test_ablate_unknown_axis():
