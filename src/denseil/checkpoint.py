@@ -36,7 +36,8 @@ def save_checkpoint(path, records) -> None:
 
 
 def load_checkpoint(path):
-    """Read records back as an ordered dict of float32 arrays."""
+    """Read records back as an ordered dict of float32 arrays; a malformed
+    file raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -54,13 +55,20 @@ def load_checkpoint(path):
 
     while off < len(blob):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("%s: record name at byte %d is not UTF-8"
+                                  % (path, off - name_len))
         (rank,) = struct.unpack("<I", take(4))
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
         count = 1
         for extent in shape:
             count *= extent
-        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
+        try:
+            data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
+        except ValueError as err:  # extents numpy cannot represent
+            raise CheckpointError("%s: record %r: %s" % (path, name, err))
         if name in records:
             raise CheckpointError("%s: duplicate record %r" % (path, name))
         records[name] = data.copy()

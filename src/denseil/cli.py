@@ -126,19 +126,15 @@ def cmd_ablate(args):
 
 
 def cmd_dump_attn(args):
-    from .data import read_tracklet, restricted_sample
+    from .data import read_tracklet
     from .decoder import dump_attention
-    from .harness import TRACKLET_STRIDE
+    from .harness import eval_clip
     from .model import forward_batch, load_model
-    from .rng import EVAL_STREAM, stream
     cfg = _sibling_config(args.checkpoint)
     model = load_model(args.checkpoint, cfg)
     tracklet = read_tracklet(args.tracklet)
-    rng = stream(cfg.seed, EVAL_STREAM
-                 + tracklet.identity * TRACKLET_STRIDE + tracklet.tracklet_id)
-    clip = restricted_sample(tracklet, cfg.sampling.chunks, rng)
-    clip = clip[None].astype(cfg.np_dtype())
-    _, _, state = forward_batch(model, clip, training=False)
+    _, _, state = forward_batch(model, eval_clip(cfg, tracklet),
+                                training=False)
     source_ids = cfg.decoder.sources_for(cfg.encoder.num_blocks)
     rows = dump_attention(state, cfg.decoder, cfg.sampling.chunks,
                           cfg.partitions, source_ids, args.out)

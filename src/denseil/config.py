@@ -98,6 +98,12 @@ class RunConfig:
             raise ConfigError("partitions=%d exceeds the final encoder map "
                               "height %d" % (self.partitions, final_height))
         self.decoder.sources_for(self.encoder.num_blocks)
+        for want, have in (("chunks", "frames_per_tracklet"),
+                           ("k_ids", "num_identities")):
+            if getattr(self.sampling, want) > getattr(self.data, have):
+                raise ConfigError("sampling.%s=%d exceeds data.%s=%d" % (
+                    want, getattr(self.sampling, want), have,
+                    getattr(self.data, have)))
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64

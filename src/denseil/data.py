@@ -20,6 +20,7 @@ from .rng import stream
 
 APPEARANCE_STREAM = 4 << 32
 
+CHANNELS = 3  # the renderer draws RGB frames
 NUM_BANDS = 4
 BODY_TOP_FRAC = 0.125
 BODY_BOT_FRAC = 0.875
@@ -53,7 +54,6 @@ class SynthConfig:
     frames_per_tracklet: int = 32
     height: int = 32
     width: int = 16
-    channels: int = 3
     occlusion_prob: float = 0.3
     similarity: float = 1.0
     jitter: int = 2
@@ -64,8 +64,6 @@ class SynthConfig:
                      "frames_per_tracklet", "height", "width"):
             if getattr(self, name) < 1:
                 raise CorpusError("%s must be positive" % name)
-        if self.channels != 3:
-            raise CorpusError("renderer draws RGB, channels must be 3")
         if not 0.0 <= self.occlusion_prob <= 1.0:
             raise CorpusError("occlusion_prob must lie in [0, 1]")
         if not 0.0 <= self.similarity <= 1.0:
@@ -95,7 +93,7 @@ class Corpus:
 
 @dataclass(frozen=True)
 class _Appearance:
-    band_colors: np.ndarray  # [NUM_BANDS, 3]
+    band_colors: np.ndarray  # [NUM_BANDS, CHANNELS]
     glyph_band: int
     glyph_row: int  # offset inside the band
     glyph_col: int  # offset inside the body
@@ -121,8 +119,8 @@ def _draw_appearances(cfg):
     different bands.
     """
     rng = stream(cfg.seed, APPEARANCE_STREAM)
-    gains = rng.uniform(CAMERA_GAIN_LO, CAMERA_GAIN_HI, (cfg.cameras, 3))
-    offsets = rng.uniform(-CAMERA_OFFSET, CAMERA_OFFSET, (cfg.cameras, 3))
+    gains = rng.uniform(CAMERA_GAIN_LO, CAMERA_GAIN_HI, (cfg.cameras, CHANNELS))
+    offsets = rng.uniform(-CAMERA_OFFSET, CAMERA_OFFSET, (cfg.cameras, CHANNELS))
 
     top, bot, left, right = _body_box(cfg)
     heights = band_heights(bot - top, NUM_BANDS)
@@ -133,8 +131,8 @@ def _draw_appearances(cfg):
 
     appearances = []
     for pair in range((cfg.num_identities + 1) // 2):
-        colors = rng.uniform(0.2, 0.9, (NUM_BANDS, 3))
-        pert = rng.uniform(-0.3, 0.3, (NUM_BANDS, 3))
+        colors = rng.uniform(0.2, 0.9, (NUM_BANDS, CHANNELS))
+        pert = rng.uniform(-0.3, 0.3, (NUM_BANDS, CHANNELS))
         twin = np.clip(colors + (1.0 - cfg.similarity) * pert, 0.0, 1.0)
         band_a = int(rng.integers(NUM_BANDS))
         band_b = (band_a + 1 + int(rng.integers(NUM_BANDS - 1))) % NUM_BANDS
@@ -149,7 +147,7 @@ def _draw_appearances(cfg):
 
 def _render_base(cfg, app):
     """Static [3, H, W] figure for one identity, float64 in [0, 1]."""
-    img = np.full((3, cfg.height, cfg.width), BACKGROUND)
+    img = np.full((CHANNELS, cfg.height, cfg.width), BACKGROUND)
     top, bot, left, right = _body_box(cfg)
     heights = band_heights(bot - top, NUM_BANDS)
     gh, gw = _glyph_size(cfg)
@@ -170,7 +168,7 @@ def _render_base(cfg, app):
 
 def _render_tracklet(cfg, base, gain, offset, rng):
     frames = np.empty(
-        (cfg.frames_per_tracklet, 3, cfg.height, cfg.width), dtype=np.float32)
+        (cfg.frames_per_tracklet, CHANNELS, cfg.height, cfg.width), dtype=np.float32)
     hi = cfg.height
     bar_lo = -(-hi // 4)  # ceil(0.25 H)
     bar_hi = hi // 2
@@ -292,7 +290,10 @@ def read_tracklet(path) -> Tracklet:
     if len(body) != want:
         raise TrackletFormatError(
             "%s: expected %d payload bytes, found %d" % (path, want, len(body)))
-    frames = np.frombuffer(body, dtype="<f4").reshape(t, c, h, w)
+    try:
+        frames = np.frombuffer(body, dtype="<f4").reshape(t, c, h, w)
+    except ValueError as err:  # extents numpy cannot represent
+        raise TrackletFormatError("%s: %s" % (path, err))
     return Tracklet(frames.copy(), identity, camera, tracklet_id)
 
 
@@ -317,18 +318,30 @@ def write_corpus(corpus: Corpus, outdir):
 
 
 def load_corpus(indir) -> Corpus:
+    """Read a corpus written by ``write_corpus``; a malformed manifest or
+    tracklet raises TrackletFormatError."""
     manifest = os.path.join(indir, "manifest.csv")
     if not os.path.exists(manifest):
         raise TrackletFormatError("%s: no manifest.csv" % indir)
+    try:
+        with open(manifest, newline="") as f:
+            rows = list(csv.DictReader(f))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise TrackletFormatError("%s: not a CSV manifest (%s)" % (manifest, err))
     corpus = Corpus()
-    with open(manifest, newline="") as f:
-        for row in csv.DictReader(f):
-            tr = read_tracklet(os.path.join(indir, row["filename"]))
-            if tr.identity != int(row["identity"]) or tr.camera != int(row["camera"]):
-                raise TrackletFormatError(
-                    "%s: header disagrees with manifest" % row["filename"])
+    for number, row in enumerate(rows, start=1):
+        try:
+            path = os.path.join(indir, row["filename"])
+            identity, camera = int(row["identity"]), int(row["camera"])
             split = row["split"]
-            if split not in ("train", "query", "gallery"):
-                raise TrackletFormatError("unknown split %r" % split)
-            getattr(corpus, split).append(tr)
+        except (KeyError, TypeError, ValueError) as err:
+            raise TrackletFormatError("%s, row %d: missing or malformed "
+                                      "field: %s" % (manifest, number, err))
+        tr = read_tracklet(path)
+        if tr.identity != identity or tr.camera != camera:
+            raise TrackletFormatError(
+                "%s: header disagrees with manifest" % row["filename"])
+        if split not in ("train", "query", "gallery"):
+            raise TrackletFormatError("unknown split %r" % split)
+        getattr(corpus, split).append(tr)
     return corpus

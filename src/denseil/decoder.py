@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as tn
 from .imageops import BNState, batchnorm_rows
-from .partition import TokenMatrix, token_index
+from .partition import token_index
 from .tensor import Param, ShapeError, Tensor
 
 VARIANTS = ("TransEnc", "TransDec", "DenseIL")
@@ -73,7 +73,8 @@ class DecoderConfig:
 
 
 class DecoderState:
-    """Per-block diagnostics: hidden states and attention maps (as arrays)."""
+    """Per-block diagnostics: hidden states and attention maps (as arrays),
+    each with a leading clip axis."""
 
     def __init__(self):
         self.hidden = []
@@ -81,48 +82,60 @@ class DecoderState:
         self.dense_attn = []
 
 
-def multi_head_attention(q_in: Tensor, kv_in: Tensor, wq, wk, wv, wo, heads: int):
-    """Scaled dot-product attention; returns (output, weights[heads, nq, nk])."""
+def _split_heads(x: Tensor, clips: int, n: int, heads: int) -> Tensor:
+    """[groups*clips*n, d] rows, group-major, -> [clips, heads, groups*n, d/heads]."""
+    x = tn.reshape(x, (-1, clips, n, heads, x.shape[1] // heads))
+    groups = x.shape[0]
+    x = tn.transpose(x, (1, 3, 0, 2, 4))
+    return tn.reshape(x, (clips, heads, groups * n, x.shape[-1]))
+
+
+def multi_head_attention(q_in: Tensor, kv_in: Tensor, wq, wk, wv, wo, heads: int,
+                         clips: int = 1):
+    """Scaled dot-product attention over a batch of clips.
+
+    ``q_in`` holds each clip's n query rows, clip-major: [clips*n, d].
+    ``kv_in`` holds one or more groups laid out like ``q_in``, group-major;
+    a clip's queries see its own rows of every group, in group order.
+    Returns (output [clips*n, d], weights [clips, heads, n, groups*n]).
+    """
     d = wq.shape[1]
     if d % heads:
         raise ShapeError("width %d not divisible by %d heads" % (d, heads))
     dh = d // heads
-    q = tn.matmul(q_in, wq)
-    k = tn.matmul(kv_in, wk)
-    v = tn.matmul(kv_in, wv)
-    weights = np.zeros((heads, q.shape[0], k.shape[0]))
-    head_outs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        scores = tn.scale(tn.matmul(tn.slice_cols(q, lo, hi),
-                                    tn.transpose(tn.slice_cols(k, lo, hi))),
-                          1.0 / np.sqrt(dh))
-        attn = tn.softmax_rows(scores)
-        weights[h] = attn.data
-        head_outs.append(tn.matmul(attn, tn.slice_cols(v, lo, hi)))
-    concat = head_outs[0] if heads == 1 else tn.concat_cols(head_outs)
-    return tn.matmul(concat, wo), weights
+    n = q_in.shape[0] // clips
+    q = _split_heads(tn.matmul(q_in, wq), clips, n, heads)
+    k = _split_heads(tn.matmul(kv_in, wk), clips, n, heads)
+    v = _split_heads(tn.matmul(kv_in, wv), clips, n, heads)
+    scores = tn.scale(tn.matmul(q, tn.transpose(k, (0, 1, 3, 2))),
+                      1.0 / np.sqrt(dh))
+    attn = tn.softmax_rows(scores)
+    heads_out = tn.transpose(tn.matmul(attn, v), (0, 2, 1, 3))
+    concat = tn.reshape(heads_out, (clips * n, d))
+    return tn.matmul(concat, wo), attn.data
 
 
 def _p(params, name):
     return params[name].tensor
 
 
-def self_attention_block(H: Tensor, params, prefix: str, heads: int):
+def self_attention_block(H: Tensor, params, prefix: str, heads: int, clips: int = 1):
     """H + MHA over LN(H); queries, keys and values all from the normed input."""
     ln = tn.layer_norm(H, _p(params, prefix + ".ln.gamma"), _p(params, prefix + ".ln.beta"))
     out, weights = multi_head_attention(
         ln, ln,
         _p(params, prefix + ".wq"), _p(params, prefix + ".wk"),
-        _p(params, prefix + ".wv"), _p(params, prefix + ".wo"), heads)
+        _p(params, prefix + ".wv"), _p(params, prefix + ".wo"), heads, clips)
     return tn.add(H, out), weights
 
 
-def dense_attention(H_r: Tensor, sources, params, prefix: str, heads: int, fusion: str):
+def dense_attention(H_r: Tensor, sources, params, prefix: str, heads: int, fusion: str,
+                    clips: int = 1):
     """Interaction sub-layer over [sources..., H_r].
 
     fusion="attention": queries LN(H_r), keys/values the row-concatenation of
-    the raw sources and H_r. "summation": plain residual sum of the sources.
+    the raw sources and H_r, so each clip's queries see that clip's tokens at
+    every source scale. "summation": plain residual sum of the sources.
     "concatenation": channel-concat mapped back to width d, residual-added.
     Returns (output, weights or None).
     """
@@ -137,7 +150,7 @@ def dense_attention(H_r: Tensor, sources, params, prefix: str, heads: int, fusio
         out, weights = multi_head_attention(
             q_in, kv,
             _p(params, prefix + ".wq"), _p(params, prefix + ".wk"),
-            _p(params, prefix + ".wv"), _p(params, prefix + ".wo"), heads)
+            _p(params, prefix + ".wv"), _p(params, prefix + ".wo"), heads, clips)
         return tn.add(H_r, out), weights
     if fusion == "summation":
         out = H_r
@@ -158,45 +171,47 @@ def _ffn_block(H: Tensor, params, prefix: str):
     return tn.add(H, out)
 
 
-def decoder_forward(tokens: TokenMatrix, pyramid_tokens, emb, cfg: DecoderConfig, params):
-    """Run the stack; returns (sequence embedding [d], DecoderState).
+def decoder_forward(tokens: Tensor, pyramid_tokens, emb, cfg: DecoderConfig, params):
+    """Run the stack over a batch; returns (embeddings [B, d], DecoderState).
 
-    ``pyramid_tokens`` lists the pooled matrices of encoder blocks 1..L-1;
-    the last block's matrix is ``tokens`` itself (also the decoder input).
-    ``emb`` is a StepEmbTable or None to disable positions. With R=0 the
-    embedding is exactly the mean of the input rows: no final norm applies.
+    ``tokens`` is [B, n, d], the last encoder block's pooled tokens (also the
+    decoder input); ``pyramid_tokens`` lists blocks 1..L-1's, same shape.
+    ``emb`` is a StepEmbTable or None to disable positions. Inside the stack
+    rows are [B*n, d]; only attention looks across a clip's rows. With R=0
+    each embedding is exactly the mean of its clip's input rows: no final
+    norm applies.
     """
-    n = tokens.tokens.shape[0]
+    clips, n, d = tokens.shape
     if emb is not None and emb.combined.shape[0] != n:
         raise ShapeError("positional table has %d rows, tokens %d"
                          % (emb.combined.shape[0], n))
-    L = len(pyramid_tokens) + 1
-    source_ids = cfg.sources_for(L)
-    raw = {l: pyramid_tokens[l - 1].tokens for l in range(1, L)}
-    raw[L] = tokens.tokens
-    sources = [raw[l] for l in source_ids]
+    levels = list(pyramid_tokens) + [tokens]
+    sources = [tn.reshape(levels[l - 1], (clips * n, d))
+               for l in cfg.sources_for(len(levels))]
 
-    x = tokens.tokens
+    x = tokens
     if emb is not None:
         x = tn.add(x, Tensor(emb.combined.astype(x.dtype)))
+    x = tn.reshape(x, (clips * n, d))
 
     state = DecoderState()
     for r in range(1, cfg.R + 1):
         prefix = "decoder.block%d" % r
-        x, w_self = self_attention_block(x, params, prefix + ".selfattn", cfg.heads)
+        x, w_self = self_attention_block(x, params, prefix + ".selfattn", cfg.heads,
+                                         clips)
         w_dense = None
         if cfg.variant != "TransEnc":
             x, w_dense = dense_attention(x, sources, params, prefix + ".dense",
-                                         cfg.heads, cfg.fusion)
+                                         cfg.heads, cfg.fusion, clips)
         x = _ffn_block(x, params, prefix + ".ffn")
-        state.hidden.append(x.data.copy())
+        state.hidden.append(x.data.reshape(clips, n, d).copy())
         state.self_attn.append(w_self)
         state.dense_attn.append(w_dense)
 
     if cfg.R >= 1:
         x = tn.layer_norm(x, _p(params, "decoder.final_ln.gamma"),
                           _p(params, "decoder.final_ln.beta"))
-    return tn.mean_rows(x), state
+    return tn.mean_rows(tn.reshape(x, (clips, n, d))), state
 
 
 def classify_head(embeddings: Tensor, params, bn_state: BNState, training: bool):
@@ -268,7 +283,8 @@ def init_head(d: int, num_ids: int, rng, dtype=np.float64):
 
 def dump_attention(state: DecoderState, cfg: DecoderConfig, I: int, P: int,
                    source_ids, path) -> int:
-    """Write interaction-attention weights as CSV rows; returns row count.
+    """Write the first clip's interaction-attention weights as CSV rows;
+    returns the row count.
 
     Key columns identify the scale each weight looked at: Z^l for a pooled
     encoder block, H for the decoder's own hidden state.
@@ -284,12 +300,10 @@ def dump_attention(state: DecoderState, cfg: DecoderConfig, I: int, P: int,
         for b, weights in enumerate(state.dense_attn, start=1):
             if weights is None:
                 continue
-            for h in range(weights.shape[0]):
-                for qi in range(weights.shape[1]):
-                    qf, qp = idx[qi]
-                    for ki in range(weights.shape[2]):
-                        kf, kp = idx[ki % n]
-                        out.writerow([b, h + 1, qf, qp, labels[ki // n], kf, kp,
-                                      repr(float(weights[h, qi, ki]))])
-                        rows += 1
+            for (h, qi, ki), w in np.ndenumerate(weights[0]):
+                qf, qp = idx[qi]
+                kf, kp = idx[ki % n]
+                out.writerow([b, h + 1, qf, qp, labels[ki // n], kf, kp,
+                              repr(float(w))])
+                rows += 1
     return rows

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tensor as tn
 from .config import ConfigError, RunConfig, write_run_config
-from .data import Corpus, pk_batches, restricted_sample
+from .data import CHANNELS, Corpus, pk_batches, restricted_sample
 from .flops import estimate_decoder_flops
 from .losses import total_loss
 from .metrics import EvalTable, cmc_and_map, metrics_rows, pairwise_distances
@@ -48,7 +48,7 @@ def decoder_flops(cfg: RunConfig) -> dict:
 
 def _check_frame_shape(cfg: RunConfig, tracklets):
     """Reject tracklets whose (C, H, W) frames differ from ``cfg.data``."""
-    want = (cfg.data.channels, cfg.data.height, cfg.data.width)
+    want = (CHANNELS, cfg.data.height, cfg.data.width)
     for tr in tracklets:
         if tr.frames.shape[1:] != want:
             raise ConfigError("corpus frames are %s (C, H, W), config "
@@ -122,13 +122,19 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
     return model, report
 
 
-def embed_tracklet(model: Model, cfg: RunConfig, tracklet) -> np.ndarray:
-    """One fixed restricted sample per tracklet, embedded in eval mode."""
+def eval_clip(cfg: RunConfig, tracklet) -> np.ndarray:
+    """The tracklet's one fixed restricted sample, as a [1, I, C, H, W]
+    batch in the run dtype: what evaluation embeds it from."""
     rng = stream(cfg.seed, EVAL_STREAM
                  + tracklet.identity * TRACKLET_STRIDE + tracklet.tracklet_id)
     clip = restricted_sample(tracklet, cfg.sampling.chunks, rng)
-    clip = clip[None].astype(cfg.np_dtype())
-    _, embeddings, _ = forward_batch(model, clip, training=False)
+    return clip[None].astype(cfg.np_dtype())
+
+
+def embed_tracklet(model: Model, cfg: RunConfig, tracklet) -> np.ndarray:
+    """The tracklet's fixed sample, embedded in eval mode."""
+    _, embeddings, _ = forward_batch(model, eval_clip(cfg, tracklet),
+                                     training=False)
     return embeddings.data[0]
 
 

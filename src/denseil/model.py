@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tn
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
+from .data import CHANNELS
 from .decoder import classify_head, decoder_forward, init_decoder, init_head
 from .encoder import encode_clip, init_encoder
 from .partition import stack_partitions
@@ -36,8 +36,7 @@ def build_model(cfg: RunConfig) -> Model:
     dtype = cfg.np_dtype()
     d = cfg.decoder.d
 
-    params, states = init_encoder(cfg.encoder, cfg.data.channels, rng,
-                                  dtype=dtype)
+    params, states = init_encoder(cfg.encoder, CHANNELS, rng, dtype=dtype)
     for l, c in enumerate(cfg.encoder.channels, start=1):
         name = "adapter.block%d.w" % l
         w = rng.normal(0.0, c ** -0.5, (c, d)).astype(dtype)
@@ -54,26 +53,20 @@ def build_model(cfg: RunConfig) -> Model:
 def forward_batch(model: Model, clips: np.ndarray, training: bool):
     """Embed a [B, I, C, H, W] batch of clips.
 
-    Returns (logits [B, num_ids], embeddings [B, d], last clip's decoder
+    Returns (logits [B, num_ids], embeddings [B, d], the batch's decoder
     state). Encoder batch norm sees the whole batch at once; the decoder
-    runs per clip. Embeddings are the post-norm features the metric side
-    ranks.
+    runs once over all B clips, attention staying within each clip.
+    Embeddings are the post-norm features the metric side ranks.
     """
     b, i = clips.shape[0], clips.shape[1]
     x = Tensor(np.ascontiguousarray(clips.reshape((b * i,) + clips.shape[2:])))
     pyramid = encode_clip(x, model.cfg.encoder, model.params, model.states,
                           training)
-    adapters = model.adapter_weights()
+    tokens, earlier = stack_partitions(pyramid, model.cfg.partitions,
+                                       model.adapter_weights(), b)
     emb = step_emb(i, model.cfg.partitions, model.cfg.decoder.d)
-    clip_embs = []
-    state = None
-    for k in range(b):
-        pyr = [tn.slice_rows(block, k * i, (k + 1) * i) for block in pyramid]
-        tokens, earlier = stack_partitions(pyr, model.cfg.partitions, adapters)
-        e, state = decoder_forward(tokens, earlier, emb, model.cfg.decoder,
-                                   model.params)
-        clip_embs.append(e)
-    embeddings = tn.stack_rows(clip_embs)
+    embeddings, state = decoder_forward(tokens, earlier, emb,
+                                        model.cfg.decoder, model.params)
     logits, normed = classify_head(embeddings, model.params,
                                    model.states["head.bn"], training)
     return logits, normed, state

@@ -1,4 +1,4 @@
-"""Horizontal partition pooling and token-matrix assembly.
+"""Horizontal partition pooling and token assembly.
 
 A feature map is cut into P horizontal bands, each band average-pooled to a
 single channel vector, giving P part tokens per frame. Tokens are ordered
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, matmul
+from .tensor import ShapeError, Tensor, matmul, reshape
 
 
 def band_heights(H: int, P: int):
@@ -49,34 +49,17 @@ def ppool(block: Tensor, P: int) -> Tensor:
     return Tensor(out, _parents=(block,), _backward=back)
 
 
-class TokenMatrix:
-    """Part tokens plus the (frame, partition) identity of each row."""
-
-    __slots__ = ("tokens", "I", "P")
-
-    def __init__(self, tokens: Tensor, I: int, P: int):
-        if tokens.shape[0] != I * P:
-            raise ShapeError("token matrix has %d rows, expected %d" % (tokens.shape[0], I * P))
-        self.tokens = tokens
-        self.I = I
-        self.P = P
-
-    @property
-    def index(self):
-        return token_index(self.I, self.P)
-
-
-def stack_partitions(pyramid, P: int, adapters):
+def stack_partitions(pyramid, P: int, adapters, clips: int):
     """Pool every pyramid block and map each to the decoder width.
 
-    ``adapters`` is one bias-free [C_l, d] weight per block. Returns the last
-    block's token matrix (the decoder input) and the earlier blocks' matrices
-    in depth order.
+    Each block holds ``clips`` clips of equal length, frames clip-major.
+    ``adapters`` is one bias-free [C_l, d] weight per block. Returns
+    [clips, frames * P, d] token tensors: the last block's (the decoder
+    input) and the earlier blocks' in depth order.
     """
     if len(adapters) != len(pyramid):
         raise ShapeError("need one adapter per encoder block")
-    frames = pyramid[0].shape[0]
-    mapped = []
-    for block, adapter in zip(pyramid, adapters):
-        mapped.append(TokenMatrix(matmul(ppool(block, P), adapter), frames, P))
+    mapped = [reshape(matmul(ppool(block, P), adapter),
+                      (clips, -1, adapter.shape[1]))
+              for block, adapter in zip(pyramid, adapters)]
     return mapped[-1], mapped[:-1]

@@ -229,23 +229,26 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands, got %s and %s" % (a.shape, b.shape))
-    if a.shape[1] != b.shape[0]:
+    """[..., m, k] @ [..., k, n] -> [..., m, n]; leading (stack) dims must match."""
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError("matmul expects equally stacked operands of rank >= 2, "
+                         "got %s and %s" % (a.shape, b.shape))
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul: inner dims disagree, %s vs %s" % (a.shape, b.shape))
-    m, k = a.shape
-    n = b.shape[1]
+    macs = int(np.prod(a.shape[:-1])) * a.shape[-1] * b.shape[-1]
     for counter in _counters():
-        counter.macs += m * k * n
+        counter.macs += macs
     out = a.data @ b.data
     return Tensor(out, _parents=(a, b),
-                  _backward=lambda g: (g @ b.data.T, a.data.T @ g))
+                  _backward=lambda g: (g @ np.swapaxes(b.data, -1, -2),
+                                       np.swapaxes(a.data, -1, -2) @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-    return Tensor(a.data.T.copy(), _parents=(a,), _backward=lambda g: (g.T,))
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes as ``np.transpose`` does; None reverses them."""
+    undo = None if axes is None else np.argsort(axes)
+    return Tensor(np.transpose(a.data, axes).copy(), _parents=(a,),
+                  _backward=lambda g: (np.transpose(g, undo),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -294,12 +297,13 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def mean_rows(a: Tensor) -> Tensor:
-    """Column-wise mean over rows: [n, d] -> [d]."""
-    if a.data.ndim != 2:
-        raise ShapeError("mean_rows expects a 2-D tensor")
-    n = a.shape[0]
-    return Tensor(a.data.mean(axis=0), _parents=(a,),
-                  _backward=lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
+    """Mean over the second-to-last axis: [..., n, d] -> [..., d]."""
+    if a.data.ndim < 2:
+        raise ShapeError("mean_rows expects a tensor of rank >= 2")
+    n = a.shape[-2]
+    return Tensor(a.data.mean(axis=-2), _parents=(a,),
+                  _backward=lambda g: (np.broadcast_to(
+                      np.expand_dims(g / n, -2), a.shape).copy(),))
 
 
 def sum_axis1(a: Tensor) -> Tensor:
@@ -355,40 +359,6 @@ def concat_cols(parts) -> Tensor:
     return Tensor(out, _parents=tuple(parts), _backward=back)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
-
-    return Tensor(a.data[start:stop].copy(), _parents=(a,), _backward=back)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("slice_cols expects a 2-D tensor")
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return Tensor(a.data[:, start:stop].copy(), _parents=(a,), _backward=back)
-
-
-def stack_rows(parts) -> Tensor:
-    """Stack 1-D tensors into a matrix: B tensors of [d] -> [B, d]."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("stack_rows needs at least one tensor")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError("stack_rows expects 1-D tensors")
-    out = np.stack([p.data for p in parts], axis=0)
-    return Tensor(out, _parents=tuple(parts),
-                  _backward=lambda g: tuple(g[i] for i in range(len(parts))))
-
-
 def pick(a: Tensor, rows, cols) -> Tensor:
     """Gather a[rows[i], cols[i]] into a 1-D tensor."""
     if a.data.ndim != 2:
@@ -409,18 +379,18 @@ def pick(a: Tensor, rows, cols) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, computed with max subtraction."""
-    if x.data.ndim != 2:
-        raise ShapeError("softmax_rows expects a 2-D tensor, got %s" % (x.shape,))
+    """Softmax over the last axis, computed with max subtraction."""
+    if x.data.ndim < 2:
+        raise ShapeError("softmax_rows expects rank >= 2, got %s" % (x.shape,))
     if not np.all(np.isfinite(x.data)):
         raise NumericError("softmax_rows: non-finite input")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
         # dx = y * (g - sum(g*y)) per row
-        dot = (g * out).sum(axis=1, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return Tensor(out, _parents=(x,), _backward=back)

@@ -5,7 +5,7 @@ import functools
 import json
 
 from denseil.config import run_config_from_dict
-from denseil.data import generate_dataset
+from denseil.data import SynthConfig, generate_dataset
 
 MICRO = {
     "seed": 0,
@@ -38,8 +38,10 @@ def micro_run_config(**overrides):
 
 @functools.lru_cache(maxsize=8)
 def _corpus_for(key):
-    return generate_dataset(run_config_from_dict(json.loads(key)).data)
+    return generate_dataset(SynthConfig(**json.loads(key)))
 
 
 def micro_corpus(**overrides):
-    return _corpus_for(json.dumps(micro_dict(**overrides), sort_keys=True))
+    # only the data section: a corpus has no sampling limits to check
+    return _corpus_for(json.dumps(micro_dict(**overrides)["data"],
+                                  sort_keys=True))

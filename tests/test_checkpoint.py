@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,18 @@ def test_unicode_names(tmp_path):
     path = tmp_path / "g.ckpt"
     ck.save_checkpoint(path, {"poids.γ": np.zeros(2, np.float32)})
     assert "poids.γ" in ck.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, shape", [
+    (b"\xff\xfe", ()),             # record name is not UTF-8
+    (b"w", (0, 2 ** 63)),           # extent numpy cannot hold
+    (b"w", (0, 2 ** 62, 2 ** 62)),  # byte size numpy cannot hold
+], ids=["name-not-utf8", "huge-extent", "huge-size"])
+def test_malformed_record_raises_checkpoint_error(tmp_path, name, shape):
+    path = tmp_path / "h.ckpt"
+    path.write_bytes(b"DIL1" + struct.pack("<I", len(name)) + name
+                     + struct.pack("<I", len(shape))
+                     + b"".join(struct.pack("<Q", n) for n in shape)
+                     + (b"\x00" * 4 if not shape else b""))
+    with pytest.raises(ck.CheckpointError):
+        ck.load_checkpoint(path)

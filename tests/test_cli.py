@@ -1,9 +1,13 @@
 import json
 import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import denseil
 from denseil.cli import main
 from micro import micro_dict
 
@@ -121,6 +125,7 @@ REMOVED_KEYS = [
     {"encoder": {"in_width": 8}},
     {"decoder": {"ffn_before_dense": True}},
     {"decoder": {"posemb_per_block": True}},
+    {"data": {"channels": 3}},
 ]
 
 
@@ -132,6 +137,8 @@ REMOVED_KEYS = [
     {"decoder": {"R": 1.7}},
     {"decoder": {"R": "2"}},
     {"partitions": 64},
+    {"sampling": {"chunks": 9}},  # the micro corpus has 8 frames per tracklet
+    {"sampling": {"k_ids": 5}},  # and 4 identities
 ] + REMOVED_KEYS, ids=json.dumps)
 def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
                                                        override):
@@ -166,6 +173,78 @@ def test_missing_files_exit_3(tmp_path, capsys):
                  "--data", str(tmp_path / "nocorpus"),
                  "--out", str(tmp_path / "out")]) == 3
     capsys.readouterr()
+
+
+def _exits_3_with_one_line(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("denseil: i/o error: ")
+    assert err.count("\n") == 1
+
+
+def _rewrite_manifest(data_dir, edit):
+    path = data_dir / "manifest.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+
+
+def test_manifest_without_identity_column_exits_3(workspace, capsys):
+    tmp_path, cfg_path, data_dir = workspace
+
+    def drop_identity(lines):
+        return [",".join(f for i, f in enumerate(line.split(",")) if i != 1)
+                for line in lines]
+
+    _rewrite_manifest(data_dir, drop_identity)
+    _exits_3_with_one_line(["train", "--config", str(cfg_path), "--data",
+                            str(data_dir), "--out", str(tmp_path / "out")],
+                           capsys)
+
+
+def test_manifest_non_integer_identity_exits_3(workspace, capsys):
+    tmp_path, cfg_path, data_dir = workspace
+
+    def bad_identity(lines):
+        first = lines[1].split(",")
+        first[1] = "x"
+        return [lines[0], ",".join(first)] + lines[2:]
+
+    _rewrite_manifest(data_dir, bad_identity)
+    _exits_3_with_one_line(["train", "--config", str(cfg_path), "--data",
+                            str(data_dir), "--out", str(tmp_path / "out")],
+                           capsys)
+
+
+def test_checkpoint_undecodable_record_name_exits_3(workspace, capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.json").write_text(cfg_path.read_text())
+    name = b"\xff\xfe"
+    ckpt = run_dir / "final.dil1"
+    ckpt.write_bytes(b"DIL1" + struct.pack("<I", len(name)) + name
+                     + struct.pack("<I", 0) + struct.pack("<f", 1.0))
+    _exits_3_with_one_line(["eval", "--checkpoint", str(ckpt),
+                            "--data", str(data_dir)], capsys)
+
+
+def test_cli_training_is_byte_identical_across_processes(workspace):
+    # through ``python -m denseil.cli``, the path that pins BLAS threads
+    tmp_path, cfg_path, data_dir = workspace
+    src = os.path.dirname(os.path.dirname(os.path.abspath(denseil.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")
+           and k != "VECLIB_MAXIMUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        subprocess.run([sys.executable, "-m", "denseil.cli", "train",
+                        "--config", str(cfg_path), "--data", str(data_dir),
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+    for name in ("final.dil1", "report.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 def test_divergence_exits_2(workspace, capsys):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,13 @@ def test_read_tracklet_rejects_truncation(tmp_path):
         read_tracklet(p)
 
 
+def test_read_tracklet_rejects_unrepresentable_extents(tmp_path):
+    p = tmp_path / "x.dilt"
+    p.write_bytes(b"DILT" + struct.pack("<7I", 0, 0, 0, 0, *[2 ** 32 - 1] * 3))
+    with pytest.raises(TrackletFormatError):
+        read_tracklet(p)
+
+
 def test_corpus_roundtrip(tmp_path):
     corpus = generate_dataset(SMALL)
     write_corpus(corpus, tmp_path / "corpus")
@@ -223,6 +232,18 @@ def test_corpus_roundtrip(tmp_path):
 
 
 def test_load_corpus_requires_manifest(tmp_path):
+    with pytest.raises(TrackletFormatError):
+        load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe\x00garbage",                                  # not text
+    b"filename,camera,split\nid000_t00_cam0.dilt,0,train\n",  # no identity
+    b"filename,identity,camera,split\nid000_t00_cam0.dilt\n",  # short row
+], ids=["not-text", "no-identity-column", "short-row"])
+def test_load_corpus_rejects_malformed_manifest(tmp_path, text):
+    write_corpus(generate_dataset(SMALL), tmp_path)
+    (tmp_path / "manifest.csv").write_bytes(text)
     with pytest.raises(TrackletFormatError):
         load_corpus(tmp_path)
 

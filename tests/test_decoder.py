@@ -6,7 +6,6 @@ import pytest
 from denseil import decoder as dec
 from denseil import flops, posemb, tensor as T
 from denseil.imageops import BNState, RunningStatsError
-from denseil.partition import TokenMatrix
 from oracles import (dense_attention_ref, gradcheck, multihead_attention_ref,
                      self_attention_block_ref)
 
@@ -35,11 +34,11 @@ def as_ref_dict(params, prefix):
             if name.startswith(prefix + ".")}
 
 
-def build_stack(cfg, L, I, P, seed=0):
+def build_stack(cfg, L, I, P, seed=0, clips=1):
     rng = np.random.default_rng(seed)
     params = dec.init_decoder(cfg, L, rng)
-    tokens = TokenMatrix(t(rng.normal(size=(I * P, cfg.d))), I, P)
-    pyr = [TokenMatrix(t(rng.normal(size=(I * P, cfg.d))), I, P) for _ in range(L - 1)]
+    tokens = t(rng.normal(size=(clips, I * P, cfg.d)))
+    pyr = [t(rng.normal(size=(clips, I * P, cfg.d))) for _ in range(L - 1)]
     return params, tokens, pyr
 
 
@@ -53,7 +52,7 @@ def test_multihead_matches_oracle():
             xq = rng.normal(size=(nq, d))
             xkv = rng.normal(size=(nk, d))
             ws = [rng.normal(size=(d, d)) for _ in range(4)]
-            got, weights = dec.multi_head_attention(
+            got, (weights,) = dec.multi_head_attention(
                 t(xq), t(xkv), t(ws[0]), t(ws[1]), t(ws[2]), t(ws[3]), heads)
             want = multihead_attention_ref(xq, xkv, *ws, heads)
             assert np.abs(got.data - want).max() < 1e-10
@@ -102,7 +101,7 @@ def test_dense_attention_matches_reference():
             params = attn_params(rng, d, "blk.dense")
             H = rng.normal(size=(n, d))
             sources = [rng.normal(size=(n, d)) for _ in range(n_sources)]
-            out, weights = dec.dense_attention(t(H), [t(s) for s in sources],
+            out, (weights,) = dec.dense_attention(t(H), [t(s) for s in sources],
                                                params, "blk.dense", heads, "attention")
             want = dense_attention_ref(H, sources, as_ref_dict(params, "blk.dense"), heads)
             assert np.abs(out.data - want).max() < 1e-10
@@ -161,7 +160,7 @@ def test_forward_r0_is_mean_of_tokens_plus_emb():
     _, tokens, pyr = build_stack(cfg, L=2, I=2, P=2, seed=70)
     emb = posemb.step_emb(2, 2, 8)
     out, state = dec.decoder_forward(tokens, pyr, emb, cfg, {})
-    want = (tokens.tokens.data + emb.combined).mean(axis=0)
+    want = (tokens.data + emb.combined).mean(axis=1)
     assert np.array_equal(out.data, want)
     assert state.hidden == []
 
@@ -173,8 +172,8 @@ def test_forward_permutation_invariant_without_positions():
     rng = np.random.default_rng(72)
     for _ in range(5):
         perm = rng.permutation(4)
-        tokens_p = TokenMatrix(t(tokens.tokens.data[perm]), 2, 2)
-        pyr_p = [TokenMatrix(t(m.tokens.data[perm]), 2, 2) for m in pyr]
+        tokens_p = t(tokens.data[:, perm])
+        pyr_p = [t(m.data[:, perm]) for m in pyr]
         out, _ = dec.decoder_forward(tokens_p, pyr_p, None, cfg, params)
         assert np.abs(out.data - base.data).max() <= 1e-8
 
@@ -186,8 +185,8 @@ def test_forward_frame_swap_changes_embedding_with_positions():
     base, _ = dec.decoder_forward(tokens, pyr, emb, cfg, params)
     # swap frames 1 and 3 consistently in tokens and sources
     perm = np.arange(8).reshape(4, 2)[[2, 1, 0, 3]].reshape(-1)
-    tokens_s = TokenMatrix(t(tokens.tokens.data[perm]), 4, 2)
-    pyr_s = [TokenMatrix(t(m.tokens.data[perm]), 4, 2) for m in pyr]
+    tokens_s = t(tokens.data[:, perm])
+    pyr_s = [t(m.data[:, perm]) for m in pyr]
     swapped, _ = dec.decoder_forward(tokens_s, pyr_s, emb, cfg, params)
     assert np.abs(swapped.data - base.data).max() > 1e-6
 
@@ -201,9 +200,9 @@ def test_forward_residual_identity_with_zeroed_projections():
                 p.tensor.data = np.zeros_like(p.tensor.data)
         emb = posemb.step_emb(2, 2, 8)
         out, state = dec.decoder_forward(tokens, pyr, emb, cfg, params)
-        passthrough = tokens.tokens.data + emb.combined
+        passthrough = tokens.data + emb.combined
         assert np.allclose(state.hidden[-1], passthrough, atol=1e-12)
-        ln = T.layer_norm(t(passthrough), params["decoder.final_ln.gamma"].tensor,
+        ln = T.layer_norm(t(passthrough[0]), params["decoder.final_ln.gamma"].tensor,
                           params["decoder.final_ln.beta"].tensor)
         assert np.allclose(out.data, ln.data.mean(axis=0), atol=1e-12)
 
@@ -214,7 +213,7 @@ def test_forward_dense_key_count_and_row_sums():
     _, state = dec.decoder_forward(tokens, pyr, posemb.step_emb(2, 3, 8), cfg, params)
     S = 3  # blocks 2, 3, 4
     n = 6
-    for w_self, w_dense in zip(state.self_attn, state.dense_attn):
+    for (w_self,), (w_dense,) in zip(state.self_attn, state.dense_attn):
         assert w_self.shape == (2, n, n)
         assert w_dense.shape == (2, n, (S + 1) * n)
         assert np.allclose(w_self.sum(axis=2), 1.0, atol=1e-6)
@@ -244,23 +243,66 @@ def test_transenc_ignores_sources_at_forward():
     params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=77)
     out, state = dec.decoder_forward(tokens, pyr, None, cfg, params)
     assert state.dense_attn == [None]
-    assert out.shape == (8,)
+    assert out.shape == (1, 8)
 
 
 def test_forward_gradcheck_one_block():
     cfg = dec.DecoderConfig(R=1, d=6, heads=2)
     params, tokens, pyr = build_stack(cfg, L=2, I=2, P=2, seed=78)
     emb = posemb.step_emb(2, 2, 6)
-    tensors = ([tokens.tokens] + [m.tokens for m in pyr]
-               + [p.tensor for p in params.values()])
+    tensors = [tokens] + pyr + [p.tensor for p in params.values()]
 
     def loss(*ts):
-        tok = TokenMatrix(ts[0], 2, 2)
-        sources = [TokenMatrix(s, 2, 2) for s in ts[1:1 + len(pyr)]]
-        out, _ = dec.decoder_forward(tok, sources, emb, cfg, params)
+        out, _ = dec.decoder_forward(ts[0], list(ts[1:1 + len(pyr)]), emb, cfg,
+                                     params)
         return T.sum_all(T.mul(out, out))
 
     gradcheck(loss, tensors)
+
+
+def test_forward_gradcheck_batch_of_two():
+    cfg = dec.DecoderConfig(R=1, d=4, heads=2)
+    params, tokens, pyr = build_stack(cfg, L=2, I=2, P=1, seed=79, clips=2)
+    emb = posemb.step_emb(2, 1, 4)
+    weights = t(np.random.default_rng(79).normal(size=(2, 4)))
+    tensors = [tokens] + pyr + [p.tensor for p in params.values()]
+
+    def loss(*ts):
+        out, _ = dec.decoder_forward(ts[0], list(ts[1:1 + len(pyr)]), emb, cfg,
+                                     params)
+        return T.sum_all(T.mul(T.mul(out, out), weights))
+
+    gradcheck(loss, tensors)
+
+
+def test_forward_clips_do_not_interact():
+    cfg = dec.DecoderConfig(R=2, d=8, heads=2, dense_sources=(1, 2, 3))
+    params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=85, clips=2)
+    emb = posemb.step_emb(2, 2, 8)
+    first_clip = t([[1.0], [0.0]])
+
+    def run(tokens, pyr):
+        """Clip 0's embedding, attention and the gradients of its norm."""
+        for p in params.values():
+            p.tensor.grad = None
+        inputs = [t(tokens.data, rg=True)] + [t(m.data, rg=True) for m in pyr]
+        out, state = dec.decoder_forward(inputs[0], inputs[1:], emb, cfg, params)
+        T.backward(T.sum_all(T.mul(T.mul(out, out), first_clip)))
+        grads = [x.grad[0] for x in inputs] + [p.grad for p in params.values()]
+        return out.data[0], state, grads
+
+    base, base_state, base_grads = run(tokens, pyr)
+    rng = np.random.default_rng(86)
+    clip1 = np.array([0.0, 1.0])[:, None, None]
+    moved = t(tokens.data + clip1 * rng.normal(size=tokens.shape))
+    moved_pyr = [t(m.data + clip1 * rng.normal(size=m.shape)) for m in pyr]
+    out, state, grads = run(moved, moved_pyr)
+    assert np.abs(out - base).max() <= 1e-12
+    for want, got in zip(base_grads, grads):
+        assert np.abs(got - want).max() <= 1e-12
+    for want, got in zip(base_state.dense_attn, state.dense_attn):
+        assert np.abs(got[0] - want[0]).max() <= 1e-12
+        assert np.abs(got[1] - want[1]).max() > 1e-6
 
 
 # ------------------------------------------------------------ classify head

@@ -53,6 +53,20 @@ def test_forward_deterministic_across_builds():
     assert np.array_equal(a.data, b.data)
 
 
+def test_batched_forward_equals_single_clip_calls():
+    cfg = micro_run_config(dtype="float64")
+    model = build_model(cfg)
+    clips = random_clips(cfg)
+    forward_batch(model, clips, training=True)  # running stats for eval mode
+    logits, embeddings, state = forward_batch(model, clips, training=False)
+    for k in range(3):
+        one = forward_batch(model, clips[k:k + 1], training=False)
+        assert np.abs(logits.data[k] - one[0].data[0]).max() <= 1e-12
+        assert np.abs(embeddings.data[k] - one[1].data[0]).max() <= 1e-12
+        for got, want in zip(state.dense_attn, one[2].dense_attn):
+            assert np.abs(got[k] - want[0]).max() <= 1e-12
+
+
 def test_eval_mode_requires_trained_stats():
     cfg = micro_run_config()
     model = build_model(cfg)

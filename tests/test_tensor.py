@@ -259,19 +259,17 @@ def test_gradcheck_ffn():
     gradcheck(lambda *ts: T.mean_all(T.ffn(*ts)), [x, w1, b1, w2, b2])
 
 
-def test_gradcheck_concat_slice_stack():
+def test_gradcheck_concat_rows_cols():
     rng = np.random.default_rng(17)
     a = t(rng.uniform(-1, 1, (2, 3)))
     b = t(rng.uniform(-1, 1, (4, 3)))
-    c = t(rng.uniform(-1, 1, 3))
 
-    def loss(a, b, c):
-        cat = T.concat_rows([a, b, T.stack_rows([c])])
-        wide = T.concat_cols([cat, cat])
-        piece = T.slice_cols(T.slice_rows(wide, 1, 6), 2, 5)
-        return T.sum_all(T.mul(piece, piece))
+    def loss(a, b):
+        cat = T.concat_rows([a, b])
+        wide = T.concat_cols([cat, T.scale(cat, 2.0)])
+        return T.sum_all(T.mul(wide, wide))
 
-    gradcheck(loss, [a, b, c])
+    gradcheck(loss, [a, b])
 
 
 def test_gradcheck_reductions():
@@ -330,6 +328,26 @@ def test_matmul_rejects_bad_shapes():
         T.matmul(t(np.zeros(3)), t(np.zeros((3, 2))))
     with pytest.raises(T.ShapeError):
         T.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+
+
+def test_stacked_ops_match_per_slice_ops():
+    rng = np.random.default_rng(21)
+    a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+    with T.count_matmuls() as counter:
+        prod = T.matmul(t(a), t(b))
+    assert counter.macs == 3 * 2 * 4 * 5
+    soft = T.softmax_rows(t(a))
+    mean = T.mean_rows(t(a))
+    for i in range(3):
+        assert np.allclose(prod.data[i], a[i] @ b[i], atol=1e-12)
+        assert np.allclose(soft.data[i], T.softmax_rows(t(a[i])).data, atol=1e-15)
+        assert np.allclose(mean.data[i], a[i].mean(axis=0), atol=1e-15)
+    assert np.array_equal(T.transpose(t(a), (2, 0, 1)).data,
+                          np.transpose(a, (2, 0, 1)))
+    with pytest.raises(T.ShapeError):
+        T.matmul(t(a), t(b[:2]))
+    with pytest.raises(T.ShapeError):
+        T.matmul(t(a), t(b[0]))
 
 
 def test_determinism_same_input_bitwise():
