@@ -166,10 +166,10 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except json.JSONDecodeError as err:
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ConfigError("%s: %s" % (path, err))
     return run_config_from_dict(obj)
 

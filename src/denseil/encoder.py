@@ -72,10 +72,13 @@ def init_encoder(cfg: EncoderConfig, in_channels: int, rng: np.random.Generator,
 
 
 def encode_clip(frames: Tensor, cfg: EncoderConfig, params, states, training: bool):
-    """Run [I,C,H,W] frames through all blocks; returns the full pyramid."""
+    """Run channels-last [I,H,W,C] frames through all blocks.
+
+    Returns the full pyramid, one channels-last [I,H_l,W_l,C_l] map per block.
+    """
     if frames.data.ndim != 4:
-        raise ShapeError("encode_clip expects [I,C,H,W] frames")
-    h, w = frames.shape[2], frames.shape[3]
+        raise ShapeError("encode_clip expects [I,H,W,C] frames")
+    h, w = frames.shape[1], frames.shape[2]
     div = 1 << cfg.num_downsampling()
     if h % div or w % div:
         raise ShapeError("input %dx%d not divisible by 2^%d" % (h, w, cfg.num_downsampling()))

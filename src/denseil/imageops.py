@@ -17,14 +17,16 @@ class RunningStatsError(RuntimeError):
 
 
 def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
-    """Same-padded convolution of [N,C,H,W] by [Cout,C,kh,kw], via im2col.
+    """Same-padded convolution of [N,H,W,C] by [Cout,C,kh,kw], via im2col.
 
-    Padding is (k-1)//2 per side, so stride 1 preserves H,W and stride 2
-    halves even dims.
+    Channels-last in and out: returns [N,Ho,Wo,Cout]. Padding is (k-1)//2
+    per side, so stride 1 preserves H,W and stride 2 halves even dims. The
+    columns are ordered (kh, kw, C), so each window row is one contiguous
+    kw*C run of the padded input.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weights")
-    n, c, h, wd = x.shape
+    n, h, wd, c = x.shape
     cout, cin, kh, kw = w.shape
     if cin != c:
         raise ShapeError("conv2d: input has %d channels, weights expect %d" % (c, cin))
@@ -35,30 +37,36 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
     wo = (wd + 2 * pw - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError("conv2d: output would be empty")
+    if bias is not None and (bias.data.ndim != 1 or bias.shape[0] != cout):
+        raise ShapeError("conv2d: bias must have shape (%d,)" % cout)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
-    wmat = w.data.reshape(cout, c * kh * kw)
-    out2 = cols @ wmat.T
+    padded = (n, h + 2 * ph, wd + 2 * pw, c)
+    xp = np.zeros(padded, dtype=x.data.dtype)
+    xp[:, ph:ph + h, pw:pw + wd] = x.data
+    sn, sh, sw, sc = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, ho, wo, kh, kw * c), (sn, stride * sh, stride * sw, sh, sc))
+    cols = win.reshape(n * ho * wo, kh * kw * c)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * c)
+    out = cols @ wmat.T
     if bias is not None:
-        if bias.data.ndim != 1 or bias.shape[0] != cout:
-            raise ShapeError("conv2d: bias must have shape (%d,)" % cout)
-        out2 = out2 + bias.data
-    out = out2.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+        out = out + bias.data
+    out = out.reshape(n, ho, wo, cout)
 
     def back(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
-        dw = (g2.T @ cols).reshape(w.shape)
-        dcols = g2 @ wmat
-        dwin = dcols.reshape(n, ho, wo, c, kh, kw)
-        dxp = np.zeros_like(xp)
-        for ki in range(kh):
-            for kj in range(kw):
-                dxp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += (
-                    dwin[:, :, :, :, ki, kj].transpose(0, 3, 1, 2))
-        dx = dxp[:, :, ph:ph + h, pw:pw + wd]
+        g2 = g.reshape(-1, cout)
+        dw = (g2.T @ cols).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2)
+        dx = None
+        if x.requires_grad:
+            # col2im one tap at a time: tap (i, j) touches every stride-th
+            # padded pixel from (i, j) on, so each += is a single strided add
+            taps = wmat.reshape(cout, kh, kw, c)
+            dxp = np.zeros(padded, dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
+                        (g2 @ taps[:, i, j]).reshape(n, ho, wo, c))
+            dx = dxp[:, ph:ph + h, pw:pw + wd]
         if bias is not None:
             return dx, dw, g2.sum(axis=0)
         return dx, dw
@@ -88,47 +96,50 @@ class BNState:
 
 
 def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-               training: bool, eps: float, axes, shape_bc) -> Tensor:
+               training: bool, eps: float) -> Tensor:
+    # channels are the last axis; statistics run over every other axis
     c = gamma.shape[0]
+    x2 = x.data.reshape(-1, c)
     if training:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mu = x2.mean(axis=0)
+        var = x2.var(axis=0)
         state.update(mu, var)
     else:
         if state.num_batches == 0:
             raise RunningStatsError(
                 "batch norm eval requested before any training pass accumulated statistics")
         mu, var = state.running_mean, state.running_var
-    mu_b = mu.reshape(shape_bc)
-    inv = (1.0 / np.sqrt(var + eps)).reshape(shape_bc)
-    xhat = (x.data - mu_b) * inv
-    out = xhat * gamma.data.reshape(shape_bc) + beta.data.reshape(shape_bc)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x2 - mu) * inv
+    out = xhat * gamma.data + beta.data
 
     def back(g):
-        dbeta = g.sum(axis=axes)
-        dgamma = (g * xhat).sum(axis=axes)
-        scale = gamma.data.reshape(shape_bc) * inv
+        g2 = g.reshape(-1, c)
+        dbeta = g2.sum(axis=0)
+        dgamma = (g2 * xhat).sum(axis=0)
+        scale = gamma.data * inv
         if training:
             # batch statistics depend on x, so the mean terms flow back too
-            m = g.size // c
-            dx = scale * (g - g.mean(axis=axes, keepdims=True)
-                          - xhat * (g * xhat).sum(axis=axes, keepdims=True) / m)
+            dx = scale * (g2 - g2.mean(axis=0) - xhat * dgamma / g2.shape[0])
         else:
-            dx = scale * g
-        return dx, dgamma, dbeta
+            dx = scale * g2
+        return dx.reshape(x.shape), dgamma, dbeta
 
-    return Tensor(out, _parents=(x, gamma, beta), _backward=back)
+    return Tensor(out.reshape(x.shape), _parents=(x, gamma, beta), _backward=back)
 
 
 def batchnorm_nchw(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
                    training: bool, eps: float = 1e-5) -> Tensor:
-    """Per-channel batch norm over [N,C,H,W]; stats over (N,H,W)."""
+    """Per-channel batch norm over channels-last [N,H,W,C]; stats over (N,H,W).
+
+    The name predates the channels-last layout and is kept for callers that
+    refer to it.
+    """
     if x.data.ndim != 4:
         raise ShapeError("batchnorm_nchw expects a 4-D tensor")
-    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
+    if gamma.shape != (x.shape[3],) or beta.shape != (x.shape[3],):
         raise ShapeError("batchnorm_nchw: gamma/beta must match channel count")
-    return _batchnorm(x, gamma, beta, state, training, float(eps),
-                      axes=(0, 2, 3), shape_bc=(1, x.shape[1], 1, 1))
+    return _batchnorm(x, gamma, beta, state, training, float(eps))
 
 
 def batchnorm_rows(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
@@ -138,5 +149,4 @@ def batchnorm_rows(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         raise ShapeError("batchnorm_rows expects a 2-D tensor")
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ShapeError("batchnorm_rows: gamma/beta must match feature count")
-    return _batchnorm(x, gamma, beta, state, training, float(eps),
-                      axes=(0,), shape_bc=(1, x.shape[1]))
+    return _batchnorm(x, gamma, beta, state, training, float(eps))

@@ -54,12 +54,14 @@ def forward_batch(model: Model, clips: np.ndarray, training: bool):
     """Embed a [B, I, C, H, W] batch of clips.
 
     Returns (logits [B, num_ids], embeddings [B, d], the batch's decoder
-    state). Encoder batch norm sees the whole batch at once; the decoder
+    state). The frames go channels-last once, for the whole encoder.
+    Encoder batch norm sees the whole batch at once; the decoder
     runs once over all B clips, attention staying within each clip.
     Embeddings are the post-norm features the metric side ranks.
     """
     b, i = clips.shape[0], clips.shape[1]
-    x = Tensor(np.ascontiguousarray(clips.reshape((b * i,) + clips.shape[2:])))
+    frames = clips.reshape((b * i,) + clips.shape[2:])
+    x = Tensor(np.ascontiguousarray(frames.transpose(0, 2, 3, 1)))
     pyramid = encode_clip(x, model.cfg.encoder, model.params, model.states,
                           training)
     tokens, earlier = stack_partitions(pyramid, model.cfg.partitions,

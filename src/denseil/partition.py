@@ -28,13 +28,13 @@ def token_index(I: int, P: int):
 
 
 def ppool(block: Tensor, P: int) -> Tensor:
-    """Average-pool [I,C,H,W] into part tokens [(I*P), C], frame-major."""
+    """Average-pool channels-last [I,H,W,C] into part tokens [(I*P), C], frame-major."""
     if block.data.ndim != 4:
         raise ShapeError("ppool expects a 4-D block")
-    n, c, h, w = block.shape
+    n, h, w, c = block.shape
     heights = band_heights(h, P)
     starts = np.concatenate([[0], np.cumsum(heights)])
-    bands = [block.data[:, :, starts[b]:starts[b + 1], :].mean(axis=(2, 3))
+    bands = [block.data[:, starts[b]:starts[b + 1]].mean(axis=(1, 2))
              for b in range(P)]
     out = np.stack(bands, axis=1).reshape(n * P, c)
 
@@ -43,7 +43,7 @@ def ppool(block: Tensor, P: int) -> Tensor:
         dx = np.zeros_like(block.data)
         for b in range(P):
             r0, r1 = starts[b], starts[b + 1]
-            dx[:, :, r0:r1, :] = (g3[:, b] / ((r1 - r0) * w))[:, :, None, None]
+            dx[:, r0:r1] = (g3[:, b] / ((r1 - r0) * w))[:, None, None, :]
         return (dx,)
 
     return Tensor(out, _parents=(block,), _backward=back)

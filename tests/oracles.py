@@ -44,6 +44,46 @@ def gradcheck(fn, tensors, step=1e-5, tol=1e-4):
     return worst
 
 
+def nhwc(x):
+    """A contiguous channels-last copy of an [N,C,H,W] array."""
+    return np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)))
+
+
+def conv2d_nchw_ref(x, w, stride):
+    """Same-padded convolution of [N,C,H,W] by [Cout,C,kh,kw], one output pixel at a time."""
+    n, c, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho = (h + 2 * ph - kh) // stride + 1
+    wo = (wd + 2 * pw - kw) // stride + 1
+    out = np.zeros((n, cout, ho, wo))
+    for ni in range(n):
+        for co in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    patch = xp[ni, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                    out[ni, co, i, j] = (patch * w[co]).sum()
+    return out
+
+
+def encoder_nchw_ref(x, strides, params, eps=1e-5):
+    """Training-mode encoder pyramid over [N,C,H,W]: per block, twice
+    conv -> batch norm with batch statistics over (N,H,W) -> ReLU."""
+    pyramid = []
+    for l, stride in enumerate(strides, start=1):
+        for k, s in ((1, stride), (2, 1)):
+            prefix = "encoder.block%d" % l
+            x = conv2d_nchw_ref(x, params["%s.conv%d.w" % (prefix, k)], s)
+            mu = x.mean(axis=(0, 2, 3), keepdims=True)
+            var = x.var(axis=(0, 2, 3), keepdims=True)
+            gamma = params["%s.bn%d.gamma" % (prefix, k)].reshape(1, -1, 1, 1)
+            beta = params["%s.bn%d.beta" % (prefix, k)].reshape(1, -1, 1, 1)
+            x = np.maximum((x - mu) / np.sqrt(var + eps) * gamma + beta, 0.0)
+        pyramid.append(x)
+    return pyramid
+
+
 def softmax_rows_ref(x):
     x = np.asarray(x, dtype=np.float64)
     shifted = x - x.max(axis=1, keepdims=True)

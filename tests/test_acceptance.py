@@ -27,7 +27,7 @@ from denseil.model import build_model, load_model, save_model
 from denseil.partition import ppool, stack_partitions
 from micro import micro_corpus, micro_run_config
 from oracles import (batch_hard_triplet_ref, cmc_map_ref, dense_attention_ref,
-                     gradcheck, self_attention_block_ref, step_emb_ref)
+                     gradcheck, nhwc, self_attention_block_ref, step_emb_ref)
 
 # Criterion 8 trains on the default corpus with this seed. A 6-seed sweep
 # during development put the decoder model at or above the thresholds on
@@ -69,7 +69,7 @@ def _op_cases(rng):
     b = rng.normal(size=(2, 3))
     m = rng.normal(size=(3, 2))
     pos = rng.uniform(0.5, 2.0, size=(2, 3))
-    img = rng.normal(size=(1, 2, 4, 4))
+    img = nhwc(rng.normal(size=(1, 2, 4, 4)))
     ker = rng.normal(size=(2, 2, 2, 2))
     gamma = rng.uniform(0.5, 1.5, 3)
     beta = rng.uniform(-0.2, 0.2, 3)
@@ -128,7 +128,7 @@ def _stack_case(rng):
     L, I, P = 2, 2, 2
     params = dec.init_decoder(cfg, L, rng)
     emb = posemb.step_emb(I, P, cfg.d)
-    blocks = [rng.normal(size=(I, 3, 4, 2)), rng.normal(size=(I, 4, 2, 1))]
+    blocks = [nhwc(rng.normal(size=(I, 3, 4, 2))), nhwc(rng.normal(size=(I, 4, 2, 1)))]
 
     def run(b1, b2, aw1, aw2, hw, *flat):
         for p, f in zip(sorted(params), flat):

@@ -154,6 +154,19 @@ def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_non_utf8_config_exits_1_naming_the_file(workspace, capsys):
+    tmp_path, _, data_dir = workspace
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"seed": 3, "note": "\xff"}')
+    for argv in (["flops", "--config", str(bad)],
+                 ["train", "--config", str(bad), "--data", str(data_dir),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("denseil: error: ") and str(bad) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_config_disagreeing_with_corpus_exits_1(workspace, capsys):
     tmp_path, _, data_dir = workspace
     tall = tmp_path / "tall.json"

@@ -11,6 +11,7 @@ from denseil.data import (CorpusError, SynthConfig, Tracklet,
 from denseil.encoder import EncoderConfig, encode_clip, init_encoder
 from denseil.partition import ppool
 from denseil.rng import stream
+from oracles import nhwc
 
 
 def index_tracklet(t_full):
@@ -174,7 +175,7 @@ def test_coarse_pooling_hides_the_confusable_pair():
     params, states = init_encoder(cfg, 3, stream(0, 999))
     tokens = {}
     for name, tr in (("a", a), ("b", b)):
-        clip = tn.Tensor(tr.frames.astype(np.float64))
+        clip = tn.Tensor(nhwc(tr.frames.astype(np.float64)))
         block = encode_clip(clip, cfg, params, states, training=True)[-1]
         tokens[name] = {p: ppool(block, p).data for p in (1, 4)}
     d1 = np.linalg.norm(tokens["a"][1] - tokens["b"][1])

@@ -11,45 +11,55 @@ def t(data, rg=False):
 
 
 def conv2d_ref(x, w, bias, stride):
-    """Direct nested-loop convolution with same padding."""
-    n, c, h, wd = x.shape
+    """Direct nested-loop convolution of [N,H,W,C] with same padding."""
+    n, h, wd, c = x.shape
     cout, _, kh, kw = w.shape
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (wd + 2 * pw - kw) // stride + 1
-    out = np.zeros((n, cout, ho, wo))
+    out = np.zeros((n, ho, wo, cout))
     for ni in range(n):
         for co in range(cout):
             for i in range(ho):
                 for j in range(wo):
-                    patch = xp[ni, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
-                    out[ni, co, i, j] = (patch * w[co]).sum()
+                    total = 0.0
+                    for ci in range(c):
+                        for a in range(kh):
+                            for b in range(kw):
+                                total += xp[ni, i * stride + a, j * stride + b, ci] * w[co, ci, a, b]
+                    out[ni, i, j, co] = total
             if bias is not None:
-                out[ni, co] += bias[co]
+                out[ni, :, :, co] += bias[co]
     return out
+
+
+# (kh, kw) cases: the encoder's 3x3, a pointwise 1x1 and a non-square 5x3
+KERNELS = [(3, 3), (1, 1), (5, 3)]
 
 
 def test_conv2d_matches_loop_oracle():
     rng = np.random.default_rng(30)
-    for stride in (1, 2):
-        x = rng.normal(size=(2, 3, 6, 4))
-        w = rng.normal(size=(5, 3, 3, 3))
-        b = rng.normal(size=5)
-        got = im.conv2d(t(x), t(w), t(b), stride=stride)
-        assert np.allclose(got.data, conv2d_ref(x, w, b, stride), atol=1e-12)
+    for kernel in KERNELS:
+        for stride in (1, 2):
+            for with_bias in (False, True):
+                x = rng.normal(size=(2, 6, 4, 3))
+                w = rng.normal(size=(5, 3) + kernel)
+                b = rng.normal(size=5) if with_bias else None
+                got = im.conv2d(t(x), t(w), None if b is None else t(b), stride=stride)
+                assert np.allclose(got.data, conv2d_ref(x, w, b, stride), atol=1e-12)
 
 
 def test_conv2d_shapes():
-    x = t(np.zeros((1, 3, 8, 8)))
+    x = t(np.zeros((1, 8, 8, 3)))
     w = t(np.zeros((4, 3, 3, 3)))
-    assert im.conv2d(x, w, stride=1).shape == (1, 4, 8, 8)
+    assert im.conv2d(x, w, stride=1).shape == (1, 8, 8, 4)
     assert im.conv2d(x, w, stride=2).shape == (1, 4, 4, 4)
 
 
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(31)
-    x = rng.normal(size=(1, 1, 5, 5))
+    x = rng.normal(size=(1, 5, 5, 1))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0  # centered delta passes the input through
     out = im.conv2d(t(x), t(w), stride=1)
@@ -58,28 +68,48 @@ def test_conv2d_identity_kernel():
 
 def test_conv2d_rejects_mismatched_channels():
     with pytest.raises(T.ShapeError):
-        im.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 3, 3, 3))))
+        im.conv2d(t(np.zeros((1, 4, 4, 2))), t(np.zeros((1, 3, 3, 3))))
     with pytest.raises(T.ShapeError):
-        im.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 2, 3, 3))), t(np.zeros(2)))
+        im.conv2d(t(np.zeros((1, 4, 4, 2))), t(np.zeros((1, 2, 3, 3))), t(np.zeros(2)))
 
 
 def test_conv2d_gradcheck():
     rng = np.random.default_rng(32)
-    x = t(rng.uniform(-1, 1, (2, 2, 4, 4)))
-    w = t(rng.uniform(-1, 1, (3, 2, 3, 3)))
-    b = t(rng.uniform(-1, 1, 3))
-    for stride in (1, 2):
-        gradcheck(lambda x, w, b: T.sum_all(T.mul(c := im.conv2d(x, w, b, stride=stride), c)),
-                  [x, w, b])
+    for kernel in KERNELS:
+        x = t(rng.uniform(-1, 1, (2, 5, 4, 2)))
+        w = t(rng.uniform(-1, 1, (3, 2) + kernel))
+        b = t(rng.uniform(-1, 1, 3))
+        for stride in (1, 2):
+            gradcheck(lambda x, w, b: T.sum_all(T.mul(c := im.conv2d(x, w, b, stride=stride), c)),
+                      [x, w, b])
+            gradcheck(lambda x, w: T.sum_all(T.mul(c := im.conv2d(x, w, stride=stride), c)),
+                      [x, w])
+
+
+def test_conv2d_skips_gradient_of_constant_input():
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(2, 6, 4, 3))
+    w = rng.normal(size=(4, 3, 3, 3))
+    grads = {}
+    for x_grad in (False, True):
+        xt, wt = t(x, rg=x_grad), t(w, rg=True)
+        out = im.conv2d(xt, wt, stride=2)
+        T.backward(T.sum_all(T.mul(out, out)))
+        grads[x_grad] = (xt.grad, wt.grad)
+        # the input gradient is not even computed, not just dropped by backward
+        assert (out._backward(np.ones_like(out.data))[0] is None) == (not x_grad)
+    assert grads[False][0] is None
+    assert grads[True][0] is not None
+    assert np.array_equal(grads[False][1], grads[True][1])
 
 
 def test_batchnorm_train_standardizes():
     rng = np.random.default_rng(33)
-    x = t(rng.normal(loc=3.0, scale=2.0, size=(8, 4, 5, 5)))
+    x = t(rng.normal(loc=3.0, scale=2.0, size=(8, 5, 5, 4)))
     st = im.BNState(4)
     out = im.batchnorm_nchw(x, t(np.ones(4)), t(np.zeros(4)), st, training=True)
-    assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
-    assert np.allclose(out.data.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
+    assert np.allclose(out.data.mean(axis=(0, 1, 2)), 0.0, atol=1e-10)
+    assert np.allclose(out.data.var(axis=(0, 1, 2)), 1.0, atol=1e-4)
     assert st.num_batches == 1
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from denseil import partition, tensor as T
-from oracles import gradcheck
+from oracles import gradcheck, nhwc
 
 
 def t(data, rg=False):
@@ -10,8 +10,8 @@ def t(data, rg=False):
 
 
 def ppool_ref(x, P):
-    """Per-pixel averaging oracle, python loops only."""
-    n, c, h, w = x.shape
+    """Per-pixel averaging oracle over [N,H,W,C], python loops only."""
+    n, h, w, c = x.shape
     base, rem = divmod(h, P)
     heights = [base + 1] * rem + [base] * (P - rem)
     out = np.zeros((n * P, c))
@@ -22,7 +22,7 @@ def ppool_ref(x, P):
                 total = 0.0
                 for i in range(r, r + hb):
                     for j in range(w):
-                        total += x[ni, ci, i, j]
+                        total += x[ni, i, j, ci]
                 out[ni * P + b, ci] = total / (hb * w)
             r += hb
     return out
@@ -39,8 +39,8 @@ def test_band_heights_sum_and_top_heavy():
 
 
 def test_ppool_hand_case():
-    x = np.zeros((1, 1, 4, 3))
-    x[0, 0] = np.array([[1, 1, 1], [1, 1, 1], [3, 3, 3], [3, 3, 3]])
+    x = np.zeros((1, 4, 3, 1))
+    x[0, :, :, 0] = np.array([[1, 1, 1], [1, 1, 1], [3, 3, 3], [3, 3, 3]])
     out = partition.ppool(t(x), 2)
     assert np.array_equal(out.data, [[1.0], [3.0]])
 
@@ -48,25 +48,25 @@ def test_ppool_hand_case():
 def test_ppool_single_band_is_global_average():
     rng = np.random.default_rng(50)
     x = rng.normal(size=(3, 4, 5, 6))
-    out = partition.ppool(t(x), 1)
+    out = partition.ppool(t(nhwc(x)), 1)
     assert np.allclose(out.data, x.mean(axis=(2, 3)))
 
 
 def test_ppool_constant_map():
-    out = partition.ppool(t(np.full((2, 3, 7, 4), 2.5)), 3)
+    out = partition.ppool(t(np.full((2, 7, 4, 3), 2.5)), 3)
     assert np.allclose(out.data, 2.5)
 
 
 def test_ppool_matches_pixel_oracle_exactly():
     rng = np.random.default_rng(51)
-    x = rng.integers(-4, 5, size=(2, 3, 7, 4)).astype(np.float64)
+    x = nhwc(rng.integers(-4, 5, size=(2, 3, 7, 4)).astype(np.float64))
     for P in (1, 2, 3, 7):
         assert np.array_equal(partition.ppool(t(x), P).data, ppool_ref(x, P))
 
 
 def test_ppool_frame_permutation_safe():
     rng = np.random.default_rng(52)
-    x = rng.normal(size=(4, 2, 6, 3))
+    x = nhwc(rng.normal(size=(4, 2, 6, 3)))
     perm = np.array([2, 0, 3, 1])
     P = 3
     direct = partition.ppool(t(x[perm]), P).data
@@ -75,7 +75,7 @@ def test_ppool_frame_permutation_safe():
 
 
 def test_ppool_errors():
-    x = t(np.zeros((1, 1, 3, 3)))
+    x = t(np.zeros((1, 3, 3, 1)))
     with pytest.raises(T.ShapeError):
         partition.ppool(x, 4)
     with pytest.raises(T.ShapeError):
@@ -84,7 +84,7 @@ def test_ppool_errors():
 
 def test_ppool_gradcheck():
     rng = np.random.default_rng(53)
-    x = t(rng.uniform(-1, 1, (2, 2, 5, 3)))
+    x = t(nhwc(rng.uniform(-1, 1, (2, 2, 5, 3))))
     gradcheck(lambda x: T.sum_all(T.mul(p := partition.ppool(x, 2), p)), [x])
 
 
@@ -98,7 +98,7 @@ def test_token_index_bijection():
 
 def test_stack_partitions_shapes():
     rng = np.random.default_rng(54)
-    pyramid = [t(rng.normal(size=(2, 3, 8, 4))), t(rng.normal(size=(2, 5, 4, 2)))]
+    pyramid = [t(nhwc(rng.normal(size=(2, 3, 8, 4)))), t(nhwc(rng.normal(size=(2, 5, 4, 2))))]
     adapters = [t(rng.normal(size=(3, 6))), t(rng.normal(size=(5, 6)))]
     last, earlier = partition.stack_partitions(pyramid, 2, adapters, 1)
     assert last.shape == (1, 4, 6)
@@ -111,7 +111,7 @@ def test_stack_partitions_shapes():
 
 
 def test_stack_partitions_zero_adapter_zeroes_tokens():
-    pyramid = [T.Tensor(np.ones((1, 2, 4, 4))), T.Tensor(np.ones((1, 3, 2, 2)))]
+    pyramid = [T.Tensor(np.ones((1, 4, 4, 2))), T.Tensor(np.ones((1, 2, 2, 3)))]
     adapters = [T.Tensor(np.zeros((2, 5))), T.Tensor(np.zeros((3, 5)))]
     last, earlier = partition.stack_partitions(pyramid, 2, adapters, 1)
     assert np.all(last.data == 0) and np.all(earlier[0].data == 0)
@@ -119,15 +119,15 @@ def test_stack_partitions_zero_adapter_zeroes_tokens():
 
 def test_stack_partitions_identity_adapter():
     rng = np.random.default_rng(55)
-    x = rng.normal(size=(2, 4, 6, 3))
-    pyramid = [t(x), t(rng.normal(size=(2, 4, 3, 3)))]
+    x = nhwc(rng.normal(size=(2, 4, 6, 3)))
+    pyramid = [t(x), t(nhwc(rng.normal(size=(2, 4, 3, 3))))]
     adapters = [t(np.eye(4)), t(np.eye(4))]
     _, earlier = partition.stack_partitions(pyramid, 3, adapters, 1)
     assert np.array_equal(earlier[0].data[0], partition.ppool(t(x), 3).data)
 
 
 def test_stack_partitions_rejects_short_block():
-    pyramid = [T.Tensor(np.zeros((1, 2, 8, 4))), T.Tensor(np.zeros((1, 3, 2, 2)))]
+    pyramid = [T.Tensor(np.zeros((1, 8, 4, 2))), T.Tensor(np.zeros((1, 2, 2, 3)))]
     adapters = [T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((3, 4)))]
     with pytest.raises(T.ShapeError):
         partition.stack_partitions(pyramid, 3, adapters, 1)
