@@ -114,6 +114,10 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
                 and done % cfg.checkpoint_interval == 0 and done < cfg.epochs):
             save_model(os.path.join(outdir, "epoch_%03d.dil1" % done), model)
 
+    # The last step's graph would otherwise live through evaluation. It is
+    # kept across steps on purpose: freeing it each step lets the allocator
+    # trim the heap, and the next step pays to fault it back in.
+    del logits, embeddings, loss, ce, tri
     metric_rows = evaluate_model(model, cfg, corpus)
     report = RunReport(epoch_rows, metric_rows, decoder_flops(cfg),
                        time.perf_counter() - t0)
@@ -131,11 +135,27 @@ def eval_clip(cfg: RunConfig, tracklet) -> np.ndarray:
     return clip[None].astype(cfg.np_dtype())
 
 
+def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
+    """The tracklets' fixed samples, embedded in eval mode: [N, d].
+
+    One forward pass per training batch of clips, so evaluation holds about
+    one training batch of activations. Eval batch norm uses running
+    statistics, so a row does not depend on its batch-mates beyond float
+    rounding. Only each batch's embeddings are kept: its graph goes before
+    the next batch is built.
+    """
+    size = cfg.sampling.k_ids * cfg.sampling.t_per_id
+    rows = []
+    for start in range(0, len(tracklets), size):
+        clips = np.concatenate([eval_clip(cfg, tr)
+                                for tr in tracklets[start:start + size]])
+        rows.append(forward_batch(model, clips, training=False)[1].data)
+    return np.concatenate(rows)
+
+
 def embed_tracklet(model: Model, cfg: RunConfig, tracklet) -> np.ndarray:
     """The tracklet's fixed sample, embedded in eval mode."""
-    _, embeddings, _ = forward_batch(model, eval_clip(cfg, tracklet),
-                                     training=False)
-    return embeddings.data[0]
+    return embed_tracklets(model, cfg, [tracklet])[0]
 
 
 def evaluate_model(model: Model, cfg: RunConfig, corpus: Corpus,
@@ -150,9 +170,11 @@ def evaluate_model(model: Model, cfg: RunConfig, corpus: Corpus,
     if not queries or not galleries:
         raise ValueError("corpus is missing an eval split")
     _check_frame_shape(cfg, queries + galleries)
-    q = np.stack([embed_tracklet(model, cfg, tr) for tr in queries])
-    g = q if self_match else np.stack(
-        [embed_tracklet(model, cfg, tr) for tr in galleries])
+    if self_match:
+        q = g = embed_tracklets(model, cfg, queries)
+    else:
+        both = embed_tracklets(model, cfg, queries + galleries)
+        q, g = both[:len(queries)], both[len(queries):]
     table = EvalTable(pairwise_distances(q, g),
                       [tr.identity for tr in queries],
                       [tr.camera for tr in queries],

@@ -1,14 +1,20 @@
+import functools
 import json
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from denseil import harness
 from denseil.config import ConfigError
 from denseil.harness import (TrainingDiverged, _with_setting, ablate,
-                             embed_tracklet, evaluate_model, train_run)
+                             embed_tracklet, embed_tracklets, evaluate_model,
+                             train_run)
 from denseil.imageops import RunningStatsError
+from denseil.metrics import (EvalTable, cmc_and_map, metrics_rows,
+                             pairwise_distances)
 from denseil.model import build_model
 from micro import micro_corpus, micro_run_config
 
@@ -114,6 +120,86 @@ def test_embed_tracklet_uses_a_fixed_sample():
     a = embed_tracklet(model, cfg, tr)
     b = embed_tracklet(model, cfg, tr)
     assert np.array_equal(a, b)
+
+
+# 5 queries and 5 galleries: neither 5 nor 10 is a multiple of the eval
+# batch (k_ids * t_per_id = 4), so every split ends in a short batch
+ODD_DATA = {"num_identities": 5}
+
+
+@functools.lru_cache(maxsize=2)
+def _trained_on_odd_split(dtype):
+    cfg = micro_run_config(epochs=1, dtype=dtype, data=ODD_DATA)
+    model, _ = train_run(cfg, micro_corpus(data=ODD_DATA))
+    return cfg, model
+
+
+@pytest.mark.parametrize("dtype, tol", [("float64", 1e-12),
+                                        ("float32", 1e-6)])
+def test_batched_embeddings_match_one_at_a_time(dtype, tol):
+    cfg, model = _trained_on_odd_split(dtype)
+    corpus = micro_corpus(data=ODD_DATA)
+    tracklets = corpus.query + corpus.gallery
+    batched = embed_tracklets(model, cfg, tracklets)
+    single = np.stack([embed_tracklet(model, cfg, tr) for tr in tracklets])
+    assert batched.shape == single.shape == (10, cfg.decoder.d)
+    assert batched.dtype == single.dtype == cfg.np_dtype()
+    if dtype == "float64":
+        np.testing.assert_allclose(batched, single, rtol=0, atol=tol)
+    else:
+        rel = (np.linalg.norm(batched - single, axis=1)
+               / np.linalg.norm(single, axis=1))
+        assert rel.max() <= tol
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("self_match", [False, True])
+def test_evaluate_model_rows_match_per_tracklet_embeddings(dtype, self_match):
+    cfg, model = _trained_on_odd_split(dtype)
+    corpus = micro_corpus(data=ODD_DATA)
+    queries = corpus.query
+    galleries = queries if self_match else corpus.gallery
+    q = np.stack([embed_tracklet(model, cfg, tr) for tr in queries])
+    g = np.stack([embed_tracklet(model, cfg, tr) for tr in galleries])
+    table = EvalTable(pairwise_distances(q, g),
+                      [tr.identity for tr in queries],
+                      [tr.camera for tr in queries],
+                      [tr.identity for tr in galleries],
+                      [tr.camera for tr in galleries])
+    expected = metrics_rows(*cmc_and_map(table, max_rank=20,
+                                         cross_camera=not self_match))
+    assert evaluate_model(model, cfg, corpus, self_match=self_match) \
+        == expected
+
+
+def test_last_training_graph_is_dropped_before_eval(monkeypatch):
+    cfg = micro_run_config(epochs=2)
+    steps = []  # per step: weakrefs to logits, embeddings, loss, ce, tri
+    alive_at_next_step = []
+    total_loss = harness.total_loss
+    evaluate = harness.evaluate_model
+
+    def recording_loss(logits, embeddings, *args, **kwargs):
+        if steps:
+            alive_at_next_step.append(steps[-1][2]() is not None)
+        out = total_loss(logits, embeddings, *args, **kwargs)
+        # Tensor has no __weakref__ slot; each array lives as long as its node
+        steps.append([weakref.ref(t.data) for t in (logits, embeddings) + out])
+        return out
+
+    def checked_evaluate(*args, **kwargs):
+        assert steps and all(ref() is None for ref in steps[-1]), \
+            "the last training step's graph is alive during evaluation"
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "total_loss", recording_loss)
+    monkeypatch.setattr(harness, "evaluate_model", checked_evaluate)
+    train_run(cfg, micro_corpus())
+    # Within the loop a step's graph lives until the next step replaces it:
+    # freeing it every step lets the allocator trim the heap, and the next
+    # step pays to fault the pages back in.
+    assert len(alive_at_next_step) == len(steps) - 1 > 0
+    assert all(alive_at_next_step)
 
 
 def test_untrained_model_scores_well_below_the_trained_bar():
