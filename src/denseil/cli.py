@@ -136,8 +136,8 @@ def cmd_dump_attn(args):
     _, _, state = forward_batch(model, eval_clip(cfg, tracklet),
                                 training=False)
     source_ids = cfg.decoder.sources_for(cfg.encoder.num_blocks)
-    rows = dump_attention(state, cfg.decoder, cfg.sampling.chunks,
-                          cfg.partitions, source_ids, args.out)
+    rows = dump_attention(state, cfg.sampling.chunks, cfg.partitions,
+                          source_ids, args.out)
     print("wrote %d weights to %s" % (rows, args.out))
     return 0
 

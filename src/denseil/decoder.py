@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as tn
 from .imageops import BNState, batchnorm_rows
 from .partition import token_index
-from .tensor import Param, ShapeError, Tensor
+from .tensor import ShapeError, Tensor
 
 VARIANTS = ("TransEnc", "TransDec", "DenseIL")
 FUSIONS = ("attention", "summation", "concatenation")
@@ -71,6 +71,15 @@ class DecoderConfig:
             raise ShapeError("dense source indices %s out of range 1..%d" % (src, L))
         return src
 
+    def read_blocks(self, num_encoder_blocks: int):
+        """Encoder blocks whose pooled tokens the decoder reads, ascending:
+        the last block (the decoder input), plus the dense sources when
+        there is a decoder block to read them."""
+        L = num_encoder_blocks
+        if self.R == 0:
+            return (L,)
+        return tuple(sorted({L, *self.sources_for(L)}))
+
 
 class DecoderState:
     """Per-block diagnostics: hidden states and attention maps (as arrays),
@@ -115,17 +124,13 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, wq, wk, wv, wo, heads: int
     return tn.matmul(concat, wo), attn.data
 
 
-def _p(params, name):
-    return params[name].tensor
-
-
 def self_attention_block(H: Tensor, params, prefix: str, heads: int, clips: int = 1):
     """H + MHA over LN(H); queries, keys and values all from the normed input."""
-    ln = tn.layer_norm(H, _p(params, prefix + ".ln.gamma"), _p(params, prefix + ".ln.beta"))
+    ln = tn.layer_norm(H, params[prefix + ".ln.gamma"], params[prefix + ".ln.beta"])
     out, weights = multi_head_attention(
         ln, ln,
-        _p(params, prefix + ".wq"), _p(params, prefix + ".wk"),
-        _p(params, prefix + ".wv"), _p(params, prefix + ".wo"), heads, clips)
+        params[prefix + ".wq"], params[prefix + ".wk"],
+        params[prefix + ".wv"], params[prefix + ".wo"], heads, clips)
     return tn.add(H, out), weights
 
 
@@ -144,13 +149,13 @@ def dense_attention(H_r: Tensor, sources, params, prefix: str, heads: int, fusio
         if s.shape != H_r.shape:
             raise ShapeError("dense source shape %s != hidden shape %s" % (s.shape, H_r.shape))
     if fusion == "attention":
-        q_in = tn.layer_norm(H_r, _p(params, prefix + ".ln.gamma"),
-                             _p(params, prefix + ".ln.beta"))
+        q_in = tn.layer_norm(H_r, params[prefix + ".ln.gamma"],
+                             params[prefix + ".ln.beta"])
         kv = tn.concat_rows(sources + [H_r]) if sources else H_r
         out, weights = multi_head_attention(
             q_in, kv,
-            _p(params, prefix + ".wq"), _p(params, prefix + ".wk"),
-            _p(params, prefix + ".wv"), _p(params, prefix + ".wo"), heads, clips)
+            params[prefix + ".wq"], params[prefix + ".wk"],
+            params[prefix + ".wv"], params[prefix + ".wo"], heads, clips)
         return tn.add(H_r, out), weights
     if fusion == "summation":
         out = H_r
@@ -159,15 +164,15 @@ def dense_attention(H_r: Tensor, sources, params, prefix: str, heads: int, fusio
         return out, None
     if fusion == "concatenation":
         cat = tn.concat_cols(sources + [H_r])
-        mapped = tn.matmul(cat, _p(params, prefix + ".wcat"))
+        mapped = tn.matmul(cat, params[prefix + ".wcat"])
         return tn.add(H_r, mapped), None
     raise ShapeError("unknown fusion %r" % fusion)
 
 
 def _ffn_block(H: Tensor, params, prefix: str):
-    ln = tn.layer_norm(H, _p(params, prefix + ".ln.gamma"), _p(params, prefix + ".ln.beta"))
-    out = tn.ffn(ln, _p(params, prefix + ".w1"), _p(params, prefix + ".b1"),
-                 _p(params, prefix + ".w2"), _p(params, prefix + ".b2"))
+    ln = tn.layer_norm(H, params[prefix + ".ln.gamma"], params[prefix + ".ln.beta"])
+    out = tn.ffn(ln, params[prefix + ".w1"], params[prefix + ".b1"],
+                 params[prefix + ".w2"], params[prefix + ".b2"])
     return tn.add(H, out)
 
 
@@ -175,7 +180,8 @@ def decoder_forward(tokens: Tensor, pyramid_tokens, emb, cfg: DecoderConfig, par
     """Run the stack over a batch; returns (embeddings [B, d], DecoderState).
 
     ``tokens`` is [B, n, d], the last encoder block's pooled tokens (also the
-    decoder input); ``pyramid_tokens`` lists blocks 1..L-1's, same shape.
+    decoder input); ``pyramid_tokens`` lists blocks 1..L-1's, same shape,
+    or None for a block outside ``cfg.read_blocks``.
     ``emb`` is a StepEmbTable or None to disable positions. Inside the stack
     rows are [B*n, d]; only attention looks across a clip's rows. With R=0
     each embedding is exactly the mean of its clip's input rows: no final
@@ -187,7 +193,7 @@ def decoder_forward(tokens: Tensor, pyramid_tokens, emb, cfg: DecoderConfig, par
                          % (emb.combined.shape[0], n))
     levels = list(pyramid_tokens) + [tokens]
     sources = [tn.reshape(levels[l - 1], (clips * n, d))
-               for l in cfg.sources_for(len(levels))]
+               for l in cfg.sources_for(len(levels))] if cfg.R else []
 
     x = tokens
     if emb is not None:
@@ -209,8 +215,8 @@ def decoder_forward(tokens: Tensor, pyramid_tokens, emb, cfg: DecoderConfig, par
         state.dense_attn.append(w_dense)
 
     if cfg.R >= 1:
-        x = tn.layer_norm(x, _p(params, "decoder.final_ln.gamma"),
-                          _p(params, "decoder.final_ln.beta"))
+        x = tn.layer_norm(x, params["decoder.final_ln.gamma"],
+                          params["decoder.final_ln.beta"])
     return tn.mean_rows(tn.reshape(x, (clips, n, d))), state
 
 
@@ -223,9 +229,9 @@ def classify_head(embeddings: Tensor, params, bn_state: BNState, training: bool)
     """
     if embeddings.data.ndim != 2:
         raise ShapeError("classify_head expects [B, d] embeddings")
-    bn = batchnorm_rows(embeddings, _p(params, "head.bn.gamma"),
-                        _p(params, "head.bn.beta"), bn_state, training)
-    logits = tn.matmul(bn, _p(params, "head.cls.w"))
+    bn = batchnorm_rows(embeddings, params["head.bn.gamma"],
+                        params["head.bn.beta"], bn_state, training)
+    logits = tn.matmul(bn, params["head.cls.w"])
     return logits, bn
 
 
@@ -239,7 +245,7 @@ def init_decoder(cfg: DecoderConfig, num_encoder_blocks: int, rng, dtype=np.floa
     params = {}
 
     def par(name, arr):
-        params[name] = Param(name, Tensor(np.asarray(arr, dtype=dtype)))
+        params[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
 
     def attn_params(prefix, n_sources):
         for w in ("wq", "wk", "wv", "wo"):
@@ -269,11 +275,10 @@ def init_decoder(cfg: DecoderConfig, num_encoder_blocks: int, rng, dtype=np.floa
 
 
 def init_head(d: int, num_ids: int, rng, dtype=np.float64):
-    params = {}
-    params["head.bn.gamma"] = Param("head.bn.gamma", Tensor(np.ones(d, dtype=dtype)))
-    params["head.bn.beta"] = Param("head.bn.beta", Tensor(np.zeros(d, dtype=dtype)))
     w = rng.normal(0.0, d ** -0.5, (d, num_ids)).astype(dtype)
-    params["head.cls.w"] = Param("head.cls.w", Tensor(w))
+    params = {"head.bn.gamma": Tensor(np.ones(d, dtype=dtype), requires_grad=True),
+              "head.bn.beta": Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
+              "head.cls.w": Tensor(w, requires_grad=True)}
     return params, BNState(d, dtype=dtype)
 
 
@@ -281,8 +286,8 @@ def init_head(d: int, num_ids: int, rng, dtype=np.float64):
 # attention dump
 
 
-def dump_attention(state: DecoderState, cfg: DecoderConfig, I: int, P: int,
-                   source_ids, path) -> int:
+def dump_attention(state: DecoderState, I: int, P: int, source_ids,
+                   path) -> int:
     """Write the first clip's interaction-attention weights as CSV rows;
     returns the row count.
 

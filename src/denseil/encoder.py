@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imageops, tensor as tn
-from .tensor import Param, ShapeError, Tensor
+from .tensor import ShapeError, Tensor
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,12 @@ def init_encoder(cfg: EncoderConfig, in_channels: int, rng: np.random.Generator,
             fan_in = c_from * 9
             w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, c_from, 3, 3))
             prefix = "encoder.block%d" % l
-            params["%s.conv%d.w" % (prefix, k)] = Param(
-                "%s.conv%d.w" % (prefix, k), Tensor(w.astype(dtype)))
-            params["%s.bn%d.gamma" % (prefix, k)] = Param(
-                "%s.bn%d.gamma" % (prefix, k), Tensor(np.ones(cout, dtype=dtype)))
-            params["%s.bn%d.beta" % (prefix, k)] = Param(
-                "%s.bn%d.beta" % (prefix, k), Tensor(np.zeros(cout, dtype=dtype)))
+            params["%s.conv%d.w" % (prefix, k)] = Tensor(
+                w.astype(dtype), requires_grad=True)
+            params["%s.bn%d.gamma" % (prefix, k)] = Tensor(
+                np.ones(cout, dtype=dtype), requires_grad=True)
+            params["%s.bn%d.beta" % (prefix, k)] = Tensor(
+                np.zeros(cout, dtype=dtype), requires_grad=True)
             states["%s.bn%d" % (prefix, k)] = imageops.BNState(cout, dtype=dtype)
         cin = cout
     return params, states
@@ -87,11 +87,11 @@ def encode_clip(frames: Tensor, cfg: EncoderConfig, params, states, training: bo
     for l, stride in enumerate(cfg.block_strides(), start=1):
         prefix = "encoder.block%d" % l
         for k, s in ((1, stride), (2, 1)):
-            x = imageops.conv2d(x, params["%s.conv%d.w" % (prefix, k)].tensor, stride=s)
+            x = imageops.conv2d(x, params["%s.conv%d.w" % (prefix, k)], stride=s)
             x = imageops.batchnorm_nchw(
                 x,
-                params["%s.bn%d.gamma" % (prefix, k)].tensor,
-                params["%s.bn%d.beta" % (prefix, k)].tensor,
+                params["%s.bn%d.gamma" % (prefix, k)],
+                params["%s.bn%d.beta" % (prefix, k)],
                 states["%s.bn%d" % (prefix, k)],
                 training=training)
             x = tn.relu(x)

@@ -13,9 +13,9 @@ width d and FFN hidden h, one block costs:
 
 Per-head widths divide out: scores cost heads * n * m * (d/heads) = n*m*d,
 so the count is independent of the head count. The one-time adapter matmuls
-that build the pooled token matrices happen outside the stack and are
-reported separately (``adapters`` field), never in ``total``, keeping the
-total exactly linear in R.
+that build the pooled token matrices, one per block the decoder reads, happen
+outside the stack and are reported separately (``adapters`` field), never in
+``total``, keeping the total exactly linear in R.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def estimate_decoder_flops(cfg: DecoderConfig, I: int, P: int,
 
     adapters = 0
     if encoder_channels is not None:
-        adapters = sum(n * c * d for c in encoder_channels)
+        adapters = sum(n * encoder_channels[l - 1] * d
+                       for l in cfg.read_blocks(num_encoder_blocks))
 
     return {
         "total": cfg.R * per_block,

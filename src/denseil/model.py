@@ -16,7 +16,7 @@ from .encoder import encode_clip, init_encoder
 from .partition import stack_partitions
 from .posemb import step_emb
 from .rng import INIT_STREAM, stream
-from .tensor import Param, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -26,8 +26,10 @@ class Model:
     states: dict
 
     def adapter_weights(self):
+        """One [C_l, d] weight per encoder block, None for a block the
+        decoder does not read."""
         L = self.cfg.encoder.num_blocks
-        return [self.params["adapter.block%d.w" % l].tensor
+        return [self.params.get("adapter.block%d.w" % l)
                 for l in range(1, L + 1)]
 
 
@@ -37,10 +39,13 @@ def build_model(cfg: RunConfig) -> Model:
     d = cfg.decoder.d
 
     params, states = init_encoder(cfg.encoder, CHANNELS, rng, dtype=dtype)
+    read = cfg.decoder.read_blocks(cfg.encoder.num_blocks)
     for l, c in enumerate(cfg.encoder.channels, start=1):
-        name = "adapter.block%d.w" % l
+        # drawn for every block, so no other initial weight depends on
+        # which blocks the decoder reads
         w = rng.normal(0.0, c ** -0.5, (c, d)).astype(dtype)
-        params[name] = Param(name, Tensor(w))
+        if l in read:
+            params["adapter.block%d.w" % l] = Tensor(w, requires_grad=True)
     params.update(init_decoder(cfg.decoder, cfg.encoder.num_blocks, rng,
                                dtype=dtype))
     head_params, head_state = init_head(d, cfg.data.num_identities, rng,
@@ -87,29 +92,39 @@ def save_model(path, model: Model):
     save_checkpoint(path, records)
 
 
+def _take(records, path, key, shape):
+    """Pop record ``key``, which must exist and have ``shape``."""
+    if key not in records:
+        raise CheckpointError("%s: missing record %r" % (path, key))
+    arr = records.pop(key)
+    if arr.shape != shape:
+        raise CheckpointError("%s: record %r has shape %s, model wants %s"
+                              % (path, key, arr.shape, shape))
+    return arr
+
+
 def load_model(path, cfg: RunConfig) -> Model:
     """Rebuild the architecture from cfg and fill it from the checkpoint."""
     model = build_model(cfg)
     records = load_checkpoint(path)
     dtype = cfg.np_dtype()
     for name, param in model.params.items():
-        if name not in records:
-            raise CheckpointError("%s: missing record %r" % (path, name))
-        arr = records.pop(name)
-        if arr.shape != param.data.shape:
-            raise CheckpointError(
-                "%s: record %r has shape %s, model wants %s"
-                % (path, name, arr.shape, param.data.shape))
-        param.tensor.data = arr.astype(dtype)
+        param.data = _take(records, path, name, param.shape).astype(dtype)
     for name, st in model.states.items():
-        for field in ("mean", "var", "count"):
-            key = "bnstate.%s.%s" % (name, field)
-            if key not in records:
-                raise CheckpointError("%s: missing record %r" % (path, key))
-        st.running_mean = records.pop(
-            "bnstate.%s.mean" % name).astype(dtype)
-        st.running_var = records.pop("bnstate.%s.var" % name).astype(dtype)
-        st.num_batches = int(records.pop("bnstate.%s.count" % name))
+        key = "bnstate.%s." % name
+        st.running_mean = _take(records, path, key + "mean",
+                                st.running_mean.shape).astype(dtype)
+        st.running_var = _take(records, path, key + "var",
+                               st.running_var.shape).astype(dtype)
+        count = _take(records, path, key + "count", ())
+        if not (np.isfinite(count) and count >= 0 and count == np.floor(count)):
+            raise CheckpointError("%s: record %r is %r, not a batch count"
+                                  % (path, key + "count", float(count)))
+        st.num_batches = int(count)
+    # Checkpoints from before unread adapters were pruned carry one for
+    # every block; the unread ones never trained, so they are dropped.
+    for l in range(1, cfg.encoder.num_blocks + 1):
+        records.pop("adapter.block%d.w" % l, None)
     if records:
         raise CheckpointError(
             "%s: unexpected record %r" % (path, next(iter(records))))

@@ -6,9 +6,11 @@ import numpy as np
 class Adam:
     """Keeps first/second moment estimates per parameter.
 
-    Parameters are visited in sorted-name order so the update sequence does
-    not depend on dict construction order. Moments live in the parameter's
-    own dtype; at 32 bits the whole update is 32-bit arithmetic.
+    ``params`` maps names to leaf tensors; one whose grad is None after
+    backward takes no step. Parameters are visited in sorted-name order so
+    the update sequence does not depend on dict construction order. Moments
+    live in the parameter's own dtype; at 32 bits the whole update is 32-bit
+    arithmetic.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -22,7 +24,7 @@ class Adam:
 
     def zero_grad(self):
         for p in self.params.values():
-            p.zero_grad()
+            p.grad = None
 
     def step(self, lr: float):
         self.t += 1
@@ -30,7 +32,7 @@ class Adam:
         c2 = 1.0 - self.beta2 ** self.t
         for name in sorted(self.params):
             p = self.params[name]
-            g = p.tensor.grad
+            g = p.grad
             if g is None:
                 continue
             m = self.m[name]
@@ -39,7 +41,7 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p.tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def lr_at(epoch: int, lr0: float, decay_interval: int,

@@ -50,16 +50,18 @@ def ppool(block: Tensor, P: int) -> Tensor:
 
 
 def stack_partitions(pyramid, P: int, adapters, clips: int):
-    """Pool every pyramid block and map each to the decoder width.
+    """Pool the pyramid blocks and map each to the decoder width.
 
     Each block holds ``clips`` clips of equal length, frames clip-major.
-    ``adapters`` is one bias-free [C_l, d] weight per block. Returns
-    [clips, frames * P, d] token tensors: the last block's (the decoder
-    input) and the earlier blocks' in depth order.
+    ``adapters`` is one bias-free [C_l, d] weight per block, or None for a
+    block that is neither pooled nor mapped. Returns [clips, frames * P, d]
+    token tensors: the last block's (the decoder input) and the earlier
+    blocks' in depth order, None where the adapter is.
     """
     if len(adapters) != len(pyramid):
-        raise ShapeError("need one adapter per encoder block")
-    mapped = [reshape(matmul(ppool(block, P), adapter),
+        raise ShapeError("need one adapter slot per encoder block")
+    mapped = [None if adapter is None else
+              reshape(matmul(ppool(block, P), adapter),
                       (clips, -1, adapter.shape[1]))
               for block, adapter in zip(pyramid, adapters)]
     return mapped[-1], mapped[:-1]

@@ -26,15 +26,6 @@ class GraphError(RuntimeError):
     """Misuse of the computation graph (non-scalar backward, cycle)."""
 
 
-_check_finite = True
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf check run on every op output (default on)."""
-    global _check_finite
-    _check_finite = bool(enabled)
-
-
 class Tensor:
     """An n-d array plus the bookkeeping needed for reverse-mode autodiff.
 
@@ -53,7 +44,7 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        if _check_finite and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise NumericError("non-finite values in tensor of shape %s" % (arr.shape,))
 
     @property
@@ -67,29 +58,6 @@ class Tensor:
     def __repr__(self):
         return "Tensor(shape=%s, dtype=%s, requires_grad=%s)" % (
             self.shape, self.data.dtype.name, self.requires_grad)
-
-
-class Param:
-    """A named leaf tensor. Names are hierarchical (dots) and must be unique
-    within a model; they key the checkpoint records."""
-
-    __slots__ = ("name", "tensor")
-
-    def __init__(self, name: str, tensor: Tensor):
-        tensor.requires_grad = True
-        self.name = name
-        self.tensor = tensor
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    def zero_grad(self):
-        self.tensor.grad = np.zeros_like(self.tensor.data)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +98,7 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor reachable from ``loss``.
 
     ``loss`` must be scalar-shaped (() or (1,)). Gradients accumulate into
-    existing ``grad`` buffers, so zero them between steps.
+    existing ``grad`` buffers, so reset them to None between steps.
     """
     if loss.data.shape not in ((), (1,)):
         raise GraphError("backward requires a scalar loss, got shape %s" % (loss.data.shape,))

@@ -51,15 +51,12 @@ def t64(data_, rg=False):
 def _attn_params(rng, d, prefix, n_sources=None, fusion="attention"):
     params = {}
     for name in ("wq", "wk", "wv", "wo"):
-        full = "%s.%s" % (prefix, name)
-        params[full] = T.Param(full, t64(rng.normal(size=(d, d))))
-    params[prefix + ".ln.gamma"] = T.Param(
-        prefix + ".ln.gamma", t64(rng.uniform(0.5, 1.5, d)))
-    params[prefix + ".ln.beta"] = T.Param(
-        prefix + ".ln.beta", t64(rng.uniform(-0.2, 0.2, d)))
+        params["%s.%s" % (prefix, name)] = t64(rng.normal(size=(d, d)), rg=True)
+    params[prefix + ".ln.gamma"] = t64(rng.uniform(0.5, 1.5, d), rg=True)
+    params[prefix + ".ln.beta"] = t64(rng.uniform(-0.2, 0.2, d), rg=True)
     if n_sources is not None and fusion == "concatenation":
-        full = prefix + ".wcat"
-        params[full] = T.Param(full, t64(rng.normal(size=((n_sources + 1) * d, d))))
+        params[prefix + ".wcat"] = t64(
+            rng.normal(size=((n_sources + 1) * d, d)), rg=True)
     return params
 
 
@@ -132,7 +129,7 @@ def _stack_case(rng):
 
     def run(b1, b2, aw1, aw2, hw, *flat):
         for p, f in zip(sorted(params), flat):
-            params[p].tensor = f
+            params[p] = f
         tokens, pyr = stack_partitions([b1, b2], P, [aw1, aw2], 1)
         e, _ = dec.decoder_forward(tokens, pyr, emb, cfg, params)
         row = T.reshape(e, (1, cfg.d))
@@ -143,7 +140,7 @@ def _stack_case(rng):
     tensors = [t64(blocks[0]), t64(blocks[1]),
                t64(rng.normal(size=(3, cfg.d))), t64(rng.normal(size=(4, cfg.d))),
                t64(rng.normal(size=(cfg.d, 3)))]
-    tensors += [params[p].tensor for p in sorted(params)]
+    tensors += [params[p] for p in sorted(params)]
     return run, tensors
 
 
@@ -179,7 +176,7 @@ def test_criterion_02_attention_oracle():
                 H = rng.normal(size=(n, d))
                 params = _attn_params(rng, d, "blk.selfattn")
                 got, _ = dec.self_attention_block(t64(H), params, "blk.selfattn", heads)
-                ref = {k[len("blk.selfattn."):]: p.tensor.data for k, p in params.items()}
+                ref = {k[len("blk.selfattn."):]: p.data for k, p in params.items()}
                 want = self_attention_block_ref(H, ref, heads)
                 worst = max(worst, float(np.abs(got.data - want).max()))
                 for n_sources in (0, 1, 2):
@@ -188,7 +185,7 @@ def test_criterion_02_attention_oracle():
                     got, _ = dec.dense_attention(
                         t64(H), [t64(s) for s in sources], params,
                         "blk.dense", heads, "attention")
-                    ref = {k[len("blk.dense."):]: p.tensor.data for k, p in params.items()}
+                    ref = {k[len("blk.dense."):]: p.data for k, p in params.items()}
                     want = dense_attention_ref(H, sources, ref, heads)
                     worst = max(worst, float(np.abs(got.data - want).max()))
     elapsed = time.perf_counter() - begin

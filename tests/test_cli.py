@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import denseil
+from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
 from micro import micro_dict
 
@@ -239,6 +240,27 @@ def test_checkpoint_undecodable_record_name_exits_3(workspace, capsys):
                      + struct.pack("<I", 0) + struct.pack("<f", 1.0))
     _exits_3_with_one_line(["eval", "--checkpoint", str(ckpt),
                             "--data", str(data_dir)], capsys)
+
+
+def test_malformed_checkpoint_records_exit_3(workspace, capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    records = load_checkpoint(run_dir / "final.dil1")
+    bn = "bnstate.encoder.block1.bn1."  # a layer of 6 channels
+    bad = run_dir / "bad.dil1"
+    for key, value in ((bn + "count", np.zeros(3)),
+                       (bn + "mean", np.zeros(1)),
+                       (bn + "var", np.ones(3)),
+                       (bn + "count", np.array(np.nan)),
+                       (bn + "count", np.array(-1.0)),
+                       (bn + "count", np.array(2.5)),
+                       ("adapter.block3.w", np.zeros((12, 12)))):
+        save_checkpoint(bad, dict(records, **{key: value}))
+        _exits_3_with_one_line(["eval", "--checkpoint", str(bad),
+                                "--data", str(data_dir)], capsys)
 
 
 def test_cli_training_is_byte_identical_across_processes(workspace):

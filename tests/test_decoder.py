@@ -17,20 +17,17 @@ def t(data, rg=False):
 def attn_params(rng, d, prefix, n_sources=None, fusion="attention"):
     params = {}
     for name in ("wq", "wk", "wv", "wo"):
-        full = "%s.%s" % (prefix, name)
-        params[full] = T.Param(full, t(rng.normal(size=(d, d))))
-    params[prefix + ".ln.gamma"] = T.Param(prefix + ".ln.gamma",
-                                           t(rng.uniform(0.5, 1.5, d)))
-    params[prefix + ".ln.beta"] = T.Param(prefix + ".ln.beta",
-                                          t(rng.uniform(-0.2, 0.2, d)))
+        params["%s.%s" % (prefix, name)] = t(rng.normal(size=(d, d)), rg=True)
+    params[prefix + ".ln.gamma"] = t(rng.uniform(0.5, 1.5, d), rg=True)
+    params[prefix + ".ln.beta"] = t(rng.uniform(-0.2, 0.2, d), rg=True)
     if n_sources is not None and fusion == "concatenation":
-        full = prefix + ".wcat"
-        params[full] = T.Param(full, t(rng.normal(size=((n_sources + 1) * d, d))))
+        params[prefix + ".wcat"] = t(rng.normal(size=((n_sources + 1) * d, d)),
+                                     rg=True)
     return params
 
 
 def as_ref_dict(params, prefix):
-    return {name[len(prefix) + 1:]: p.tensor.data for name, p in params.items()
+    return {name[len(prefix) + 1:]: p.data for name, p in params.items()
             if name.startswith(prefix + ".")}
 
 
@@ -66,10 +63,10 @@ def test_self_attention_single_token():
     H = t(rng.normal(size=(1, d)))
     out, weights = dec.self_attention_block(H, params, "blk.selfattn", heads=2)
     assert np.allclose(weights, 1.0)
-    ln = T.layer_norm(H, params["blk.selfattn.ln.gamma"].tensor,
-                      params["blk.selfattn.ln.beta"].tensor)
-    v = T.matmul(ln, params["blk.selfattn.wv"].tensor)
-    proj = T.matmul(v, params["blk.selfattn.wo"].tensor)
+    ln = T.layer_norm(H, params["blk.selfattn.ln.gamma"],
+                      params["blk.selfattn.ln.beta"])
+    v = T.matmul(ln, params["blk.selfattn.wv"])
+    proj = T.matmul(v, params["blk.selfattn.wo"])
     assert np.allclose(out.data, H.data + proj.data, atol=1e-12)
 
 
@@ -142,7 +139,7 @@ def test_dense_concatenation_fusion():
     out, weights = dec.dense_attention(t(H), [t(s1), t(s2)], params, "blk.dense",
                                        1, "concatenation")
     assert weights is None
-    want = H + np.hstack([s1, s2, H]) @ params["blk.dense.wcat"].tensor.data
+    want = H + np.hstack([s1, s2, H]) @ params["blk.dense.wcat"].data
     assert np.allclose(out.data, want, atol=1e-12)
 
 
@@ -197,13 +194,13 @@ def test_forward_residual_identity_with_zeroed_projections():
         params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=74)
         for name, p in params.items():
             if name.endswith((".wo", ".w2", ".b2", ".wcat")):
-                p.tensor.data = np.zeros_like(p.tensor.data)
+                p.data = np.zeros_like(p.data)
         emb = posemb.step_emb(2, 2, 8)
         out, state = dec.decoder_forward(tokens, pyr, emb, cfg, params)
         passthrough = tokens.data + emb.combined
         assert np.allclose(state.hidden[-1], passthrough, atol=1e-12)
-        ln = T.layer_norm(t(passthrough[0]), params["decoder.final_ln.gamma"].tensor,
-                          params["decoder.final_ln.beta"].tensor)
+        ln = T.layer_norm(t(passthrough[0]), params["decoder.final_ln.gamma"],
+                          params["decoder.final_ln.beta"])
         assert np.allclose(out.data, ln.data.mean(axis=0), atol=1e-12)
 
 
@@ -229,6 +226,10 @@ def test_variant_wiring():
     assert td.sources_for(enc_blocks) == (3,)
     dil = dec.DecoderConfig(variant="DenseIL")
     assert dil.sources_for(enc_blocks) == (2, 3)
+    assert te.read_blocks(enc_blocks) == td.read_blocks(enc_blocks) == (3,)
+    assert dil.read_blocks(enc_blocks) == (2, 3)
+    assert dec.DecoderConfig(dense_sources=(1,)).read_blocks(enc_blocks) == (1, 3)
+    assert dec.DecoderConfig(R=0).read_blocks(enc_blocks) == (3,)
     with pytest.raises(T.ShapeError):
         dec.DecoderConfig(variant="DenseIL", dense_sources=()).sources_for(enc_blocks)
     with pytest.raises(T.ShapeError):
@@ -250,7 +251,7 @@ def test_forward_gradcheck_one_block():
     cfg = dec.DecoderConfig(R=1, d=6, heads=2)
     params, tokens, pyr = build_stack(cfg, L=2, I=2, P=2, seed=78)
     emb = posemb.step_emb(2, 2, 6)
-    tensors = [tokens] + pyr + [p.tensor for p in params.values()]
+    tensors = [tokens] + pyr + list(params.values())
 
     def loss(*ts):
         out, _ = dec.decoder_forward(ts[0], list(ts[1:1 + len(pyr)]), emb, cfg,
@@ -265,7 +266,7 @@ def test_forward_gradcheck_batch_of_two():
     params, tokens, pyr = build_stack(cfg, L=2, I=2, P=1, seed=79, clips=2)
     emb = posemb.step_emb(2, 1, 4)
     weights = t(np.random.default_rng(79).normal(size=(2, 4)))
-    tensors = [tokens] + pyr + [p.tensor for p in params.values()]
+    tensors = [tokens] + pyr + list(params.values())
 
     def loss(*ts):
         out, _ = dec.decoder_forward(ts[0], list(ts[1:1 + len(pyr)]), emb, cfg,
@@ -284,7 +285,7 @@ def test_forward_clips_do_not_interact():
     def run(tokens, pyr):
         """Clip 0's embedding, attention and the gradients of its norm."""
         for p in params.values():
-            p.tensor.grad = None
+            p.grad = None
         inputs = [t(tokens.data, rg=True)] + [t(m.data, rg=True) for m in pyr]
         out, state = dec.decoder_forward(inputs[0], inputs[1:], emb, cfg, params)
         T.backward(T.sum_all(T.mul(T.mul(out, out), first_clip)))
@@ -311,7 +312,7 @@ def test_forward_clips_do_not_interact():
 def test_classify_head_zero_weights_zero_logits():
     rng = np.random.default_rng(80)
     params, bn_state = dec.init_head(4, 3, rng)
-    params["head.cls.w"].tensor.data = np.zeros((4, 3))
+    params["head.cls.w"].data = np.zeros((4, 3))
     logits, _ = dec.classify_head(t(rng.normal(size=(5, 4))), params, bn_state,
                                   training=True)
     assert np.all(logits.data == 0)
@@ -331,7 +332,7 @@ def test_classify_head_hand_case_antipodal_columns():
     d = 4
     params, bn_state = dec.init_head(d, 2, rng)
     u = rng.normal(size=d)
-    params["head.cls.w"].tensor.data = np.stack([u, -u], axis=1)
+    params["head.cls.w"].data = np.stack([u, -u], axis=1)
     bn_state.running_mean = rng.normal(size=d)
     bn_state.running_var = rng.uniform(0.5, 2.0, d)
     bn_state.num_batches = 1
@@ -408,12 +409,19 @@ def test_flops_monotone():
 
 
 def test_flops_adapter_breakdown_separate():
-    cfg = dec.DecoderConfig(R=2, d=8, heads=1)
-    est = flops.estimate_decoder_flops(cfg, 2, 2, num_encoder_blocks=3,
-                                       encoder_channels=(4, 8, 16))
     n = 4
-    assert est["adapters"] == n * (4 + 8 + 16) * 8
-    assert est["total"] == 2 * est["per_block"]
+    # widths of the blocks whose adapters run, of channels (4, 8, 16)
+    for change, widths in (({}, (8, 16)),
+                           ({"dense_sources": (1, 2, 3)}, (4, 8, 16)),
+                           ({"dense_sources": (1,)}, (4, 16)),
+                           ({"variant": "TransDec"}, (16,)),
+                           ({"variant": "TransEnc"}, (16,)),
+                           ({"R": 0}, (16,))):
+        cfg = dec.DecoderConfig(**dict(dict(R=2, d=8, heads=1), **change))
+        est = flops.estimate_decoder_flops(cfg, 2, 2, num_encoder_blocks=3,
+                                           encoder_channels=(4, 8, 16))
+        assert est["adapters"] == n * sum(widths) * 8, change
+        assert est["total"] == cfg.R * est["per_block"]
 
 
 # ------------------------------------------------------------ attention dump
@@ -424,7 +432,7 @@ def test_dump_attention_csv(tmp_path):
     params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=84)
     _, state = dec.decoder_forward(tokens, pyr, posemb.step_emb(2, 2, 8), cfg, params)
     path = tmp_path / "attn.csv"
-    rows = dec.dump_attention(state, cfg, 2, 2, cfg.sources_for(3), path)
+    rows = dec.dump_attention(state, 2, 2, cfg.sources_for(3), path)
     n, S = 4, 2
     assert rows == cfg.R * cfg.heads * n * (S + 1) * n
     with open(path) as fh:

@@ -84,7 +84,7 @@ def test_encoder_gradcheck():
     params, states = make(cfg, seed=9, in_channels=2)
     x = T.Tensor(nhwc(np.random.default_rng(10).uniform(-1, 1, (1, 2, 8, 8))),
                  requires_grad=True)
-    tensors = [x] + [p.tensor for p in params.values()]
+    tensors = [x] + list(params.values())
 
     def loss(*ts):
         fresh = {name: enc.imageops.BNState(states[name].running_mean.size)
@@ -101,7 +101,7 @@ def test_encoder_matches_nchw_loop_oracle():
     rng = np.random.default_rng(12)
     for name in params:  # non-trivial batch-norm affine terms
         if ".bn" in name:
-            params[name].tensor.data = rng.uniform(0.5, 1.5, params[name].data.shape)
+            params[name].data = rng.uniform(0.5, 1.5, params[name].data.shape)
     x = rng.normal(size=(3, 3, 8, 8))
     pyr = enc.encode_clip(T.Tensor(nhwc(x)), cfg, params, states, training=True)
     ref = encoder_nchw_ref(x, cfg.block_strides(),

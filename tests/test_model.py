@@ -3,8 +3,10 @@ import pytest
 
 from denseil.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from denseil.imageops import RunningStatsError
+from denseil.losses import total_loss
 from denseil.model import build_model, forward_batch, load_model, save_model
 from denseil.rng import stream
+from denseil.tensor import backward
 from micro import micro_corpus, micro_run_config
 
 
@@ -19,7 +21,7 @@ def test_build_model_has_every_component():
     model = build_model(cfg)
     names = set(model.params)
     assert "encoder.block1.conv1.w" in names
-    assert "adapter.block1.w" in names
+    assert "adapter.block1.w" not in names  # DenseIL reads blocks 2..L
     assert "adapter.block2.w" in names
     assert "decoder.block1.selfattn.wq" in names
     assert "decoder.block1.dense.wq" in names
@@ -32,6 +34,51 @@ def test_build_model_has_every_component():
     assert set(model.states) == {"encoder.block1.bn1", "encoder.block1.bn2",
                                  "encoder.block2.bn1", "encoder.block2.bn2",
                                  "head.bn"}
+
+
+FOUR_BLOCKS = {"channels": [4, 6, 8, 12]}
+
+# decoder settings, and the encoder blocks whose adapters each one builds
+ADAPTER_SETS = [({}, {2, 3, 4}),
+                ({"dense_sources": [1, 2, 3, 4]}, {1, 2, 3, 4}),
+                ({"variant": "TransDec"}, {4}),
+                ({"variant": "TransEnc"}, {4}),
+                ({"R": 0}, {4})]
+
+
+def test_build_model_builds_only_the_adapters_the_decoder_reads():
+    concat = ({"fusion": "concatenation", "dense_sources": [1, 3]}, {1, 3, 4})
+    for decoder, blocks in ADAPTER_SETS + [concat]:
+        model = build_model(micro_run_config(encoder=FOUR_BLOCKS,
+                                             decoder=decoder))
+        built = {name for name in model.params if name.startswith("adapter.")}
+        assert built == {"adapter.block%d.w" % l for l in blocks}, decoder
+        assert [w is not None for w in model.adapter_weights()] == [
+            l in blocks for l in range(1, 5)]
+
+
+def test_every_parameter_receives_a_gradient():
+    labels = np.array([0, 0, 1, 1])
+    for decoder, _ in ADAPTER_SETS:
+        cfg = micro_run_config(encoder=FOUR_BLOCKS, decoder=decoder)
+        model = build_model(cfg)
+        for p in model.params.values():
+            p.grad = None
+        logits, embeddings, _ = forward_batch(model, random_clips(cfg, b=4),
+                                              training=True)
+        loss, _, _ = total_loss(logits, embeddings, labels, 0.3, 1.0)
+        backward(loss)
+        idle = sorted(n for n, p in model.params.items() if p.grad is None)
+        assert not idle, (decoder, idle)
+
+
+def test_skipped_adapters_leave_other_initial_weights_unchanged():
+    base = build_model(micro_run_config(encoder=FOUR_BLOCKS))
+    every = build_model(micro_run_config(
+        encoder=FOUR_BLOCKS, decoder={"dense_sources": [1, 2, 3, 4]}))
+    assert set(every.params) - set(base.params) == {"adapter.block1.w"}
+    for name, param in base.params.items():
+        assert np.array_equal(param.data, every.params[name].data), name
 
 
 def test_forward_batch_shapes_and_state():
@@ -126,6 +173,27 @@ def test_load_rejects_missing_and_extra_records(tmp_path):
     extra = dict(records)
     extra["head.cls.w2"] = np.zeros(3, dtype=np.float32)
     save_checkpoint(tmp_path / "extra.dil1", extra)
+    with pytest.raises(CheckpointError, match="unexpected"):
+        load_model(tmp_path / "extra.dil1", cfg)
+
+
+def test_load_drops_unread_adapter_records(tmp_path):
+    # checkpoints once carried an adapter for every encoder block
+    cfg = micro_run_config(encoder=FOUR_BLOCKS, decoder={"variant": "TransDec"})
+    model = build_model(cfg)
+    clips = random_clips(cfg)
+    forward_batch(model, clips, training=True)
+    save_model(tmp_path / "m.dil1", model)
+    records = load_checkpoint(tmp_path / "m.dil1")
+    for l, c in ((1, 4), (2, 6), (3, 8)):
+        records["adapter.block%d.w" % l] = np.ones((c, 12), dtype=np.float32)
+    save_checkpoint(tmp_path / "old.dil1", dict(sorted(records.items())))
+    a = forward_batch(load_model(tmp_path / "m.dil1", cfg), clips, False)
+    b = forward_batch(load_model(tmp_path / "old.dil1", cfg), clips, False)
+    assert np.array_equal(a[1].data, b[1].data)
+
+    records["adapter.block5.w"] = np.ones((12, 12), dtype=np.float32)
+    save_checkpoint(tmp_path / "extra.dil1", records)
     with pytest.raises(CheckpointError, match="unexpected"):
         load_model(tmp_path / "extra.dil1", cfg)
 

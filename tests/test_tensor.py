@@ -43,11 +43,8 @@ def test_softmax_rejects_non_2d():
 
 
 def test_softmax_rejects_nan():
-    T.set_finite_checks(False)
-    try:
-        bad = T.Tensor(np.array([[np.nan, 0.0]]))
-    finally:
-        T.set_finite_checks(True)
+    bad = T.Tensor(np.array([[1.0, 0.0]]))
+    bad.data[0, 0] = np.nan  # past the construction check
     with pytest.raises(T.NumericError):
         T.softmax_rows(bad)
 
@@ -192,13 +189,11 @@ def test_backward_shared_subexpression():
     assert np.allclose(x.grad, 4 * x.data)
 
 
-def test_unreached_param_keeps_zero_grad():
-    used = T.Param("used", t([1.0], rg=True))
-    idle = T.Param("idle", t([1.0], rg=True))
-    used.zero_grad()
-    idle.zero_grad()
-    T.backward(T.sum_all(used.tensor))
-    assert np.array_equal(idle.grad, [0.0])
+def test_unreached_leaf_keeps_none_grad():
+    used = t([1.0], rg=True)
+    idle = t([1.0], rg=True)
+    T.backward(T.sum_all(used))
+    assert idle.grad is None
     assert np.array_equal(used.grad, [1.0])
 
 
@@ -361,10 +356,3 @@ def test_determinism_same_input_bitwise():
         return T.softmax_rows(out).data.tobytes()
 
     assert run() == run()
-
-
-def test_param_names_and_zero_grad():
-    p = T.Param("decoder.block2.selfattn.wq", t(np.ones((2, 2))))
-    assert p.tensor.requires_grad
-    p.zero_grad()
-    assert np.array_equal(p.grad, np.zeros((2, 2)))
