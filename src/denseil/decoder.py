@@ -247,21 +247,26 @@ def init_decoder(cfg: DecoderConfig, num_encoder_blocks: int, rng, dtype=np.floa
     def par(name, arr):
         params[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
 
-    def attn_params(prefix, n_sources):
-        for w in ("wq", "wk", "wv", "wo"):
-            par("%s.%s" % (prefix, w), rng.normal(0.0, d ** -0.5, (d, d)))
-        par(prefix + ".ln.gamma", np.ones(d))
-        par(prefix + ".ln.beta", np.zeros(d))
-        if n_sources is not None and cfg.fusion == "concatenation":
-            width = (n_sources + 1) * d
-            par(prefix + ".wcat", rng.normal(0.0, width ** -0.5, (width, d)))
+    def attn_params(prefix, attends=True):
+        # drawn even when unread, so no other initial weight depends on
+        # the fusion
+        ws = [rng.normal(0.0, d ** -0.5, (d, d)) for _ in range(4)]
+        if attends:
+            for w, arr in zip(("wq", "wk", "wv", "wo"), ws):
+                par("%s.%s" % (prefix, w), arr)
+            par(prefix + ".ln.gamma", np.ones(d))
+            par(prefix + ".ln.beta", np.zeros(d))
 
     S = len(cfg.sources_for(num_encoder_blocks))
     for r in range(1, cfg.R + 1):
         prefix = "decoder.block%d" % r
-        attn_params(prefix + ".selfattn", None)
+        attn_params(prefix + ".selfattn")
         if cfg.variant != "TransEnc":
-            attn_params(prefix + ".dense", S)
+            attn_params(prefix + ".dense", cfg.fusion == "attention")
+            if cfg.fusion == "concatenation":
+                width = (S + 1) * d
+                par(prefix + ".dense.wcat",
+                    rng.normal(0.0, width ** -0.5, (width, d)))
         par(prefix + ".ffn.w1", rng.normal(0.0, np.sqrt(2.0 / d), (d, h)))
         par(prefix + ".ffn.b1", np.zeros(h))
         par(prefix + ".ffn.w2", rng.normal(0.0, h ** -0.5, (h, d)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import imageops, tensor as tn
+from . import imageops
 from .tensor import ShapeError, Tensor
 
 
@@ -93,7 +93,6 @@ def encode_clip(frames: Tensor, cfg: EncoderConfig, params, states, training: bo
                 params["%s.bn%d.gamma" % (prefix, k)],
                 params["%s.bn%d.beta" % (prefix, k)],
                 states["%s.bn%d" % (prefix, k)],
-                training=training)
-            x = tn.relu(x)
+                training=training, relu=True)
         pyramid.append(x)
     return pyramid

@@ -66,7 +66,7 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
                 for j in range(kw):
                     dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
                         (g2 @ taps[:, i, j]).reshape(n, ho, wo, c))
-            dx = dxp[:, ph:ph + h, pw:pw + wd]
+            dx = np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd])
         if bias is not None:
             return dx, dw, g2.sum(axis=0)
         return dx, dw
@@ -95,51 +95,111 @@ class BNState:
         self.num_batches += 1
 
 
+# Elementwise passes run on [rows*C / W, W] views, W a multiple of C of up to
+# this many elements: numpy broadcasts a per-channel vector over [rows, C]
+# one C-wide row at a time, which is slow for the encoder's C = 16..128.
+_WIDE = 2048
+
+
+def _widen(a: np.ndarray, c: int):
+    """``a`` with the [rows, c] rows it holds packed k to a row, and k.
+
+    k is the largest power of two that divides the row count with k*c at
+    most ``_WIDE``; per-channel vectors are ``np.tile``d k times to match.
+    Elementwise results do not depend on the layout.
+    """
+    rows = a.size // c
+    k = 1
+    while 2 * k * c <= _WIDE and rows % (2 * k) == 0:
+        k *= 2
+    return a.reshape(-1, k * c), k
+
+
+def _batch_mean(total: np.ndarray, n: int) -> np.ndarray:
+    """A per-channel sum over n rows divided as ``np.mean`` and ``np.var``
+    divide it: by an intp count, rounded to the sum's dtype."""
+    return np.true_divide(total, np.intp(n), out=np.empty_like(total),
+                          casting="unsafe")
+
+
 def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-               training: bool, eps: float) -> Tensor:
-    # channels are the last axis; statistics run over every other axis
+               training: bool, eps: float, relu: bool) -> Tensor:
+    # Channels are the last axis; statistics run over every other axis. The
+    # reductions run on [rows, C] views in numpy's axis-0 order and every
+    # elementwise pass on a wide view: each value rounds exactly as it does
+    # in np.mean / np.var and the unfused composition with tensor.relu.
     c = gamma.shape[0]
-    x2 = x.data.reshape(-1, c)
+    n = x.data.size // c
+    xw, k = _widen(x.data, c)
     if training:
-        mu = x2.mean(axis=0)
-        var = x2.var(axis=0)
+        mu = x.data.reshape(n, c).mean(axis=0)
+        xc = xw - np.tile(mu, k)
+        sq = np.square(xc)
+        var = _batch_mean(sq.reshape(n, c).sum(axis=0), n)
+        del sq
         state.update(mu, var)
     else:
         if state.num_batches == 0:
             raise RunningStatsError(
                 "batch norm eval requested before any training pass accumulated statistics")
         mu, var = state.running_mean, state.running_var
+        xc = xw - np.tile(mu, k)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x2 - mu) * inv
-    out = xhat * gamma.data + beta.data
+    xc *= np.tile(inv, k)
+    xhat = xc
+    out = xhat * np.tile(gamma.data, k)
+    out += np.tile(beta.data, k)
+    mask = None
+    if relu:
+        # out * mask, not np.where: a non-finite value stays non-finite for
+        # the Tensor check below. += 0.0 turns the -0.0 of a masked negative
+        # into the +0.0 np.where gives.
+        mask = out > 0
+        with np.errstate(invalid="ignore"):
+            out *= mask
+        out += 0.0
 
     def back(g):
-        g2 = g.reshape(-1, c)
-        dbeta = g2.sum(axis=0)
-        dgamma = (g2 * xhat).sum(axis=0)
-        scale = gamma.data * inv
-        if training:
-            # batch statistics depend on x, so the mean terms flow back too
-            dx = scale * (g2 - g2.mean(axis=0) - xhat * dgamma / g2.shape[0])
+        # dx is written through a wide view of a buffer it owns, so the
+        # engine can adopt it. + 0.0 turns a -0.0 in g into the +0.0 of the
+        # zeroed buffer the engine added an unfused relu's g * mask into.
+        dx = np.empty(x.shape, dtype=g.dtype)
+        gw = dx.reshape(xhat.shape)
+        if relu:
+            np.multiply(g.reshape(xhat.shape), mask, out=gw)
+            gw += 0.0
         else:
-            dx = scale * g2
-        return dx.reshape(x.shape), dgamma, dbeta
+            np.add(g.reshape(xhat.shape), 0.0, out=gw)
+        dbeta = gw.reshape(n, c).sum(axis=0)
+        prod = gw * xhat
+        dgamma = prod.reshape(n, c).sum(axis=0)
+        if training:
+            # batch statistics depend on x, so the mean terms flow back too:
+            # dx = scale * (g - mean(g) - xhat * dgamma / n)
+            gw -= np.tile(_batch_mean(dbeta, n), k)
+            np.multiply(xhat, np.tile(dgamma, k), out=prod)
+            prod /= n
+            gw -= prod
+        gw *= np.tile(gamma.data * inv, k)
+        return dx, dgamma, dbeta
 
     return Tensor(out.reshape(x.shape), _parents=(x, gamma, beta), _backward=back)
 
 
 def batchnorm_nchw(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-                   training: bool, eps: float = 1e-5) -> Tensor:
+                   training: bool, eps: float = 1e-5, relu: bool = False) -> Tensor:
     """Per-channel batch norm over channels-last [N,H,W,C]; stats over (N,H,W).
 
-    The name predates the channels-last layout and is kept for callers that
-    refer to it.
+    With ``relu`` the node also applies max(0, .) to its output, bit for bit
+    as a separate ``tensor.relu`` would, as one graph node. The name
+    predates the channels-last layout and is kept for callers that refer
+    to it.
     """
     if x.data.ndim != 4:
         raise ShapeError("batchnorm_nchw expects a 4-D tensor")
     if gamma.shape != (x.shape[3],) or beta.shape != (x.shape[3],):
         raise ShapeError("batchnorm_nchw: gamma/beta must match channel count")
-    return _batchnorm(x, gamma, beta, state, training, float(eps))
+    return _batchnorm(x, gamma, beta, state, training, float(eps), relu)
 
 
 def batchnorm_rows(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
@@ -149,4 +209,4 @@ def batchnorm_rows(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         raise ShapeError("batchnorm_rows expects a 2-D tensor")
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ShapeError("batchnorm_rows: gamma/beta must match feature count")
-    return _batchnorm(x, gamma, beta, state, training, float(eps))
+    return _batchnorm(x, gamma, beta, state, training, float(eps), False)

@@ -99,6 +99,15 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be scalar-shaped (() or (1,)). Gradients accumulate into
     existing ``grad`` buffers, so reset them to None between steps.
+
+    A parent's first gradient becomes its ``grad`` as is when nothing else
+    can see that array: it owns its memory, is writeable, has the parent's
+    shape and dtype, and is neither this node's own ``grad`` (``add`` hands
+    that to both parents) nor handed to another parent. Anything else, such
+    as the views ``reshape`` and ``concat_rows`` return, is added into a
+    zeroed buffer. The two differ at most in the sign of a zero entry;
+    sums and products pass that on only as the sign of a zero, and an Adam
+    step leaves a nonzero weight the same either way.
     """
     if loss.data.shape not in ((), (1,)):
         raise GraphError("backward requires a scalar loss, got shape %s" % (loss.data.shape,))
@@ -108,10 +117,18 @@ def backward(loss: Tensor) -> None:
         if node._backward is None or node.grad is None:
             continue
         parent_grads = node._backward(node.grad)
+        adopted = []
         for parent, g in zip(node._parents, parent_grads):
             if not parent.requires_grad or g is None:
                 continue
             if parent.grad is None:
+                if (g.base is None and g.flags.writeable
+                        and g.shape == parent.data.shape
+                        and g.dtype == parent.data.dtype and g is not node.grad
+                        and not any(g is a for a in adopted)):
+                    parent.grad = g
+                    adopted.append(g)
+                    continue
                 parent.grad = np.zeros_like(parent.data)
             parent.grad += g
 

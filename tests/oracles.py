@@ -84,6 +84,77 @@ def encoder_nchw_ref(x, strides, params, eps=1e-5):
     return pyramid
 
 
+def batchnorm_relu_ref(x, gamma, beta, g, running=None, relu=True, eps=1e-5):
+    """Channels-last batch norm, then ReLU when ``relu``, as unfused nodes.
+
+    Written in the exact arithmetic of the separate nodes, not the obvious
+    way: the fused node must match it byte for byte. ``running`` is None for
+    training mode (batch statistics) or the (mean, var) pair eval mode uses.
+    ``g`` is the gradient arriving at the last node's output; like the
+    engine that ran the unfused graph, each node's gradient is added into a
+    zeroed buffer. Returns (out, dx, dgamma, dbeta, batch mean, batch var);
+    the statistics are None in eval mode.
+    """
+    c = gamma.shape[0]
+    x2 = x.reshape(-1, c)
+    if running is None:
+        mu = x2.mean(axis=0)
+        var = x2.var(axis=0)
+    else:
+        mu, var = running
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x2 - mu) * inv
+    out = xhat * gamma + beta
+    g2 = np.zeros_like(out)
+    if relu:
+        mask = out > 0
+        out = np.where(mask, out, 0.0)
+        g_relu = np.zeros_like(out)
+        g_relu += g.reshape(-1, c)
+        g2 += g_relu * mask
+    else:
+        g2 += g.reshape(-1, c)
+    dbeta = g2.sum(axis=0)
+    dgamma = (g2 * xhat).sum(axis=0)
+    scale = gamma * inv
+    if running is None:
+        dx = scale * (g2 - g2.mean(axis=0) - xhat * dgamma / g2.shape[0])
+    else:
+        dx = scale * g2
+        mu = var = None
+    return out.reshape(x.shape), dx.reshape(x.shape), dgamma, dbeta, mu, var
+
+
+def backward_ref(loss):
+    """Reverse-mode sweep that adds every gradient into a zeroed buffer.
+
+    Sets ``grad`` on each tensor reachable from ``loss`` that requires one.
+    """
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        for parent in node._parents:
+            visit(parent)
+        order.append(node)
+
+    visit(loss)
+    for node in order:
+        node.grad = None
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(node.grad)):
+            if not parent.requires_grad or g is None:
+                continue
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.data)
+            parent.grad += g
+
+
 def softmax_rows_ref(x):
     x = np.asarray(x, dtype=np.float64)
     shifted = x - x.max(axis=1, keepdims=True)

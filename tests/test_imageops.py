@@ -3,7 +3,7 @@ import pytest
 
 from denseil import imageops as im
 from denseil import tensor as T
-from oracles import gradcheck
+from oracles import batchnorm_relu_ref, gradcheck
 
 
 def t(data, rg=False):
@@ -167,3 +167,80 @@ def test_batchnorm_rows_gradcheck():
         return T.mean_all(T.mul(out, out))
 
     gradcheck(loss, [x, g, b])
+
+
+# the eight batch-norm inputs of a desk encoder step (16 clips x 8 frames of
+# 32x16, channels 16..128), then row counts no power-of-two tile divides
+DESK_BN_SHAPES = [(128, 16, 8, 16)] * 2 + [(128, 8, 4, 32)] * 2 + [
+    (128, 4, 2, 64)] * 2 + [(128, 4, 2, 128)] * 2
+ODD_BN_SHAPES = [(3, 5, 7, 16), (2, 3, 5, 12)]
+
+
+def _bytes(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def test_fused_batchnorm_relu_matches_unfused_composition_byte_for_byte():
+    rng = np.random.default_rng(38)
+    cases = [(dtype, shape, training, relu)
+             for dtype in (np.float32, np.float64)
+             for shape in DESK_BN_SHAPES + ODD_BN_SHAPES
+             for training in (True, False) for relu in (True, False)]
+    for dtype, shape, training, relu in cases:
+        c = shape[3]
+        x = rng.normal(0.5, 2.0, shape).astype(dtype)
+        gamma = rng.uniform(-1.5, 1.5, c).astype(dtype)
+        beta = rng.uniform(-0.5, 0.5, c).astype(dtype)
+        beta[1] = -1e3  # every pre-activation of channel 1 is masked
+        g = rng.normal(size=shape).astype(dtype)
+        g[..., 0] = -0.0  # a -0.0 the zeroed buffers turn into +0.0
+        g[..., 1] = -np.abs(g[..., 1])
+        st = im.BNState(c, dtype=dtype)
+        if not training:
+            st.update(rng.normal(size=c).astype(dtype),
+                      rng.uniform(0.5, 2.0, c).astype(dtype))
+        running = None if training else (st.running_mean, st.running_var)
+        want = batchnorm_relu_ref(x, gamma, beta, g, running, relu)
+        out = im.batchnorm_nchw(T.Tensor(x, requires_grad=True),
+                                T.Tensor(gamma, requires_grad=True),
+                                T.Tensor(beta, requires_grad=True),
+                                st, training, relu=relu)
+        got = (out.data,) + tuple(out._backward(g.copy()))
+        case = (dtype.__name__, shape, training, relu)
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, case)
+            assert np.array_equal(_bytes(a), _bytes(b)), (name, case)
+        if training:
+            assert np.array_equal(_bytes(st.running_mean), _bytes(0.1 * want[4]))
+            assert np.array_equal(_bytes(st.running_var),
+                                  _bytes(0.9 + 0.1 * want[5]))
+
+
+def test_fused_batchnorm_relu_gradcheck():
+    rng = np.random.default_rng(39)
+    x = t(rng.uniform(-1, 1, (3, 2, 2, 2)))
+    g = t(rng.uniform(0.5, 1.5, 2))
+    b = t(rng.uniform(-0.5, 0.5, 2))
+    w = t(rng.normal(size=(3, 2, 2, 2)))
+
+    def loss(x, g, b):
+        out = im.batchnorm_nchw(x, g, b, im.BNState(2), training=True, relu=True)
+        return T.sum_all(T.mul(out, w))
+
+    # finite differences are only valid away from the ReLU kink
+    pre = im.batchnorm_nchw(x, g, b, im.BNState(2), training=True)
+    assert np.abs(pre.data).min() > 1e-3
+    gradcheck(loss, [x, g, b])
+
+
+def test_fused_batchnorm_relu_rejects_non_finite_pre_activations():
+    for poison in ("beta", "x"):
+        x = t(np.random.default_rng(40).normal(size=(2, 3, 3, 2)))
+        g, b = t(np.ones(2)), t(np.zeros(2))
+        if poison == "beta":
+            # every pre-activation is -inf, which a ReLU would clamp to 0
+            b.data[:] = -np.inf
+        else:
+            x.data[0, 0, 0, 0] = np.nan
+        with pytest.raises(T.NumericError):
+            im.batchnorm_nchw(x, g, b, im.BNState(2), training=True, relu=True)

@@ -57,9 +57,13 @@ def test_build_model_builds_only_the_adapters_the_decoder_reads():
             l in blocks for l in range(1, 5)]
 
 
+FUSIONS = [{"fusion": "summation"}, {"fusion": "concatenation"}]
+DENSE_ATTENTION = ("wq", "wk", "wv", "wo", "ln.gamma", "ln.beta")
+
+
 def test_every_parameter_receives_a_gradient():
     labels = np.array([0, 0, 1, 1])
-    for decoder, _ in ADAPTER_SETS:
+    for decoder in [d for d, _ in ADAPTER_SETS] + FUSIONS:
         cfg = micro_run_config(encoder=FOUR_BLOCKS, decoder=decoder)
         model = build_model(cfg)
         for p in model.params.values():
@@ -79,6 +83,22 @@ def test_skipped_adapters_leave_other_initial_weights_unchanged():
     assert set(every.params) - set(base.params) == {"adapter.block1.w"}
     for name, param in base.params.items():
         assert np.array_equal(param.data, every.params[name].data), name
+
+
+def test_interaction_attention_weights_are_built_only_for_attention_fusion():
+    attention = build_model(micro_run_config())
+    dense = {"decoder.block1.dense." + w for w in DENSE_ATTENTION}
+    assert dense <= set(attention.params)
+    for decoder in FUSIONS:
+        model = build_model(micro_run_config(decoder=decoder))
+        assert not dense & set(model.params), decoder
+        assert ("decoder.block1.dense.wcat" in model.params) == (
+            decoder["fusion"] == "concatenation")
+    # the unread weights are still drawn, so every other weight is unchanged
+    summation = build_model(micro_run_config(decoder=FUSIONS[0]))
+    assert set(attention.params) - set(summation.params) == dense
+    for name, param in summation.params.items():
+        assert np.array_equal(param.data, attention.params[name].data), name
 
 
 def test_forward_batch_shapes_and_state():
@@ -218,3 +238,26 @@ def test_micro_corpus_feeds_forward():
     clips = frames[None].astype(cfg.np_dtype())
     logits, _, _ = forward_batch(build_model(cfg), clips, training=True)
     assert logits.shape == (1, 4)
+
+
+def test_load_drops_unread_interaction_attention_records(tmp_path):
+    # checkpoints once carried attention weights whatever the fusion
+    for decoder in FUSIONS:
+        cfg = micro_run_config(decoder=decoder)
+        model = build_model(cfg)
+        clips = random_clips(cfg)
+        forward_batch(model, clips, training=True)
+        save_model(tmp_path / "m.dil1", model)
+        records = load_checkpoint(tmp_path / "m.dil1")
+        for w in DENSE_ATTENTION:
+            shape = (12, 12) if w.startswith("w") else (12,)
+            records["decoder.block1.dense." + w] = np.ones(shape, np.float32)
+        save_checkpoint(tmp_path / "old.dil1", dict(sorted(records.items())))
+        a = forward_batch(load_model(tmp_path / "m.dil1", cfg), clips, False)
+        b = forward_batch(load_model(tmp_path / "old.dil1", cfg), clips, False)
+        assert np.array_equal(a[1].data, b[1].data)
+
+        records["decoder.block2.dense.wq"] = np.ones((12, 12), np.float32)
+        save_checkpoint(tmp_path / "extra.dil1", records)
+        with pytest.raises(CheckpointError, match="unexpected"):
+            load_model(tmp_path / "extra.dil1", cfg)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from denseil import tensor as T
-from oracles import gradcheck
+from oracles import backward_ref, gradcheck
 
 
 def t(data, rg=False):
@@ -195,6 +195,73 @@ def test_unreached_leaf_keeps_none_grad():
     T.backward(T.sum_all(used))
     assert idle.grad is None
     assert np.array_equal(used.grad, [1.0])
+
+
+def _graphs():
+    """Fresh graphs whose leaves get their gradient through add (its own
+    grad handed to both parents), from two nodes (a leaf used twice),
+    through the views reshape and concat_rows return, and as one fresh
+    array returned for two parents."""
+    rng = np.random.default_rng(5)
+    a, b, d = (t(rng.normal(size=(2, 3)), rg=True) for _ in range(3))
+    yield "add and reuse", T.sum_all(T.mul(T.add(a, b), T.mul(a, d)))
+    a, w = t(rng.normal(size=(2, 3)), rg=True), t(rng.normal(size=(3, 2)), rg=True)
+    yield "reshape", T.sum_all(T.mul(T.reshape(a, (3, 2)), w))
+    a, b = t(rng.normal(size=(2, 3)), rg=True), t(rng.normal(size=(1, 3)), rg=True)
+    w = t(rng.normal(size=(3, 3)), rg=True)
+    yield "concat_rows", T.sum_all(T.mul(T.concat_rows([a, b]), w))
+    a, b = t(rng.normal(size=3), rg=True), t(rng.normal(size=3), rg=True)
+    both = T.Tensor(a.data + b.data, _parents=(a, b),
+                    _backward=lambda g: (g * 1.0,) * 2)
+    yield "one array for two parents", T.sum_all(T.mul(both, both))
+
+
+def test_backward_grads_equal_zero_then_add_and_own_their_memory():
+    for (name, loss), (_, again) in zip(_graphs(), _graphs()):
+        T.backward(loss)
+        backward_ref(again)
+        nodes = _walk(loss)
+        for got, want in zip(nodes, _walk(again)):
+            assert (got.grad is None) == (want.grad is None), name
+            if got.grad is not None:
+                assert np.array_equal(got.grad, want.grad), name
+        # a later += into one tensor's grad leaves every other one alone
+        with_grad = [n for n in nodes if n.grad is not None]
+        for n in with_grad:
+            before = [m.grad.copy() for m in with_grad]
+            n.grad += 1.0
+            for m, was in zip(with_grad, before):
+                if m is not n:
+                    assert np.array_equal(m.grad, was), name
+
+
+def _walk(root):
+    """Every tensor reachable from ``root``, in a fixed depth-first order."""
+    out, seen, todo = [], set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        todo.extend(reversed(node._parents))
+    return out
+
+
+def test_backward_adopts_an_owned_first_gradient():
+    a, d = t([1.0, -2.0], rg=True), t([3.0, 4.0], rg=True)
+    prod = T.mul(a, d)
+    handed, inner = [], prod._backward
+
+    def recording(g):
+        handed[:] = inner(g)
+        return handed
+
+    prod._backward = recording
+    s = T.add(prod, a)
+    T.backward(T.sum_all(s))
+    assert a.grad is not s.grad and d.grad is handed[1]
+    assert np.array_equal(a.grad, [4.0, 5.0])
 
 
 # ------------------------------------------------------- gradient checking
