@@ -128,11 +128,12 @@ def cmd_ablate(args):
 def cmd_dump_attn(args):
     from .data import read_tracklet
     from .decoder import dump_attention
-    from .harness import eval_clip
+    from .harness import _check_frame_shape, eval_clip
     from .model import forward_batch, load_model
     cfg = _sibling_config(args.checkpoint)
     model = load_model(args.checkpoint, cfg)
     tracklet = read_tracklet(args.tracklet)
+    _check_frame_shape(cfg, [tracklet])
     _, _, state = forward_batch(model, eval_clip(cfg, tracklet),
                                 training=False)
     source_ids = cfg.decoder.sources_for(cfg.encoder.num_blocks)

@@ -104,6 +104,10 @@ class RunConfig:
                 raise ConfigError("sampling.%s=%d exceeds data.%s=%d" % (
                     want, getattr(self.sampling, want), have,
                     getattr(self.data, have)))
+        for name in ("k_ids", "t_per_id"):  # triplet mining needs both >= 2
+            if self.loss.triplet_weight > 0 and getattr(self.sampling, name) < 2:
+                raise ConfigError("sampling.%s must be at least 2 while "
+                                  "loss.triplet_weight > 0" % name)
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64

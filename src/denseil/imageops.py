@@ -160,9 +160,8 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         out += 0.0
 
     def back(g):
-        # dx is written through a wide view of a buffer it owns, so the
-        # engine can adopt it. + 0.0 turns a -0.0 in g into the +0.0 of the
-        # zeroed buffer the engine added an unfused relu's g * mask into.
+        # dx is written through a wide view of a buffer it owns; + 0.0 turns a
+        # -0.0 in g into the +0.0 the unfused reference's zeroed buffers give.
         dx = np.empty(x.shape, dtype=g.dtype)
         gw = dx.reshape(xhat.shape)
         if relu:

@@ -67,7 +67,7 @@ def batch_hard_triplet(embeddings: Tensor, labels, margin: float = 0.3) -> Tenso
         raise BatchLayoutError("triplet mining needs at least two identities in the batch")
     if counts.min() < 2:
         lonely = ids[counts.argmin()]
-        raise BatchLayoutError("identity %r has a single sample; no positive exists" % lonely)
+        raise BatchLayoutError("identity %d has a single sample; no positive exists" % lonely)
 
     dist = pairwise_distance_graph(embeddings)
     same = labels[:, None] == labels[None, :]

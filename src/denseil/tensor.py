@@ -98,39 +98,35 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor reachable from ``loss``.
 
     ``loss`` must be scalar-shaped (() or (1,)). Gradients accumulate into
-    existing ``grad`` buffers, so reset them to None between steps.
+    existing ``grad`` arrays, so reset them to None between steps.
 
-    A parent's first gradient becomes its ``grad`` as is when nothing else
-    can see that array: it owns its memory, is writeable, has the parent's
-    shape and dtype, and is neither this node's own ``grad`` (``add`` hands
-    that to both parents) nor handed to another parent. Anything else, such
-    as the views ``reshape`` and ``concat_rows`` return, is added into a
-    zeroed buffer. The two differ at most in the sign of a zero entry;
-    sums and products pass that on only as the sign of a zero, and an Adam
-    step leaves a nonzero weight the same either way.
+    One rule stores each gradient a node hands a parent. It must have the
+    parent's shape, else GraphError. It is added out of place to the
+    parent's grad, if any, and the sum is rounded once into the parent's
+    dtype: a float64 constant in a float32 graph, such as the triplet
+    margin, widens the gradients behind it, and one rounding after the sum
+    matches an in-place ``+=``. A first gradient is kept without a copy, so
+    grads may share memory with each other; each is read-only, and writing
+    into one raises.
     """
     if loss.data.shape not in ((), (1,)):
         raise GraphError("backward requires a scalar loss, got shape %s" % (loss.data.shape,))
     order = _toposort(loss)
     loss.grad = np.ones_like(loss.data)
+    loss.grad.flags.writeable = False
     for node in reversed(order):
         if node._backward is None or node.grad is None:
             continue
-        parent_grads = node._backward(node.grad)
-        adopted = []
-        for parent, g in zip(node._parents, parent_grads):
+        for parent, g in zip(node._parents, node._backward(node.grad)):
             if not parent.requires_grad or g is None:
                 continue
-            if parent.grad is None:
-                if (g.base is None and g.flags.writeable
-                        and g.shape == parent.data.shape
-                        and g.dtype == parent.data.dtype and g is not node.grad
-                        and not any(g is a for a in adopted)):
-                    parent.grad = g
-                    adopted.append(g)
-                    continue
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+            if np.shape(g) != parent.data.shape:
+                raise GraphError("gradient of shape %s for a tensor of shape %s"
+                                 % (np.shape(g), parent.data.shape))
+            if parent.grad is not None:
+                g = parent.grad + g
+            parent.grad = g = np.asarray(g, dtype=parent.data.dtype)
+            g.flags.writeable = False
 
 
 def _toposort(root: Tensor):
@@ -272,13 +268,13 @@ def sqrt(a: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     return Tensor(a.data.sum(), _parents=(a,),
-                  _backward=lambda g: (np.broadcast_to(g, a.shape).copy(),))
+                  _backward=lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     return Tensor(a.data.mean(), _parents=(a,),
-                  _backward=lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
+                  _backward=lambda g: (np.broadcast_to(g / n, a.shape),))
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -287,8 +283,7 @@ def mean_rows(a: Tensor) -> Tensor:
         raise ShapeError("mean_rows expects a tensor of rank >= 2")
     n = a.shape[-2]
     return Tensor(a.data.mean(axis=-2), _parents=(a,),
-                  _backward=lambda g: (np.broadcast_to(
-                      np.expand_dims(g / n, -2), a.shape).copy(),))
+                  _backward=lambda g: (np.broadcast_to(np.expand_dims(g / n, -2), a.shape),))
 
 
 def sum_axis1(a: Tensor) -> Tensor:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -10,6 +11,7 @@ import pytest
 import denseil
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
+from denseil.data import read_tracklet, write_tracklet
 from micro import micro_dict
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -93,6 +95,26 @@ def test_dump_attn(workspace, capsys):
     assert len(lines) == 1 + 1 * 2 * 8 * 16
 
 
+def test_dump_attn_rejects_a_tracklet_of_another_frame_shape(workspace,
+                                                              capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    small = read_tracklet(data_dir / "id000_t02_cam2.dilt")
+    big = tmp_path / "big.dilt"
+    frames = small.frames.repeat(2, axis=2).repeat(2, axis=3)  # 32x16
+    write_tracklet(big, dataclasses.replace(small, frames=frames))
+    capsys.readouterr()
+    out_csv = tmp_path / "attn.csv"
+    assert main(["dump-attn", "--checkpoint", str(run_dir / "final.dil1"),
+                 "--tracklet", str(big), "--out", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert "(3, 32, 16)" in err and "(3, 16, 8)" in err
+    assert err.count("\n") == 1
+    assert not out_csv.exists()
+
+
 def test_ablate_cli(workspace, capsys):
     tmp_path, cfg_path, data_dir = workspace
     out = tmp_path / "ablation"
@@ -140,6 +162,8 @@ REMOVED_KEYS = [
     {"partitions": 64},
     {"sampling": {"chunks": 9}},  # the micro corpus has 8 frames per tracklet
     {"sampling": {"k_ids": 5}},  # and 4 identities
+    {"sampling": {"k_ids": 1}},  # triplet mining needs two identities
+    {"sampling": {"t_per_id": 1}},  # and two samples of each
 ] + REMOVED_KEYS, ids=json.dumps)
 def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
                                                        override):
@@ -153,6 +177,20 @@ def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
         err = capsys.readouterr().err
         assert err.startswith("denseil: error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sampling", [{"k_ids": 1}, {"t_per_id": 1}],
+                         ids=json.dumps)
+def test_single_sample_layouts_pass_flops_and_train_without_triplet(
+        workspace, capsys, sampling):
+    tmp_path, _, data_dir = workspace
+    cfg = tmp_path / "ce_only.json"
+    cfg.write_text(json.dumps(micro_dict(
+        epochs=1, sampling=sampling, loss={"triplet_weight": 0.0})))
+    assert main(["flops", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
 
 
 def test_non_utf8_config_exits_1_naming_the_file(workspace, capsys):

@@ -200,8 +200,9 @@ def test_unreached_leaf_keeps_none_grad():
 def _graphs():
     """Fresh graphs whose leaves get their gradient through add (its own
     grad handed to both parents), from two nodes (a leaf used twice),
-    through the views reshape and concat_rows return, and as one fresh
-    array returned for two parents."""
+    through the views reshape and concat_rows return, as one fresh array
+    returned for two parents, and in float64 from a float32 graph that a
+    float64 0-d constant joins, as batch_hard_triplet's margin does."""
     rng = np.random.default_rng(5)
     a, b, d = (t(rng.normal(size=(2, 3)), rg=True) for _ in range(3))
     yield "add and reuse", T.sum_all(T.mul(T.add(a, b), T.mul(a, d)))
@@ -214,9 +215,13 @@ def _graphs():
     both = T.Tensor(a.data + b.data, _parents=(a, b),
                     _backward=lambda g: (g * 1.0,) * 2)
     yield "one array for two parents", T.sum_all(T.mul(both, both))
+    a, w = (T.Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
+            for _ in range(2))
+    margin = T.Tensor(np.asarray(0.3))
+    yield "float64 constant", T.mean_all(T.relu(T.add(T.mul(a, w), margin)))
 
 
-def test_backward_grads_equal_zero_then_add_and_own_their_memory():
+def test_backward_grads_equal_zero_then_add_and_are_read_only():
     for (name, loss), (_, again) in zip(_graphs(), _graphs()):
         T.backward(loss)
         backward_ref(again)
@@ -224,15 +229,15 @@ def test_backward_grads_equal_zero_then_add_and_own_their_memory():
         for got, want in zip(nodes, _walk(again)):
             assert (got.grad is None) == (want.grad is None), name
             if got.grad is not None:
+                assert got.grad.dtype == want.grad.dtype, name
+                assert got.grad.shape == want.grad.shape, name
                 assert np.array_equal(got.grad, want.grad), name
-        # a later += into one tensor's grad leaves every other one alone
-        with_grad = [n for n in nodes if n.grad is not None]
-        for n in with_grad:
-            before = [m.grad.copy() for m in with_grad]
-            n.grad += 1.0
-            for m, was in zip(with_grad, before):
-                if m is not n:
-                    assert np.array_equal(m.grad, was), name
+        # an in-place write into any grad, the loss's included, raises
+        assert loss.grad is not None
+        for n in nodes:
+            if n.grad is not None:
+                with pytest.raises(ValueError):
+                    n.grad += 1.0
 
 
 def _walk(root):
@@ -262,6 +267,25 @@ def test_backward_adopts_an_owned_first_gradient():
     T.backward(T.sum_all(s))
     assert a.grad is not s.grad and d.grad is handed[1]
     assert np.array_equal(a.grad, [4.0, 5.0])
+
+
+def test_backward_keeps_view_and_shared_first_gradients_without_a_copy():
+    rng = np.random.default_rng(6)
+    a, w = t(rng.normal(size=(2, 3)), rg=True), t(rng.normal(size=(3, 2)), rg=True)
+    r = T.reshape(a, (3, 2))
+    s = T.add(r, w)
+    T.backward(T.sum_all(T.mul(s, s)))
+    assert np.shares_memory(a.grad, r.grad)
+    assert np.shares_memory(r.grad, s.grad) and np.shares_memory(w.grad, s.grad)
+    assert np.array_equal(a.grad, (2 * s.data).reshape(2, 3))
+
+
+def test_backward_rejects_a_wrongly_shaped_gradient():
+    a = t(np.zeros((2, 3)), rg=True)
+    # (3,) broadcasts to (2, 3), so only the shape check can catch it
+    bad = T.Tensor(a.data.copy(), _parents=(a,), _backward=lambda g: (g[0],))
+    with pytest.raises(T.GraphError):
+        T.backward(T.sum_all(bad))
 
 
 # ------------------------------------------------------- gradient checking
