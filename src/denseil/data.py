@@ -70,6 +70,12 @@ class SynthConfig:
             raise CorpusError("similarity must lie in [0, 1]")
         if self.jitter < 0:
             raise CorpusError("jitter must be nonnegative")
+        if self.tracklets_per_identity < 3:
+            raise CorpusError("need at least 3 tracklets per identity "
+                              "(train + query + gallery)")
+        if self.cameras < 2:
+            raise CorpusError("query and gallery must span different cameras, "
+                              "need at least 2")
 
 
 @dataclass
@@ -194,12 +200,6 @@ def generate_dataset(cfg: SynthConfig) -> Corpus:
     tracklet j shot by camera (identity + j) % cameras so each query's true
     gallery match sits on a different camera.
     """
-    if cfg.tracklets_per_identity < 3:
-        raise CorpusError("need at least 3 tracklets per identity "
-                          "(train + query + gallery)")
-    if cfg.cameras < 2:
-        raise CorpusError("query and gallery must span different cameras, "
-                          "need at least 2")
     gains, offsets, appearances = _draw_appearances(cfg)
     corpus = Corpus()
     t = cfg.tracklets_per_identity
@@ -294,6 +294,8 @@ def read_tracklet(path) -> Tracklet:
         frames = np.frombuffer(body, dtype="<f4").reshape(t, c, h, w)
     except ValueError as err:  # extents numpy cannot represent
         raise TrackletFormatError("%s: %s" % (path, err))
+    if not np.isfinite(frames).all():
+        raise TrackletFormatError("%s: non-finite pixel values" % path)
     return Tracklet(frames.copy(), identity, camera, tracklet_id)
 
 

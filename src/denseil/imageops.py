@@ -55,24 +55,37 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
 
     def back(g):
         g2 = g.reshape(-1, cout)
-        dw = (g2.T @ cols).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2)
+        # contiguous, so Adam's elementwise passes over it are not strided
+        dw = np.ascontiguousarray(
+            (g2.T @ cols).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2))
         dx = None
         if x.requires_grad:
-            # col2im one tap at a time: tap (i, j) touches every stride-th
-            # padded pixel from (i, j) on, so each += is a single strided add
+            # col2im one tap at a time, straight into dx: output row o of tap
+            # (i, j) reads input row o*stride + i - ph, so each += is a single
+            # strided add over the outputs whose input lies inside x
             taps = wmat.reshape(cout, kh, kw, c)
-            dxp = np.zeros(padded, dtype=g.dtype)
+            dx = np.zeros(x.shape, dtype=g.dtype)
             for i in range(kh):
+                xi, oi = _tap_range(i - ph, stride, ho, h)
                 for j in range(kw):
-                    dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
-                        (g2 @ taps[:, i, j]).reshape(n, ho, wo, c))
-            dx = np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd])
+                    xj, oj = _tap_range(j - pw, stride, wo, wd)
+                    part = (g2 @ taps[:, i, j]).reshape(n, ho, wo, c)
+                    dx[:, xi, xj] += part[:, oi, oj]
         if bias is not None:
             return dx, dw, g2.sum(axis=0)
         return dx, dw
 
     parents = (x, w) if bias is None else (x, w, bias)
     return Tensor(out, _parents=parents, _backward=back)
+
+
+def _tap_range(offset: int, stride: int, out_len: int, in_len: int):
+    """(input slice, output slice) of one kernel tap along one axis: output
+    o reads input o*stride + offset, kept where that lies in [0, in_len)."""
+    lo = max(0, -(offset // stride))
+    count = max(0, min(out_len, (in_len - 1 - offset) // stride + 1) - lo)
+    start = lo * stride + offset
+    return slice(start, start + count * stride, stride), slice(lo, lo + count)
 
 
 class BNState:
@@ -115,6 +128,21 @@ def _widen(a: np.ndarray, c: int):
     return a.reshape(-1, k * c), k
 
 
+def _colsum(a: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel sums of ``a`` read as [rows, c], rounded as
+    ``sum(axis=0)`` rounds them.
+
+    Over a contiguous view with c >= 2, einsum adds the rows in the same
+    order as ``sum``, without its inner-loop call per row. ``sum`` adds a
+    single column pairwise, so that case stays with ``sum``, as does a
+    strided view.
+    """
+    a2 = a.reshape(-1, c)
+    if c == 1 or not a2.flags.c_contiguous:
+        return a2.sum(axis=0)
+    return np.einsum("ij->j", a2)
+
+
 def _batch_mean(total: np.ndarray, n: int) -> np.ndarray:
     """A per-channel sum over n rows divided as ``np.mean`` and ``np.var``
     divide it: by an intp count, rounded to the sum's dtype."""
@@ -132,10 +160,10 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     n = x.data.size // c
     xw, k = _widen(x.data, c)
     if training:
-        mu = x.data.reshape(n, c).mean(axis=0)
+        mu = _batch_mean(_colsum(x.data, c), n)
         xc = xw - np.tile(mu, k)
         sq = np.square(xc)
-        var = _batch_mean(sq.reshape(n, c).sum(axis=0), n)
+        var = _batch_mean(_colsum(sq, c), n)
         del sq
         state.update(mu, var)
     else:
@@ -169,9 +197,9 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
             gw += 0.0
         else:
             np.add(g.reshape(xhat.shape), 0.0, out=gw)
-        dbeta = gw.reshape(n, c).sum(axis=0)
+        dbeta = _colsum(gw, c)
         prod = gw * xhat
-        dgamma = prod.reshape(n, c).sum(axis=0)
+        dgamma = _colsum(prod, c)
         if training:
             # batch statistics depend on x, so the mean terms flow back too:
             # dx = scale * (g - mean(g) - xhat * dgamma / n)

@@ -93,13 +93,16 @@ def save_model(path, model: Model):
 
 
 def _take(records, path, key, shape):
-    """Pop record ``key``, which must exist and have ``shape``."""
+    """Pop record ``key``, which must exist, have ``shape`` and be finite."""
     if key not in records:
         raise CheckpointError("%s: missing record %r" % (path, key))
     arr = records.pop(key)
     if arr.shape != shape:
         raise CheckpointError("%s: record %r has shape %s, model wants %s"
                               % (path, key, arr.shape, shape))
+    if not np.isfinite(arr).all():
+        raise CheckpointError("%s: record %r has non-finite values"
+                              % (path, key))
     return arr
 
 
@@ -116,8 +119,11 @@ def load_model(path, cfg: RunConfig) -> Model:
                                 st.running_mean.shape).astype(dtype)
         st.running_var = _take(records, path, key + "var",
                                st.running_var.shape).astype(dtype)
+        if (st.running_var < 0).any():
+            raise CheckpointError("%s: record %r has a negative variance"
+                                  % (path, key + "var"))
         count = _take(records, path, key + "count", ())
-        if not (np.isfinite(count) and count >= 0 and count == np.floor(count)):
+        if not (count >= 0 and count == np.floor(count)):
             raise CheckpointError("%s: record %r is %r, not a batch count"
                                   % (path, key + "count", float(count)))
         st.num_batches = int(count)

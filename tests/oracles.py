@@ -67,6 +67,40 @@ def conv2d_nchw_ref(x, w, stride):
     return out
 
 
+def conv2d_backward_ref(x, w, g, stride):
+    """Gradients of channels-last conv2d by padded col2im.
+
+    Written in the exact arithmetic of the first fused conv2d node, not the
+    obvious way: im2col columns ordered (kh, kw, C), ``dw`` from one GEMM
+    against them, then each tap's ``g @ w`` added into a zeroed padded
+    buffer whose interior is copied out as ``dx``. ``g`` is the gradient
+    arriving at the [N,Ho,Wo,Cout] output. Returns (dx, dw, dbias).
+    """
+    n, h, wd, c = x.shape
+    cout, _, kh, kw = w.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    ho = (h + 2 * ph - kh) // stride + 1
+    wo = (wd + 2 * pw - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    cols = np.empty((n, ho, wo, kh, kw, c), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j] = xp[:, i:i + stride * ho:stride,
+                                     j:j + stride * wo:stride]
+    cols = cols.reshape(n * ho * wo, kh * kw * c)
+    wmat = w.transpose(0, 2, 3, 1).reshape(cout, kh * kw * c)
+    g2 = g.reshape(-1, cout)
+    dw = (g2.T @ cols).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2)
+    taps = wmat.reshape(cout, kh, kw, c)
+    dxp = np.zeros(xp.shape, dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
+                (g2 @ taps[:, i, j]).reshape(n, ho, wo, c))
+    dx = np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd])
+    return dx, dw, g2.sum(axis=0)
+
+
 def encoder_nchw_ref(x, strides, params, eps=1e-5):
     """Training-mode encoder pyramid over [N,C,H,W]: per block, twice
     conv -> batch norm with batch statistics over (N,H,W) -> ReLU."""

@@ -164,6 +164,9 @@ REMOVED_KEYS = [
     {"sampling": {"k_ids": 5}},  # and 4 identities
     {"sampling": {"k_ids": 1}},  # triplet mining needs two identities
     {"sampling": {"t_per_id": 1}},  # and two samples of each
+    {"data": {"cameras": 1}},  # query and gallery need two cameras
+    {"data": {"tracklets_per_identity": 1}},  # train, query and gallery
+    {"data": {"tracklets_per_identity": 2}},
 ] + REMOVED_KEYS, ids=json.dumps)
 def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
                                                        override):
@@ -232,6 +235,7 @@ def _exits_3_with_one_line(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("denseil: i/o error: ")
     assert err.count("\n") == 1
+    return err
 
 
 def _rewrite_manifest(data_dir, edit):
@@ -289,16 +293,47 @@ def test_malformed_checkpoint_records_exit_3(workspace, capsys):
     records = load_checkpoint(run_dir / "final.dil1")
     bn = "bnstate.encoder.block1.bn1."  # a layer of 6 channels
     bad = run_dir / "bad.dil1"
+    conv = "encoder.block1.conv2.w"
+
+    def poisoned(key, index, value):
+        arr = records[key].copy()
+        arr.reshape(-1)[index] = value
+        return arr
+
     for key, value in ((bn + "count", np.zeros(3)),
                        (bn + "mean", np.zeros(1)),
                        (bn + "var", np.ones(3)),
                        (bn + "count", np.array(np.nan)),
                        (bn + "count", np.array(-1.0)),
                        (bn + "count", np.array(2.5)),
-                       ("adapter.block3.w", np.zeros((12, 12)))):
+                       ("adapter.block3.w", np.zeros((12, 12))),
+                       (conv, poisoned(conv, 5, np.nan)),
+                       (bn + "mean", poisoned(bn + "mean", 2, np.inf)),
+                       (bn + "var", poisoned(bn + "var", 3, -1.0))):
         save_checkpoint(bad, dict(records, **{key: value}))
-        _exits_3_with_one_line(["eval", "--checkpoint", str(bad),
-                                "--data", str(data_dir)], capsys)
+        err = _exits_3_with_one_line(["eval", "--checkpoint", str(bad),
+                                      "--data", str(data_dir)], capsys)
+        assert repr(key) in err
+
+
+def test_non_finite_tracklet_exits_3_from_train_and_dump_attn(workspace,
+                                                              capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    path = data_dir / "id000_t00_cam0.dilt"  # a training tracklet
+    tracklet = read_tracklet(path)
+    tracklet.frames[3, 1, 4, 2] = np.nan
+    write_tracklet(path, tracklet)
+    out_csv = tmp_path / "attn.csv"
+    for argv in (["train", "--config", str(cfg_path), "--data", str(data_dir),
+                  "--out", str(tmp_path / "again")],
+                 ["dump-attn", "--checkpoint", str(run_dir / "final.dil1"),
+                  "--tracklet", str(path), "--out", str(out_csv)]):
+        assert str(path) in _exits_3_with_one_line(argv, capsys)
+    assert not out_csv.exists()
 
 
 def test_cli_training_is_byte_identical_across_processes(workspace):

@@ -222,6 +222,18 @@ def test_read_tracklet_rejects_unrepresentable_extents(tmp_path):
         read_tracklet(p)
 
 
+def test_read_tracklet_rejects_non_finite_pixels(tmp_path):
+    tr = generate_dataset(SMALL).query[0]
+    p = tmp_path / "x.dilt"
+    for bad in (np.nan, -np.inf):
+        frames = tr.frames.copy()
+        frames[1, 2, 3, 4] = bad
+        write_tracklet(p, Tracklet(frames, tr.identity, tr.camera,
+                                   tr.tracklet_id))
+        with pytest.raises(TrackletFormatError, match="non-finite"):
+            read_tracklet(p)
+
+
 def test_corpus_roundtrip(tmp_path):
     corpus = generate_dataset(SMALL)
     write_corpus(corpus, tmp_path / "corpus")

@@ -3,7 +3,7 @@ import pytest
 
 from denseil import imageops as im
 from denseil import tensor as T
-from oracles import batchnorm_relu_ref, gradcheck
+from oracles import batchnorm_relu_ref, conv2d_backward_ref, gradcheck
 
 
 def t(data, rg=False):
@@ -170,41 +170,87 @@ def test_batchnorm_rows_gradcheck():
 
 
 # the eight batch-norm inputs of a desk encoder step (16 clips x 8 frames of
-# 32x16, channels 16..128), then row counts no power-of-two tile divides
+# 32x16, channels 16..128), the four of a micro step (4 clips x 4 frames of
+# 16x8, channels 6 and 12), then row counts no power-of-two tile divides and
+# a single channel, which numpy sums pairwise
 DESK_BN_SHAPES = [(128, 16, 8, 16)] * 2 + [(128, 8, 4, 32)] * 2 + [
     (128, 4, 2, 64)] * 2 + [(128, 4, 2, 128)] * 2
-ODD_BN_SHAPES = [(3, 5, 7, 16), (2, 3, 5, 12)]
+MICRO_BN_SHAPES = [(16, 8, 4, 6)] * 2 + [(16, 8, 4, 12)] * 2
+ODD_BN_SHAPES = [(3, 5, 7, 16), (2, 3, 5, 12), (4, 9, 7, 1)]
+# batchnorm_rows in the head: desk [B, d], micro at its batch of 4 clips
+# and at one clip, one feature
+ROWS_BN_SHAPES = [(16, 64), (4, 12), (1, 12), (300, 1)]
+
+# conv2d (x shape, Cout, stride, kernel) cases: the eight layers of a desk
+# encoder step and the four of a micro step, then odd H and W, every kernel
+# at both strides, and a 5x3 kernel whose outer rows lie wholly in padding
+DESK_CONVS = [((128, 32, 16, 3), 16, 2), ((128, 16, 8, 16), 16, 1),
+              ((128, 16, 8, 16), 32, 2), ((128, 8, 4, 32), 32, 1),
+              ((128, 8, 4, 32), 64, 2), ((128, 4, 2, 64), 64, 1),
+              ((128, 4, 2, 64), 128, 1), ((128, 4, 2, 128), 128, 1)]
+MICRO_CONVS = [((16, 16, 8, 3), 6, 2), ((16, 8, 4, 6), 6, 1),
+               ((16, 8, 4, 6), 12, 1), ((16, 8, 4, 12), 12, 1)]
+CONV_CASES = [shape + ((3, 3),) for shape in DESK_CONVS + MICRO_CONVS] + [
+    ((2, 7, 5, 3), 4, stride, kernel)
+    for kernel in KERNELS for stride in (1, 2)] + [
+    ((3, 9, 11, 5), 6, stride, kernel)
+    for kernel in KERNELS for stride in (1, 2)] + [((2, 1, 3, 2), 3, 1, (5, 3))]
 
 
 def _bytes(a):
     return np.ascontiguousarray(a).view(np.uint8)
 
 
+def test_conv2d_backward_matches_padded_col2im_byte_for_byte():
+    rng = np.random.default_rng(41)
+    for dtype in (np.float32, np.float64):
+        for shape, cout, stride, kernel in CONV_CASES:
+            x = rng.normal(size=shape).astype(dtype)
+            w = rng.normal(size=(cout, shape[3]) + kernel).astype(dtype)
+            b = rng.normal(size=cout).astype(dtype)
+            out = im.conv2d(T.Tensor(x, requires_grad=True),
+                            T.Tensor(w, requires_grad=True),
+                            T.Tensor(b, requires_grad=True), stride=stride)
+            g = rng.normal(size=out.shape).astype(dtype)
+            got = out._backward(g.copy())
+            want = conv2d_backward_ref(x, w, g, stride)
+            case = (dtype.__name__, shape, cout, stride, kernel)
+            for name, a, r in zip(("dx", "dw", "dbias"), got, want):
+                assert a.dtype == r.dtype and a.shape == r.shape, (name, case)
+                assert np.array_equal(_bytes(a), _bytes(r)), (name, case)
+            assert got[1].flags.c_contiguous, case
+
+
 def test_fused_batchnorm_relu_matches_unfused_composition_byte_for_byte():
     rng = np.random.default_rng(38)
     cases = [(dtype, shape, training, relu)
              for dtype in (np.float32, np.float64)
-             for shape in DESK_BN_SHAPES + ODD_BN_SHAPES
-             for training in (True, False) for relu in (True, False)]
+             for shape in DESK_BN_SHAPES + MICRO_BN_SHAPES + ODD_BN_SHAPES
+             + ROWS_BN_SHAPES
+             for training in (True, False) for relu in (True, False)
+             if len(shape) == 4 or not relu]  # batchnorm_rows has no ReLU
     for dtype, shape, training, relu in cases:
-        c = shape[3]
+        c = shape[-1]
         x = rng.normal(0.5, 2.0, shape).astype(dtype)
         gamma = rng.uniform(-1.5, 1.5, c).astype(dtype)
         beta = rng.uniform(-0.5, 0.5, c).astype(dtype)
-        beta[1] = -1e3  # every pre-activation of channel 1 is masked
+        beta[-1] = -1e3  # every pre-activation of the last channel is masked
         g = rng.normal(size=shape).astype(dtype)
         g[..., 0] = -0.0  # a -0.0 the zeroed buffers turn into +0.0
-        g[..., 1] = -np.abs(g[..., 1])
+        g[..., -1] = -np.abs(g[..., -1])
         st = im.BNState(c, dtype=dtype)
         if not training:
             st.update(rng.normal(size=c).astype(dtype),
                       rng.uniform(0.5, 2.0, c).astype(dtype))
         running = None if training else (st.running_mean, st.running_var)
         want = batchnorm_relu_ref(x, gamma, beta, g, running, relu)
-        out = im.batchnorm_nchw(T.Tensor(x, requires_grad=True),
-                                T.Tensor(gamma, requires_grad=True),
-                                T.Tensor(beta, requires_grad=True),
-                                st, training, relu=relu)
+        args = (T.Tensor(x, requires_grad=True),
+                T.Tensor(gamma, requires_grad=True),
+                T.Tensor(beta, requires_grad=True), st, training)
+        if len(shape) == 4:
+            out = im.batchnorm_nchw(*args, relu=relu)
+        else:
+            out = im.batchnorm_rows(*args)
         got = (out.data,) + tuple(out._backward(g.copy()))
         case = (dtype.__name__, shape, training, relu)
         for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, want):
