@@ -134,10 +134,10 @@ def cmd_dump_attn(args):
     model = load_model(args.checkpoint, cfg)
     tracklet = read_tracklet(args.tracklet)
     _check_frame_shape(cfg, [tracklet])
-    _, _, state = forward_batch(model, eval_clip(cfg, tracklet),
-                                training=False)
+    _, _, dense_attn = forward_batch(model, eval_clip(cfg, tracklet),
+                                     training=False)
     source_ids = cfg.decoder.sources_for(cfg.encoder.num_blocks)
-    rows = dump_attention(state, cfg.sampling.chunks, cfg.partitions,
+    rows = dump_attention(dense_attn, cfg.sampling.chunks, cfg.partitions,
                           source_ids, args.out)
     print("wrote %d weights to %s" % (rows, args.out))
     return 0

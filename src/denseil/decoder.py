@@ -1,7 +1,7 @@
 """Dense-interaction decoder stack.
 
-Each block runs multi-head self-attention, then (for the two decoder-style
-variants) an interaction sub-layer over pooled encoder features, then an FFN.
+Each block runs multi-head self-attention, then (unless ``dense_sources`` is
+empty) an interaction sub-layer over pooled encoder features, then an FFN.
 Every sub-layer is Pre-LN residual: x + Sublayer(LN(x)). The interaction
 sub-layer's keys and values concatenate the pooled per-block encoder tokens
 with the current hidden state, so each query can look at every scale of the
@@ -20,7 +20,6 @@ from .imageops import BNState, batchnorm_rows
 from .partition import token_index
 from .tensor import ShapeError, Tensor
 
-VARIANTS = ("TransEnc", "TransDec", "DenseIL")
 FUSIONS = ("attention", "summation", "concatenation")
 
 
@@ -29,24 +28,22 @@ class DecoderConfig:
     """Shape and wiring of the decoder stack.
 
     ``dense_sources`` holds 1-based encoder block indices whose pooled tokens
-    feed the interaction sub-layer; None defers to the model default (all
-    blocks from the second up). ``ffn_hidden`` None makes the FFN as wide as
-    ``d``; the stored value is always resolved to a width.
+    feed the interaction sub-layer: () builds no interaction sub-layer (the
+    paper's TransEnc), (L,) reads the last block only (TransDec), and None,
+    the default, reads blocks 2..L (DenseIL). ``ffn_hidden`` None makes the
+    FFN as wide as ``d``; the stored value is always resolved to a width.
     """
 
     R: int = 2
     d: int = 64
     heads: int = 4
     ffn_hidden: int | None = None
-    variant: str = "DenseIL"
     fusion: str = "attention"
     dense_sources: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.ffn_hidden is None:
             object.__setattr__(self, "ffn_hidden", self.d)
-        if self.variant not in VARIANTS:
-            raise ShapeError("unknown variant %r" % self.variant)
         if self.fusion not in FUSIONS:
             raise ShapeError("unknown fusion %r" % self.fusion)
         if self.R < 0:
@@ -58,15 +55,9 @@ class DecoderConfig:
             raise ShapeError("width %d not divisible by %d heads" % (self.d, self.heads))
 
     def sources_for(self, num_encoder_blocks: int):
-        """Resolve the effective dense-source block indices for this variant."""
+        """The dense-source block indices, or the default 2..L; range-checked."""
         L = num_encoder_blocks
-        if self.variant == "TransEnc":
-            return ()
-        if self.variant == "TransDec":
-            return (L,)
         src = self.dense_sources if self.dense_sources is not None else tuple(range(2, L + 1))
-        if not src:
-            raise ShapeError("DenseIL needs at least one dense source block")
         if any(l < 1 or l > L for l in src):
             raise ShapeError("dense source indices %s out of range 1..%d" % (src, L))
         return src
@@ -79,16 +70,6 @@ class DecoderConfig:
         if self.R == 0:
             return (L,)
         return tuple(sorted({L, *self.sources_for(L)}))
-
-
-class DecoderState:
-    """Per-block diagnostics: hidden states and attention maps (as arrays),
-    each with a leading clip axis."""
-
-    def __init__(self):
-        self.hidden = []
-        self.self_attn = []
-        self.dense_attn = []
 
 
 def _split_heads(x: Tensor, clips: int, n: int, heads: int) -> Tensor:
@@ -177,47 +158,47 @@ def _ffn_block(H: Tensor, params, prefix: str):
 
 
 def decoder_forward(tokens: Tensor, pyramid_tokens, emb, cfg: DecoderConfig, params):
-    """Run the stack over a batch; returns (embeddings [B, d], DecoderState).
+    """Run the stack over a batch; returns (embeddings [B, d], the
+    interaction weights of each block).
 
     ``tokens`` is [B, n, d], the last encoder block's pooled tokens (also the
     decoder input); ``pyramid_tokens`` lists blocks 1..L-1's, same shape,
     or None for a block outside ``cfg.read_blocks``.
-    ``emb`` is a StepEmbTable or None to disable positions. Inside the stack
-    rows are [B*n, d]; only attention looks across a clip's rows. With R=0
-    each embedding is exactly the mean of its clip's input rows: no final
-    norm applies.
+    ``emb`` is the [n, d] ``step_emb`` table or None to disable positions.
+    Inside the stack rows are [B*n, d]; only attention looks across a clip's
+    rows. A block's weights are [B, heads, n, (S+1)*n], or None when it has
+    no attention-fused interaction sub-layer. With R=0 each embedding is
+    exactly the mean of its clip's input rows: no final norm applies.
     """
     clips, n, d = tokens.shape
-    if emb is not None and emb.combined.shape[0] != n:
+    if emb is not None and emb.shape[0] != n:
         raise ShapeError("positional table has %d rows, tokens %d"
-                         % (emb.combined.shape[0], n))
+                         % (emb.shape[0], n))
     levels = list(pyramid_tokens) + [tokens]
     sources = [tn.reshape(levels[l - 1], (clips * n, d))
                for l in cfg.sources_for(len(levels))] if cfg.R else []
 
     x = tokens
     if emb is not None:
-        x = tn.add(x, Tensor(emb.combined.astype(x.dtype)))
+        x = tn.add(x, Tensor(emb.astype(x.dtype)))
     x = tn.reshape(x, (clips * n, d))
 
-    state = DecoderState()
+    dense_attn = []
     for r in range(1, cfg.R + 1):
         prefix = "decoder.block%d" % r
-        x, w_self = self_attention_block(x, params, prefix + ".selfattn", cfg.heads,
-                                         clips)
-        w_dense = None
-        if cfg.variant != "TransEnc":
-            x, w_dense = dense_attention(x, sources, params, prefix + ".dense",
+        x, _ = self_attention_block(x, params, prefix + ".selfattn", cfg.heads,
+                                    clips)
+        weights = None
+        if sources:
+            x, weights = dense_attention(x, sources, params, prefix + ".dense",
                                          cfg.heads, cfg.fusion, clips)
         x = _ffn_block(x, params, prefix + ".ffn")
-        state.hidden.append(x.data.reshape(clips, n, d).copy())
-        state.self_attn.append(w_self)
-        state.dense_attn.append(w_dense)
+        dense_attn.append(weights)
 
     if cfg.R >= 1:
         x = tn.layer_norm(x, params["decoder.final_ln.gamma"],
                           params["decoder.final_ln.beta"])
-    return tn.mean_rows(tn.reshape(x, (clips, n, d))), state
+    return tn.mean_rows(tn.reshape(x, (clips, n, d))), dense_attn
 
 
 def classify_head(embeddings: Tensor, params, bn_state: BNState, training: bool):
@@ -261,7 +242,7 @@ def init_decoder(cfg: DecoderConfig, num_encoder_blocks: int, rng, dtype=np.floa
     for r in range(1, cfg.R + 1):
         prefix = "decoder.block%d" % r
         attn_params(prefix + ".selfattn")
-        if cfg.variant != "TransEnc":
+        if S:
             attn_params(prefix + ".dense", cfg.fusion == "attention")
             if cfg.fusion == "concatenation":
                 width = (S + 1) * d
@@ -291,10 +272,10 @@ def init_head(d: int, num_ids: int, rng, dtype=np.float64):
 # attention dump
 
 
-def dump_attention(state: DecoderState, I: int, P: int, source_ids,
-                   path) -> int:
+def dump_attention(dense_attn, I: int, P: int, source_ids, path) -> int:
     """Write the first clip's interaction-attention weights as CSV rows;
-    returns the row count.
+    returns the row count. ``dense_attn`` is ``decoder_forward``'s list of
+    per-block weights.
 
     Key columns identify the scale each weight looked at: Z^l for a pooled
     encoder block, H for the decoder's own hidden state.
@@ -307,7 +288,7 @@ def dump_attention(state: DecoderState, I: int, P: int, source_ids,
         out = csv.writer(fh)
         out.writerow(["block", "head", "query_frame", "query_part",
                       "key_source", "key_frame", "key_part", "weight"])
-        for b, weights in enumerate(state.dense_attn, start=1):
+        for b, weights in enumerate(dense_attn, start=1):
             if weights is None:
                 continue
             for (h, qi, ki), w in np.ndenumerate(weights[0]):

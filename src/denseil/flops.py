@@ -6,7 +6,8 @@ that logs every matmul. With n = I*P tokens, m = (S+1)*n interaction keys,
 width d and FFN hidden h, one block costs:
 
   self-attention   4*n*d^2 + 2*n^2*d   (Q,K,V,output projections; scores; values)
-  interaction      fusion=attention:     2*n*d^2 + 2*m*d^2 + 2*n*m*d
+  interaction      no dense sources:     0
+                   fusion=attention:     2*n*d^2 + 2*m*d^2 + 2*n*m*d
                    fusion=summation:     0
                    fusion=concatenation: n*(S+1)*d^2
   ffn              2*n*d*h
@@ -24,38 +25,28 @@ from .decoder import DecoderConfig
 
 
 def estimate_decoder_flops(cfg: DecoderConfig, I: int, P: int,
-                           num_encoder_blocks: int = None,
-                           encoder_channels=None) -> dict:
+                           encoder_channels) -> dict:
     """Per-forward multiply-add counts; returns a breakdown dict.
 
-    ``num_encoder_blocks`` defaults to enough blocks to cover the configured
-    dense sources. ``encoder_channels`` (widths C_1..C_L) enables the
-    informational adapter count.
+    ``encoder_channels`` holds the widths C_1..C_L of the encoder blocks;
+    L resolves the dense sources, and the widths size the adapters.
     """
     n = I * P
     d, h = cfg.d, cfg.ffn_hidden
-    if num_encoder_blocks is None:
-        num_encoder_blocks = max(cfg.dense_sources) if cfg.dense_sources else 4
-    source_ids = cfg.sources_for(num_encoder_blocks)
-    S = len(source_ids)
+    L = len(encoder_channels)
+    S = len(cfg.sources_for(L))
     m = (S + 1) * n
 
     self_macs = 4 * n * d * d + 2 * n * n * d
-    if cfg.variant == "TransEnc":
+    if not S or cfg.fusion == "summation":
         dense_macs = 0
     elif cfg.fusion == "attention":
         dense_macs = 2 * n * d * d + 2 * m * d * d + 2 * n * m * d
-    elif cfg.fusion == "summation":
-        dense_macs = 0
     else:  # concatenation
         dense_macs = n * (S + 1) * d * d
     ffn_macs = 2 * n * d * h
     per_block = self_macs + dense_macs + ffn_macs
-
-    adapters = 0
-    if encoder_channels is not None:
-        adapters = sum(n * encoder_channels[l - 1] * d
-                       for l in cfg.read_blocks(num_encoder_blocks))
+    adapters = sum(n * encoder_channels[l - 1] * d for l in cfg.read_blocks(L))
 
     return {
         "total": cfg.R * per_block,

@@ -40,10 +40,8 @@ class RunReport:
 
 
 def decoder_flops(cfg: RunConfig) -> dict:
-    return estimate_decoder_flops(
-        cfg.decoder, cfg.sampling.chunks, cfg.partitions,
-        num_encoder_blocks=cfg.encoder.num_blocks,
-        encoder_channels=cfg.encoder.channels)
+    return estimate_decoder_flops(cfg.decoder, cfg.sampling.chunks,
+                                  cfg.partitions, cfg.encoder.channels)
 
 
 def _check_frame_shape(cfg: RunConfig, tracklets):
@@ -90,11 +88,6 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
                 loss, ce, tri = total_loss(logits, embeddings, labels,
                                            cfg.loss.margin,
                                            cfg.loss.triplet_weight)
-                if not np.isfinite(loss.data):
-                    raise tn.NumericError(
-                        "loss is %r (cross_entropy=%r, triplet=%r)"
-                        % (float(loss.data), float(ce.data),
-                           float(tri.data)))
                 opt.zero_grad()
                 tn.backward(loss)
             except tn.NumericError as err:
@@ -216,8 +209,10 @@ def _with_setting(cfg: RunConfig, axis: str, value):
     change = {axis: value}
     if axis == "d":
         change["ffn_hidden"] = value  # the hidden width tracks d
-    if axis == "dense_sources":
-        change["variant"] = "DenseIL"  # the only variant that reads them
+    if axis == "variant":  # the paper's decoders, by the blocks they read
+        change = {"dense_sources": {
+            "TransEnc": (), "TransDec": (cfg.encoder.num_blocks,),
+            "DenseIL": cfg.decoder.dense_sources}[value]}
     return replace(cfg, decoder=replace(cfg.decoder, **change))
 
 

@@ -58,10 +58,11 @@ def build_model(cfg: RunConfig) -> Model:
 def forward_batch(model: Model, clips: np.ndarray, training: bool):
     """Embed a [B, I, C, H, W] batch of clips.
 
-    Returns (logits [B, num_ids], embeddings [B, d], the batch's decoder
-    state). The frames go channels-last once, for the whole encoder.
-    Encoder batch norm sees the whole batch at once; the decoder
-    runs once over all B clips, attention staying within each clip.
+    Returns (logits [B, num_ids], embeddings [B, d], each decoder block's
+    interaction weights, as ``decoder_forward`` gives them). The frames go
+    channels-last once, for the whole encoder. Encoder batch norm sees the
+    whole batch at once; the decoder runs once over all B clips, attention
+    staying within each clip.
     Embeddings are the post-norm features the metric side ranks.
     """
     b, i = clips.shape[0], clips.shape[1]
@@ -72,11 +73,11 @@ def forward_batch(model: Model, clips: np.ndarray, training: bool):
     tokens, earlier = stack_partitions(pyramid, model.cfg.partitions,
                                        model.adapter_weights(), b)
     emb = step_emb(i, model.cfg.partitions, model.cfg.decoder.d)
-    embeddings, state = decoder_forward(tokens, earlier, emb,
-                                        model.cfg.decoder, model.params)
+    embeddings, dense_attn = decoder_forward(tokens, earlier, emb,
+                                             model.cfg.decoder, model.params)
     logits, normed = classify_head(embeddings, model.params,
                                    model.states["head.bn"], training)
-    return logits, normed, state
+    return logits, normed, dense_attn
 
 
 def save_model(path, model: Model):

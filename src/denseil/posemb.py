@@ -9,49 +9,29 @@ learnable parameters and stay out of checkpoints.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .tensor import ShapeError
 
 
-def _sinusoid_table(count: int, d: int) -> np.ndarray:
+def sinusoid_table(count: int, d: int) -> np.ndarray:
+    """[count, d] table indexed by position 1..count; the spatial table
+    (over partitions) and the temporal one (over frames) are both this."""
     if d < 2:
         raise ShapeError("positional table needs width >= 2, got %d" % d)
     pos = np.arange(1, count + 1, dtype=np.float64)[:, None]
     j = np.arange(1, d + 1, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, j / d)
-    table = np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
+    return np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
+
+
+@functools.cache
+def step_emb(I: int, P: int, d: int) -> np.ndarray:
+    """Read-only [I*P, d] table: row (i-1)*P + (p-1) holds spatial[p] +
+    temporal[i]. Cached, so every caller shares one array."""
+    table = (np.repeat(sinusoid_table(I, d), P, axis=0)
+             + np.tile(sinusoid_table(P, d), (I, 1)))
+    table.flags.writeable = False
     return table
-
-
-def spatial_pos(P: int, d: int) -> np.ndarray:
-    """[P, d] table indexed by partition p in 1..P."""
-    return _sinusoid_table(P, d)
-
-
-def temporal_pos(I: int, d: int) -> np.ndarray:
-    """[I, d] table indexed by frame i in 1..I."""
-    return _sinusoid_table(I, d)
-
-
-class StepEmbTable:
-    """Combined table: row (i-1)*P + (p-1) holds spatial[p] + temporal[i]."""
-
-    def __init__(self, I: int, P: int, d: int):
-        self.I = I
-        self.P = P
-        self.d = d
-        self.spatial = spatial_pos(P, d)
-        self.temporal = temporal_pos(I, d)
-        self.combined = (np.repeat(self.temporal, P, axis=0)
-                         + np.tile(self.spatial, (I, 1)))
-
-
-_cache = {}
-
-
-def step_emb(I: int, P: int, d: int) -> StepEmbTable:
-    key = (I, P, d)
-    if key not in _cache:
-        _cache[key] = StepEmbTable(I, P, d)
-    return _cache[key]

@@ -248,10 +248,10 @@ def test_criterion_04_step_emb_formula():
             for d in (2, 16, 64):
                 table = posemb.step_emb(I, P, d)
                 worst = max(worst, float(
-                    np.abs(table.combined - step_emb_ref(I, P, d)).max()))
-                spatial = np.tile(table.spatial, (I, 1))
-                temporal = np.repeat(table.temporal, P, axis=0)
-                assert np.array_equal(table.combined, spatial + temporal)
+                    np.abs(table - step_emb_ref(I, P, d)).max()))
+                spatial = np.tile(posemb.sinusoid_table(P, d), (I, 1))
+                temporal = np.repeat(posemb.sinusoid_table(I, d), P, axis=0)
+                assert np.array_equal(table, spatial + temporal)
     assert worst < 1e-12, "sinusoid mismatch %.3e" % worst
     _verdict(4, "STEP-Emb matches the 1-based sinusoid formulas to 1e-12 "
                 "(worst %.1e); additivity exact" % worst)
@@ -338,16 +338,17 @@ def test_criterion_07_flop_counter():
     for case in range(20):
         heads = int(rng.choice([1, 2, 4]))
         d = heads * int(rng.integers(1, 32 // heads + 1))
-        variant = str(rng.choice(list(dec.VARIANTS)))
+        wiring = int(rng.integers(0, 3))  # no sources, the last block, default
         fusion = str(rng.choice(list(dec.FUSIONS)))
-        cfg = dec.DecoderConfig(
-            R=int(rng.integers(0, 4)), d=d, heads=heads,
-            ffn_hidden=int(rng.choice([d, 2 * d])),
-            variant=variant, fusion=fusion)
+        R = int(rng.integers(0, 4))
+        ffn_hidden = int(rng.choice([d, 2 * d]))
         L = int(rng.integers(2, 5))
+        cfg = dec.DecoderConfig(
+            R=R, d=d, heads=heads, ffn_hidden=ffn_hidden,
+            dense_sources=((), (L,), None)[wiring], fusion=fusion)
         I = int(rng.integers(1, 9))
         P = int(rng.integers(1, 16 // I + 1))
-        want = flops.estimate_decoder_flops(cfg, I, P, num_encoder_blocks=L)["total"]
+        want = flops.estimate_decoder_flops(cfg, I, P, (8,) * L)["total"]
         params = dec.init_decoder(cfg, L, rng)
         tokens = t64(rng.normal(size=(1, I * P, d)))
         pyr = [t64(rng.normal(size=(1, I * P, d))) for _ in range(L - 1)]
@@ -356,9 +357,11 @@ def test_criterion_07_flop_counter():
             dec.decoder_forward(tokens, pyr, emb, cfg, params)
         assert counter.macs == want, "case %d: %d != %d" % (case, counter.macs, want)
 
-    one = flops.estimate_decoder_flops(dec.DecoderConfig(R=1, d=16, heads=2), 4, 2)
+    one = flops.estimate_decoder_flops(dec.DecoderConfig(R=1, d=16, heads=2),
+                                       4, 2, (8,) * 4)
     for r in (0, 2, 3):
-        got = flops.estimate_decoder_flops(dec.DecoderConfig(R=r, d=16, heads=2), 4, 2)
+        got = flops.estimate_decoder_flops(dec.DecoderConfig(R=r, d=16, heads=2),
+                                           4, 2, (8,) * 4)
         assert got["total"] == r * one["total"]
     _verdict(7, "analytic FLOPs equal instrumented matmul counts on 20 random "
                 "configs; exactly linear in R")
@@ -370,7 +373,7 @@ def test_criterion_07_flop_counter():
 def test_criterion_08_desk_scale_training():
     begin = time.perf_counter()
     cfg = run_config_from_dict({"seed": ACCEPT_SEED})
-    assert (cfg.decoder.variant, cfg.decoder.fusion) == ("DenseIL", "attention")
+    assert (cfg.decoder.dense_sources, cfg.decoder.fusion) == (None, "attention")
     assert (cfg.decoder.R, cfg.decoder.d, cfg.partitions, cfg.sampling.chunks) \
         == (2, 64, 4, 8)
     assert cfg.data.num_identities == 16 and cfg.epochs <= 60

@@ -56,7 +56,7 @@ def traced_step(cfg):
 
 
 def test_traced_step_matmul_macs_match_flops():
-    for decoder in ({}, {"dense_sources": [1, 2]}, {"variant": "TransDec"},
+    for decoder in ({}, {"dense_sources": [1, 2]}, {"dense_sources": [2]},
                     {"R": 0}):
         cfg = micro_run_config(decoder=decoder)
         tracer, b = traced_step(cfg)

@@ -149,6 +149,7 @@ REMOVED_KEYS = [
     {"decoder": {"ffn_before_dense": True}},
     {"decoder": {"posemb_per_block": True}},
     {"data": {"channels": 3}},
+    {"decoder": {"variant": "TransDec"}},  # now "dense_sources": [L]
 ]
 
 
@@ -173,6 +174,8 @@ def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
     tmp_path, _, data_dir = workspace
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(micro_dict(**override)))
+    (section, value), = override.items()
+    key = "%s.%s" % (section, *value) if isinstance(value, dict) else section
     for argv in (["flops", "--config", str(bad)],
                  ["train", "--config", str(bad), "--data", str(data_dir),
                   "--out", str(tmp_path / "out")]):
@@ -180,6 +183,8 @@ def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
         err = capsys.readouterr().err
         assert err.startswith("denseil: error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+        if override in REMOVED_KEYS:
+            assert "unknown key %s" % key in err
 
 
 @pytest.mark.parametrize("sampling", [{"k_ids": 1}, {"t_per_id": 1}],
@@ -193,6 +198,28 @@ def test_single_sample_layouts_pass_flops_and_train_without_triplet(
     assert main(["flops", "--config", str(cfg)]) == 0
     assert main(["train", "--config", str(cfg), "--data", str(data_dir),
                  "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+
+def test_no_dense_sources_pass_flops_and_train(workspace, capsys):
+    tmp_path, _, data_dir = workspace
+    cfg = tmp_path / "no_sources.json"
+    cfg.write_text(json.dumps(micro_dict(epochs=1,
+                                         decoder={"dense_sources": []})))
+    assert main(["flops", "--config", str(cfg)]) == 0
+    assert "dense,0\n" in capsys.readouterr().out
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    records = load_checkpoint(run_dir / "final.dil1")
+    assert not [name for name in records if ".dense." in name]
+    stored = json.loads((run_dir / "config.json").read_text())
+    assert stored["decoder"]["dense_sources"] == []
+    out_csv = tmp_path / "attn.csv"
+    assert main(["dump-attn", "--checkpoint", str(run_dir / "final.dil1"),
+                 "--tracklet", str(data_dir / "id000_t02_cam2.dilt"),
+                 "--out", str(out_csv)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 1  # the header alone
     capsys.readouterr()
 
 

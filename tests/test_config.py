@@ -15,7 +15,7 @@ def test_empty_dict_gives_desk_defaults():
     assert cfg.data.num_identities == 16
     assert cfg.encoder.channels == (16, 32, 64, 128)
     assert cfg.decoder.d == 64
-    assert cfg.decoder.variant == "DenseIL"
+    assert cfg.decoder.dense_sources is None
     assert cfg.sampling.chunks == 8
     assert cfg.sampling.k_ids == 8
     assert cfg.sampling.t_per_id == 2

@@ -156,10 +156,10 @@ def test_forward_r0_is_mean_of_tokens_plus_emb():
     cfg = dec.DecoderConfig(R=0, d=8, heads=1)
     _, tokens, pyr = build_stack(cfg, L=2, I=2, P=2, seed=70)
     emb = posemb.step_emb(2, 2, 8)
-    out, state = dec.decoder_forward(tokens, pyr, emb, cfg, {})
-    want = (tokens.data + emb.combined).mean(axis=1)
+    out, dense_attn = dec.decoder_forward(tokens, pyr, emb, cfg, {})
+    want = (tokens.data + emb).mean(axis=1)
     assert np.array_equal(out.data, want)
-    assert state.hidden == []
+    assert dense_attn == []
 
 
 def test_forward_permutation_invariant_without_positions():
@@ -196,54 +196,61 @@ def test_forward_residual_identity_with_zeroed_projections():
             if name.endswith((".wo", ".w2", ".b2", ".wcat")):
                 p.data = np.zeros_like(p.data)
         emb = posemb.step_emb(2, 2, 8)
-        out, state = dec.decoder_forward(tokens, pyr, emb, cfg, params)
-        passthrough = tokens.data + emb.combined
-        assert np.allclose(state.hidden[-1], passthrough, atol=1e-12)
+        out, _ = dec.decoder_forward(tokens, pyr, emb, cfg, params)
+        passthrough = tokens.data + emb
         ln = T.layer_norm(t(passthrough[0]), params["decoder.final_ln.gamma"],
                           params["decoder.final_ln.beta"])
         assert np.allclose(out.data, ln.data.mean(axis=0), atol=1e-12)
 
 
 def test_forward_dense_key_count_and_row_sums():
-    cfg = dec.DecoderConfig(R=2, d=8, heads=2)  # DenseIL, default sources 2..L
-    params, tokens, pyr = build_stack(cfg, L=4, I=2, P=3, seed=75)
-    _, state = dec.decoder_forward(tokens, pyr, posemb.step_emb(2, 3, 8), cfg, params)
+    cfg = dec.DecoderConfig(R=2, d=8, heads=2)  # default sources 2..L
+    params, tokens, pyr = build_stack(cfg, L=4, I=2, P=3, seed=75, clips=2)
+    _, dense_attn = dec.decoder_forward(tokens, pyr, posemb.step_emb(2, 3, 8),
+                                        cfg, params)
     S = 3  # blocks 2, 3, 4
     n = 6
-    for (w_self,), (w_dense,) in zip(state.self_attn, state.dense_attn):
-        assert w_self.shape == (2, n, n)
-        assert w_dense.shape == (2, n, (S + 1) * n)
-        assert np.allclose(w_self.sum(axis=2), 1.0, atol=1e-6)
-        assert np.allclose(w_dense.sum(axis=2), 1.0, atol=1e-6)
+    assert len(dense_attn) == cfg.R
+    for w_dense in dense_attn:
+        assert w_dense.shape == (2, 2, n, (S + 1) * n)
+        assert np.allclose(w_dense.sum(axis=3), 1.0, atol=1e-6)
+    # self-attention over the same batch: each clip's n rows see n keys
+    x = T.reshape(tokens, (2 * n, 8))
+    prefix = "decoder.block1.selfattn."
+    _, w_self = dec.multi_head_attention(
+        x, x, *[params[prefix + w] for w in ("wq", "wk", "wv", "wo")], 2, 2)
+    assert w_self.shape == (2, 2, n, n)
+    assert np.allclose(w_self.sum(axis=3), 1.0, atol=1e-6)
 
 
-def test_variant_wiring():
+def test_dense_sources_wiring():
     rng = np.random.default_rng(76)
     enc_blocks = 3
-    te = dec.DecoderConfig(variant="TransEnc", fusion="summation", dense_sources=(1,))
-    assert te.sources_for(enc_blocks) == ()
-    td = dec.DecoderConfig(variant="TransDec", dense_sources=(1, 2))
-    assert td.sources_for(enc_blocks) == (3,)
-    dil = dec.DecoderConfig(variant="DenseIL")
-    assert dil.sources_for(enc_blocks) == (2, 3)
-    assert te.read_blocks(enc_blocks) == td.read_blocks(enc_blocks) == (3,)
-    assert dil.read_blocks(enc_blocks) == (2, 3)
+    none = dec.DecoderConfig(fusion="summation", dense_sources=())
+    assert none.sources_for(enc_blocks) == ()
+    last = dec.DecoderConfig(dense_sources=(3,))
+    assert last.sources_for(enc_blocks) == (3,)
+    default = dec.DecoderConfig()
+    assert default.sources_for(enc_blocks) == (2, 3)
+    assert none.read_blocks(enc_blocks) == last.read_blocks(enc_blocks) == (3,)
+    assert default.read_blocks(enc_blocks) == (2, 3)
     assert dec.DecoderConfig(dense_sources=(1,)).read_blocks(enc_blocks) == (1, 3)
     assert dec.DecoderConfig(R=0).read_blocks(enc_blocks) == (3,)
-    with pytest.raises(T.ShapeError):
-        dec.DecoderConfig(variant="DenseIL", dense_sources=()).sources_for(enc_blocks)
-    with pytest.raises(T.ShapeError):
-        dec.DecoderConfig(variant="DenseIL", dense_sources=(5,)).sources_for(enc_blocks)
-    te_params = dec.init_decoder(dec.DecoderConfig(R=1, d=4, heads=1, variant="TransEnc"),
-                                 enc_blocks, rng)
-    assert not any(".dense." in k for k in te_params)
+    for bad in ((0,), (4,), (2, 5), (-1, 3)):
+        with pytest.raises(T.ShapeError, match="out of range 1..3"):
+            dec.DecoderConfig(dense_sources=bad).sources_for(enc_blocks)
+    for fusion in dec.FUSIONS:
+        params = dec.init_decoder(
+            dec.DecoderConfig(R=1, d=4, heads=1, fusion=fusion,
+                              dense_sources=()), enc_blocks, rng)
+        assert not any(".dense." in k for k in params)
 
 
 def test_transenc_ignores_sources_at_forward():
-    cfg = dec.DecoderConfig(R=1, d=8, heads=2, variant="TransEnc")
+    cfg = dec.DecoderConfig(R=1, d=8, heads=2, dense_sources=())
     params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=77)
-    out, state = dec.decoder_forward(tokens, pyr, None, cfg, params)
-    assert state.dense_attn == [None]
+    out, dense_attn = dec.decoder_forward(tokens, pyr, None, cfg, params)
+    assert dense_attn == [None]
     assert out.shape == (1, 8)
 
 
@@ -287,21 +294,22 @@ def test_forward_clips_do_not_interact():
         for p in params.values():
             p.grad = None
         inputs = [t(tokens.data, rg=True)] + [t(m.data, rg=True) for m in pyr]
-        out, state = dec.decoder_forward(inputs[0], inputs[1:], emb, cfg, params)
+        out, dense_attn = dec.decoder_forward(inputs[0], inputs[1:], emb, cfg,
+                                              params)
         T.backward(T.sum_all(T.mul(T.mul(out, out), first_clip)))
         grads = [x.grad[0] for x in inputs] + [p.grad for p in params.values()]
-        return out.data[0], state, grads
+        return out.data[0], dense_attn, grads
 
-    base, base_state, base_grads = run(tokens, pyr)
+    base, base_attn, base_grads = run(tokens, pyr)
     rng = np.random.default_rng(86)
     clip1 = np.array([0.0, 1.0])[:, None, None]
     moved = t(tokens.data + clip1 * rng.normal(size=tokens.shape))
     moved_pyr = [t(m.data + clip1 * rng.normal(size=m.shape)) for m in pyr]
-    out, state, grads = run(moved, moved_pyr)
+    out, attn, grads = run(moved, moved_pyr)
     assert np.abs(out - base).max() <= 1e-12
     for want, got in zip(base_grads, grads):
         assert np.abs(got - want).max() <= 1e-12
-    for want, got in zip(base_state.dense_attn, state.dense_attn):
+    for want, got in zip(base_attn, attn):
         assert np.abs(got[0] - want[0]).max() <= 1e-12
         assert np.abs(got[1] - want[1]).max() > 1e-6
 
@@ -352,6 +360,9 @@ def test_classify_head_eval_before_train_errors():
 # ------------------------------------------------------------ flop counting
 
 
+CHANNELS = (4, 8, 16, 32)  # encoder widths; only their count L matters here
+
+
 def instrumented_macs(cfg, L, I, P, seed=0):
     params, tokens, pyr = build_stack(cfg, L, I, P, seed)
     emb = posemb.step_emb(I, P, cfg.d)
@@ -362,50 +373,54 @@ def instrumented_macs(cfg, L, I, P, seed=0):
 
 def test_flops_zero_blocks():
     cfg = dec.DecoderConfig(R=0, d=16, heads=2)
-    assert flops.estimate_decoder_flops(cfg, 4, 2)["total"] == 0
+    assert flops.estimate_decoder_flops(cfg, 4, 2, CHANNELS)["total"] == 0
     assert instrumented_macs(cfg, 3, 4, 2) == 0
 
 
 def test_flops_linear_in_r():
-    one = flops.estimate_decoder_flops(dec.DecoderConfig(R=1, d=16, heads=2), 4, 2)
-    two = flops.estimate_decoder_flops(dec.DecoderConfig(R=2, d=16, heads=2), 4, 2)
+    one = flops.estimate_decoder_flops(dec.DecoderConfig(R=1, d=16, heads=2),
+                                       4, 2, CHANNELS)
+    two = flops.estimate_decoder_flops(dec.DecoderConfig(R=2, d=16, heads=2),
+                                       4, 2, CHANNELS)
     assert two["total"] == 2 * one["total"]
 
 
 def test_flops_match_instrumented_execution():
     cases = [
-        (dec.DecoderConfig(R=1, d=8, heads=1, variant="DenseIL"), 2, 2, 2),
-        (dec.DecoderConfig(R=2, d=8, heads=2, variant="DenseIL"), 4, 2, 2),
-        (dec.DecoderConfig(R=1, d=8, heads=2, variant="TransEnc"), 2, 2, 2),
-        (dec.DecoderConfig(R=2, d=4, heads=1, variant="TransDec"), 3, 1, 4),
+        (dec.DecoderConfig(R=1, d=8, heads=1), 2, 2, 2),
+        (dec.DecoderConfig(R=2, d=8, heads=2), 4, 2, 2),
+        (dec.DecoderConfig(R=1, d=8, heads=2, dense_sources=()), 2, 2, 2),
+        (dec.DecoderConfig(R=1, d=8, heads=2, dense_sources=(),
+                           fusion="concatenation"), 2, 2, 2),
+        (dec.DecoderConfig(R=2, d=4, heads=1, dense_sources=(3,)), 3, 1, 4),
         (dec.DecoderConfig(R=1, d=8, heads=2, fusion="summation"), 3, 2, 2),
         (dec.DecoderConfig(R=1, d=8, heads=2, fusion="concatenation"), 3, 2, 2),
         (dec.DecoderConfig(R=3, d=8, heads=4, ffn_hidden=16), 4, 2, 3),
     ]
     for cfg, L, I, P in cases:
-        want = flops.estimate_decoder_flops(cfg, I, P, num_encoder_blocks=L)["total"]
+        want = flops.estimate_decoder_flops(cfg, I, P, CHANNELS[:L])["total"]
         assert instrumented_macs(cfg, L, I, P) == want
 
 
 def test_flops_monotone():
-    base = dict(R=2, d=16, heads=2, variant="DenseIL", fusion="attention")
+    base = dict(R=2, d=16, heads=2, fusion="attention")
     ref = flops.estimate_decoder_flops(dec.DecoderConfig(**base), 4, 2,
-                                       num_encoder_blocks=4)["total"]
+                                       CHANNELS)["total"]
     for change, kwargs in (
             ("R", dict(base, R=3)),
             ("d", dict(base, d=32)),
             ("heads", dict(base, heads=4)),
     ):
         up = flops.estimate_decoder_flops(dec.DecoderConfig(**kwargs), 4, 2,
-                                          num_encoder_blocks=4)["total"]
+                                          CHANNELS)["total"]
         assert up >= ref, change
     assert flops.estimate_decoder_flops(dec.DecoderConfig(**base), 8, 2,
-                                        num_encoder_blocks=4)["total"] > ref
+                                        CHANNELS)["total"] > ref
     assert flops.estimate_decoder_flops(dec.DecoderConfig(**base), 4, 4,
-                                        num_encoder_blocks=4)["total"] > ref
+                                        CHANNELS)["total"] > ref
     more_sources = dec.DecoderConfig(**dict(base, dense_sources=(1, 2, 3, 4)))
     assert flops.estimate_decoder_flops(more_sources, 4, 2,
-                                        num_encoder_blocks=4)["total"] > ref
+                                        CHANNELS)["total"] > ref
 
 
 def test_flops_adapter_breakdown_separate():
@@ -414,14 +429,16 @@ def test_flops_adapter_breakdown_separate():
     for change, widths in (({}, (8, 16)),
                            ({"dense_sources": (1, 2, 3)}, (4, 8, 16)),
                            ({"dense_sources": (1,)}, (4, 16)),
-                           ({"variant": "TransDec"}, (16,)),
-                           ({"variant": "TransEnc"}, (16,)),
+                           ({"dense_sources": (3,)}, (16,)),
+                           ({"dense_sources": ()}, (16,)),
                            ({"R": 0}, (16,))):
         cfg = dec.DecoderConfig(**dict(dict(R=2, d=8, heads=1), **change))
-        est = flops.estimate_decoder_flops(cfg, 2, 2, num_encoder_blocks=3,
-                                           encoder_channels=(4, 8, 16))
+        est = flops.estimate_decoder_flops(cfg, 2, 2, (4, 8, 16))
         assert est["adapters"] == n * sum(widths) * 8, change
         assert est["total"] == cfg.R * est["per_block"]
+    # L is the number of widths: the default sources are blocks 2 and 3
+    est = flops.estimate_decoder_flops(dec.DecoderConfig(), 4, 2, (4, 8, 16))
+    assert est["adapters"] == 8 * (8 + 16) * 64
 
 
 # ------------------------------------------------------------ attention dump
@@ -430,9 +447,10 @@ def test_flops_adapter_breakdown_separate():
 def test_dump_attention_csv(tmp_path):
     cfg = dec.DecoderConfig(R=2, d=8, heads=2)
     params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=84)
-    _, state = dec.decoder_forward(tokens, pyr, posemb.step_emb(2, 2, 8), cfg, params)
+    _, dense_attn = dec.decoder_forward(tokens, pyr, posemb.step_emb(2, 2, 8),
+                                        cfg, params)
     path = tmp_path / "attn.csv"
-    rows = dec.dump_attention(state, 2, 2, cfg.sources_for(3), path)
+    rows = dec.dump_attention(dense_attn, 2, 2, cfg.sources_for(3), path)
     n, S = 4, 2
     assert rows == cfg.R * cfg.heads * n * (S + 1) * n
     with open(path) as fh:

@@ -283,16 +283,23 @@ def test_ablate_dense_sources_values(tmp_path):
 
 
 def test_with_setting_changes_one_knob_plus_its_tied_field():
-    cfg = micro_run_config(decoder={"ffn_hidden": 24, "variant": "TransEnc"})
+    cfg = micro_run_config(decoder={"ffn_hidden": 24, "dense_sources": []})
     run = _with_setting(cfg, "d", 32)
     assert (run.decoder.d, run.decoder.ffn_hidden) == (32, 32)
     assert replace(run, decoder=cfg.decoder) == cfg
     run = _with_setting(cfg, "dense_sources", (1, 2))
     assert run.decoder.dense_sources == (1, 2)
-    assert run.decoder.variant == "DenseIL"
     assert run.decoder.ffn_hidden == 24
     assert _with_setting(cfg, "R", 0).decoder.ffn_hidden == 24
     assert _with_setting(cfg, "P", 1).decoder == cfg.decoder
+
+
+def test_with_setting_maps_variant_names_to_dense_sources():
+    for base in (None, [1]):
+        cfg = micro_run_config(decoder={"dense_sources": base})
+        got = [_with_setting(cfg, "variant", name).decoder.dense_sources
+               for name in ("TransEnc", "TransDec", "DenseIL")]
+        assert got == [(), (2,), cfg.decoder.dense_sources]
 
 
 def test_ablate_unknown_axis():

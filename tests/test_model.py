@@ -41,8 +41,8 @@ FOUR_BLOCKS = {"channels": [4, 6, 8, 12]}
 # decoder settings, and the encoder blocks whose adapters each one builds
 ADAPTER_SETS = [({}, {2, 3, 4}),
                 ({"dense_sources": [1, 2, 3, 4]}, {1, 2, 3, 4}),
-                ({"variant": "TransDec"}, {4}),
-                ({"variant": "TransEnc"}, {4}),
+                ({"dense_sources": [4]}, {4}),
+                ({"dense_sources": []}, {4}),
                 ({"R": 0}, {4})]
 
 
@@ -104,12 +104,12 @@ def test_interaction_attention_weights_are_built_only_for_attention_fusion():
 def test_forward_batch_shapes_and_state():
     cfg = micro_run_config()
     model = build_model(cfg)
-    logits, embeddings, state = forward_batch(model, random_clips(cfg),
-                                              training=True)
+    logits, embeddings, dense_attn = forward_batch(model, random_clips(cfg),
+                                                   training=True)
     assert logits.shape == (3, 4)
     assert embeddings.shape == (3, 12)
-    assert len(state.hidden) == cfg.decoder.R
-    assert state.dense_attn[0] is not None
+    assert len(dense_attn) == cfg.decoder.R
+    assert dense_attn[0] is not None
 
 
 def test_forward_deterministic_across_builds():
@@ -125,12 +125,13 @@ def test_batched_forward_equals_single_clip_calls():
     model = build_model(cfg)
     clips = random_clips(cfg)
     forward_batch(model, clips, training=True)  # running stats for eval mode
-    logits, embeddings, state = forward_batch(model, clips, training=False)
+    logits, embeddings, dense_attn = forward_batch(model, clips,
+                                                   training=False)
     for k in range(3):
         one = forward_batch(model, clips[k:k + 1], training=False)
         assert np.abs(logits.data[k] - one[0].data[0]).max() <= 1e-12
         assert np.abs(embeddings.data[k] - one[1].data[0]).max() <= 1e-12
-        for got, want in zip(state.dense_attn, one[2].dense_attn):
+        for got, want in zip(dense_attn, one[2]):
             assert np.abs(got[k] - want[0]).max() <= 1e-12
 
 
@@ -199,7 +200,7 @@ def test_load_rejects_missing_and_extra_records(tmp_path):
 
 def test_load_drops_unread_adapter_records(tmp_path):
     # checkpoints once carried an adapter for every encoder block
-    cfg = micro_run_config(encoder=FOUR_BLOCKS, decoder={"variant": "TransDec"})
+    cfg = micro_run_config(encoder=FOUR_BLOCKS, decoder={"dense_sources": [4]})
     model = build_model(cfg)
     clips = random_clips(cfg)
     forward_batch(model, clips, training=True)
