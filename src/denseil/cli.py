@@ -126,11 +126,21 @@ def cmd_ablate(args):
 
 
 def cmd_dump_attn(args):
+    from .config import ConfigError
     from .data import read_tracklet
     from .decoder import dump_attention
     from .harness import _check_frame_shape, eval_clip
     from .model import forward_batch, load_model
     cfg = _sibling_config(args.checkpoint)
+    dec = cfg.decoder
+    for off, setting in ((dec.R == 0, "decoder.R is 0"),
+                         (not dec.sources_for(cfg.encoder.num_blocks),
+                          "decoder.dense_sources is empty"),
+                         (dec.fusion != "attention",
+                          "decoder.fusion is %s" % dec.fusion)):
+        if off:
+            raise ConfigError("%s, so the run has no interaction attention "
+                              "to dump" % setting)
     model = load_model(args.checkpoint, cfg)
     tracklet = read_tracklet(args.tracklet)
     _check_frame_shape(cfg, [tracklet])
@@ -175,19 +185,16 @@ def main(argv=None) -> int:
         print("denseil: error: %s" % err, file=sys.stderr)
         return 1
 
-    from .config import ConfigError
-    from .data import CorpusError
     from .harness import TrainingDiverged
     from .imageops import RunningStatsError
-    from .tensor import NumericError, ShapeError
+    from .tensor import NumericError
 
     try:
         return _COMMANDS[args.command](args)
     except (TrainingDiverged, NumericError) as err:
         print("denseil: numeric failure: %s" % err, file=sys.stderr)
         return 2
-    except (ConfigError, CorpusError, ShapeError, RunningStatsError,
-            ValueError) as err:
+    except (ValueError, RunningStatsError) as err:
         print("denseil: error: %s" % err, file=sys.stderr)
         return 1
     except OSError as err:

@@ -76,6 +76,10 @@ class SynthConfig:
         if self.cameras < 2:
             raise CorpusError("query and gallery must span different cameras, "
                               "need at least 2")
+        top, bot, _, _ = _body_box(self)
+        if bot - top < NUM_BANDS:
+            raise CorpusError("data.height=%d leaves %d figure rows for %d "
+                              "body bands" % (self.height, bot - top, NUM_BANDS))
 
 
 @dataclass
@@ -132,8 +136,6 @@ def _draw_appearances(cfg):
     heights = band_heights(bot - top, NUM_BANDS)
     gh, gw = _glyph_size(cfg)
     body_w = right - left
-    if min(heights) < gh or body_w < gw:
-        raise CorpusError("image too small for the glyph")
 
     appearances = []
     for pair in range((cfg.num_identities + 1) // 2):
@@ -327,16 +329,20 @@ def load_corpus(indir) -> Corpus:
         raise TrackletFormatError("%s: no manifest.csv" % indir)
     try:
         with open(manifest, newline="") as f:
-            rows = list(csv.DictReader(f))
+            reader = csv.DictReader(f)
+            rows = list(reader)
     except (UnicodeDecodeError, csv.Error) as err:
         raise TrackletFormatError("%s: not a CSV manifest (%s)" % (manifest, err))
+    for column in ("filename", "identity", "camera", "split"):
+        if column not in (reader.fieldnames or ()):
+            raise TrackletFormatError("%s: no %s column" % (manifest, column))
     corpus = Corpus()
     for number, row in enumerate(rows, start=1):
         try:
             path = os.path.join(indir, row["filename"])
             identity, camera = int(row["identity"]), int(row["camera"])
             split = row["split"]
-        except (KeyError, TypeError, ValueError) as err:
+        except (TypeError, ValueError) as err:
             raise TrackletFormatError("%s, row %d: missing or malformed "
                                       "field: %s" % (manifest, number, err))
         tr = read_tracklet(path)

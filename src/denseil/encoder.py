@@ -2,8 +2,8 @@
 
 Each block is two rounds of conv(3x3, same padding) -> per-channel batch
 norm -> ReLU. Blocks 1..L-1 halve the spatial dims with a stride-2 first
-conv; the last block downsamples only when ``downsample_last`` is set,
-keeping the final map tall enough for part pooling. The forward returns
+conv; the last block keeps stride 1, as re-ID backbones do, so the final
+map stays tall enough for part pooling. The forward returns
 every block's output, not just the last, so deeper modules can attend over
 the whole pyramid.
 """
@@ -23,7 +23,6 @@ class EncoderConfig:
     """Block widths of the encoder; the input shape comes from the data."""
 
     channels: tuple[int, ...] = (16, 32, 64, 128)
-    downsample_last: bool = False
 
     def __post_init__(self):
         if len(self.channels) < 2:
@@ -38,11 +37,10 @@ class EncoderConfig:
         return len(self.channels)
 
     def num_downsampling(self):
-        return self.num_blocks - 1 + (1 if self.downsample_last else 0)
+        return self.num_blocks - 1
 
     def block_strides(self):
-        L = self.num_blocks
-        return [2 if (l < L or self.downsample_last) else 1 for l in range(1, L + 1)]
+        return [2] * (self.num_blocks - 1) + [1]
 
 
 def init_encoder(cfg: EncoderConfig, in_channels: int, rng: np.random.Generator,

@@ -212,7 +212,7 @@ def _with_setting(cfg: RunConfig, axis: str, value):
     if axis == "variant":  # the paper's decoders, by the blocks they read
         change = {"dense_sources": {
             "TransEnc": (), "TransDec": (cfg.encoder.num_blocks,),
-            "DenseIL": cfg.decoder.dense_sources}[value]}
+            "DenseIL": None}[value]}
     return replace(cfg, decoder=replace(cfg.decoder, **change))
 
 

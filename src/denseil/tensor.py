@@ -8,8 +8,8 @@ build, so identical inputs give bit-identical outputs across runs.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,31 +63,19 @@ class Tensor:
 # ---------------------------------------------------------------------------
 # matmul instrumentation
 
-_counter_stacks = threading.local()
-
-
-def _counters():
-    if not hasattr(_counter_stacks, "stack"):
-        _counter_stacks.stack = []
-    return _counter_stacks.stack
-
-
-class MatmulCounter:
-    """Accumulates multiply-add counts of every forward matmul in scope."""
-
-    def __init__(self):
-        self.macs = 0
+_counters = []  # the open count_matmuls scopes, innermost last
 
 
 @contextmanager
 def count_matmuls():
-    """Context manager yielding a counter of forward matmul multiply-adds."""
-    counter = MatmulCounter()
-    _counters().append(counter)
+    """Context manager yielding a counter whose ``macs`` accumulates the
+    multiply-adds of every forward matmul in scope; scopes nest."""
+    counter = SimpleNamespace(macs=0)
+    _counters.append(counter)
     try:
         yield counter
     finally:
-        _counters().pop()
+        _counters.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +205,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul: inner dims disagree, %s vs %s" % (a.shape, b.shape))
     macs = int(np.prod(a.shape[:-1])) * a.shape[-1] * b.shape[-1]
-    for counter in _counters():
+    for counter in _counters:
         counter.macs += macs
     out = a.data @ b.data
     return Tensor(out, _parents=(a, b),
@@ -362,8 +350,6 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max subtraction."""
     if x.data.ndim < 2:
         raise ShapeError("softmax_rows expects rank >= 2, got %s" % (x.shape,))
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError("softmax_rows: non-finite input")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
@@ -405,17 +391,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return Tensor(out, _parents=(x, gamma, beta), _backward=back)
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor = None) -> Tensor:
-    """x @ w, plus a row-broadcast bias when given."""
-    out = matmul(x, w)
-    if bias is not None:
-        if bias.data.ndim != 1 or bias.shape[0] != w.shape[1]:
-            raise ShapeError("linear: bias shape %s does not match output width %d"
-                             % (bias.shape, w.shape[1]))
-        out = add(out, bias)
-    return out
-
-
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two affine maps with an elementwise ReLU between them."""
-    return linear(relu(linear(x, w1, b1)), w2, b2)
+    return add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)

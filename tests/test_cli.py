@@ -150,6 +150,7 @@ REMOVED_KEYS = [
     {"decoder": {"posemb_per_block": True}},
     {"data": {"channels": 3}},
     {"decoder": {"variant": "TransDec"}},  # now "dense_sources": [L]
+    {"encoder": {"downsample_last": False}},  # the last stride is always 1
 ]
 
 
@@ -215,12 +216,54 @@ def test_no_dense_sources_pass_flops_and_train(workspace, capsys):
     assert not [name for name in records if ".dense." in name]
     stored = json.loads((run_dir / "config.json").read_text())
     assert stored["decoder"]["dense_sources"] == []
+    capsys.readouterr()
     out_csv = tmp_path / "attn.csv"
     assert main(["dump-attn", "--checkpoint", str(run_dir / "final.dil1"),
                  "--tracklet", str(data_dir / "id000_t02_cam2.dilt"),
-                 "--out", str(out_csv)]) == 0
-    assert len(out_csv.read_text().splitlines()) == 1  # the header alone
-    capsys.readouterr()
+                 "--out", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert "decoder.dense_sources is empty" in err and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("decoder,setting", [
+    ({"R": 0}, "decoder.R is 0"),
+    ({"fusion": "summation"}, "decoder.fusion is summation"),
+], ids=str)
+def test_dump_attn_without_interaction_attention_exits_1(workspace, capsys,
+                                                         decoder, setting):
+    tmp_path, _, data_dir = workspace
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.json").write_text(json.dumps(micro_dict(
+        decoder=decoder)))
+    out_csv = tmp_path / "attn.csv"
+    # no checkpoint at all: the setting is refused before the model loads
+    assert main(["dump-attn", "--checkpoint", str(run_dir / "final.dil1"),
+                 "--tracklet", str(data_dir / "id000_t02_cam2.dilt"),
+                 "--out", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("denseil: error: %s" % setting)
+    assert err.count("\n") == 1
+    assert not out_csv.exists()
+
+
+def test_unrenderable_height_exits_1_from_gen_data_flops_and_train(
+        workspace, capsys):
+    # 2 rows divide by the encoder's one downsampling step and leave room
+    # for one partition, but the figure box is too short for the 4 bands
+    tmp_path, _, data_dir = workspace
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps(micro_dict(partitions=1, data={"height": 2})))
+    for argv in (["gen-data", "--config", str(bad),
+                  "--out", str(tmp_path / "short")],
+                 ["flops", "--config", str(bad)],
+                 ["train", "--config", str(bad), "--data", str(data_dir),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("denseil: error: ") and "data.height=2" in err
+        assert err.count("\n") == 1
 
 
 def test_non_utf8_config_exits_1_naming_the_file(workspace, capsys):

@@ -1,7 +1,12 @@
+import dataclasses
+import json
+import os
+import re
+
 import numpy as np
 import pytest
 
-from denseil.config import (ConfigError, load_run_config,
+from denseil.config import (ConfigError, RunConfig, load_run_config,
                             run_config_from_dict, run_config_to_dict,
                             write_run_config)
 
@@ -97,3 +102,66 @@ def test_missing_file_is_io_error(tmp_path):
 def test_section_must_be_object():
     with pytest.raises(ConfigError):
         run_config_from_dict({"decoder": 5})
+
+
+def _readme_configuration():
+    """README's Configuration section: its top-level-keys paragraph and
+    one bullet per section, each bullet's lines joined."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    paragraphs = section.split("\n\n")
+    top = next(p for p in paragraphs if "Top-level keys:" in p)
+    bullets = {}
+    listing = next(p for p in paragraphs if p.startswith("- `"))
+    for line in listing.splitlines():
+        match = re.match(r"- `(\w+)`:", line)
+        if match:
+            name = match.group(1)
+            bullets[name] = ""
+        bullets[name] += " " + line.strip()
+    return top, bullets
+
+
+def test_readme_configuration_names_every_settable_key():
+    top, bullets = _readme_configuration()
+    settable = 0
+    for f in dataclasses.fields(RunConfig):
+        if dataclasses.is_dataclass(f.type):
+            assert f.name in bullets, f.name
+            for sub in dataclasses.fields(f.type):
+                assert "`%s`" % sub.name in bullets[f.name], (f.name, sub.name)
+                settable += 1
+        else:
+            assert "`%s`" % f.name in top, f.name
+            settable += 1
+    assert sorted(bullets) == sorted(
+        f.name for f in dataclasses.fields(RunConfig)
+        if dataclasses.is_dataclass(f.type))
+    assert settable == 33
+
+
+def test_readme_configuration_defaults_load_as_the_defaults():
+    _, bullets = _readme_configuration()
+    default = run_config_to_dict(run_config_from_dict({}))
+    checked = set()
+    for section, text in bullets.items():
+        for key, doc in re.findall(r"`(\w+)` \(([^)]*)\)", text):
+            literal = doc.split(";")[0].strip()
+            quoted = re.fullmatch(r"`(\w+)`", literal)
+            if quoted:
+                value = quoted.group(1)
+            else:
+                try:
+                    value = json.loads(literal)
+                except ValueError:
+                    continue  # a default named in words, e.g. ffn_hidden's d
+            cfg = run_config_from_dict({section: {key: value}})
+            assert run_config_to_dict(cfg) == default, (section, key, value)
+            checked.add((section, key))
+    # every section key states its default as a literal, but ffn_hidden's d
+    assert checked == {(section, key) for section, keys in default.items()
+                       if isinstance(keys, dict) for key in keys} - {
+        ("decoder", "ffn_hidden")}

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from denseil import tensor as tn
-from denseil.data import (CorpusError, SynthConfig, Tracklet,
-                          TrackletFormatError, generate_dataset, load_corpus,
-                          pk_batches, read_tracklet, restricted_sample,
-                          write_corpus, write_tracklet)
+from denseil.data import (NUM_BANDS, CorpusError, SynthConfig, Tracklet,
+                          TrackletFormatError, _body_box, _glyph_size,
+                          generate_dataset, load_corpus, pk_batches,
+                          read_tracklet, restricted_sample, write_corpus,
+                          write_tracklet)
 from denseil.encoder import EncoderConfig, encode_clip, init_encoder
-from denseil.partition import ppool
+from denseil.partition import band_heights, ppool
 from denseil.rng import stream
 from oracles import nhwc
 
@@ -138,6 +139,24 @@ def test_bad_config_values_rejected():
         SynthConfig(num_identities=0)
     with pytest.raises(CorpusError):
         SynthConfig(jitter=-1)
+
+
+def test_every_accepted_frame_size_fits_bands_and_glyph():
+    # the figure box needs a row per band; once it has them, the glyph
+    # always fits its band and the body, at every height and width
+    rejected = []
+    for size in range(1, 2049):
+        try:
+            cfg = SynthConfig(height=size, width=size)
+        except CorpusError as err:
+            assert "data.height=%d" % size in str(err)
+            rejected.append(size)
+            continue
+        top, bot, left, right = _body_box(cfg)
+        gh, gw = _glyph_size(cfg)
+        assert min(band_heights(bot - top, NUM_BANDS)) >= gh
+        assert right - left >= gw
+    assert rejected == [1, 2, 3, 5]
 
 
 def clean_pair():

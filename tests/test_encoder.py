@@ -10,16 +10,8 @@ def make(cfg, seed=0, in_channels=3):
     return enc.init_encoder(cfg, in_channels, np.random.default_rng(seed))
 
 
-def test_two_block_shapes_both_downsampling():
-    cfg = enc.EncoderConfig(channels=(4, 8), downsample_last=True)
-    params, states = make(cfg)
-    x = T.Tensor(nhwc(np.random.default_rng(1).normal(size=(1, 3, 16, 16))))
-    pyr = enc.encode_clip(x, cfg, params, states, training=True)
-    assert [p.shape for p in pyr] == [(1, 8, 8, 4), (1, 4, 4, 8)]
-
-
 def test_four_block_shapes_keep_last_resolution():
-    cfg = enc.EncoderConfig(channels=(4, 6, 8, 10), downsample_last=False)
+    cfg = enc.EncoderConfig(channels=(4, 6, 8, 10))
     params, states = make(cfg)
     x = T.Tensor(np.zeros((2, 32, 16, 3)))
     pyr = enc.encode_clip(x, cfg, params, states, training=True)

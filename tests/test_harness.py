@@ -299,7 +299,7 @@ def test_with_setting_maps_variant_names_to_dense_sources():
         cfg = micro_run_config(decoder={"dense_sources": base})
         got = [_with_setting(cfg, "variant", name).decoder.dense_sources
                for name in ("TransEnc", "TransDec", "DenseIL")]
-        assert got == [(), (2,), cfg.decoder.dense_sources]
+        assert got == [(), (2,), None]  # DenseIL reads blocks 2..L
 
 
 def test_ablate_unknown_axis():

@@ -92,30 +92,21 @@ def test_layer_norm_rejects_bad_eps_and_width():
         T.layer_norm(t(np.zeros((2, 0))), t(np.ones(0)), t(np.zeros(0)))
 
 
-# ---------------------------------------------------------------- linear/ffn
+# ---------------------------------------------------------------- ffn
 
 
-def test_linear_identity_input_returns_weights():
-    w = t([[1.0, 2.0], [3.0, 4.0]])
-    out = T.linear(t(np.eye(2)), w)
-    assert np.array_equal(out.data, w.data)
-
-
-def test_linear_zero_input_bias_only():
-    out = T.linear(t(np.zeros((3, 2))), t(np.zeros((2, 4))), t([1.0, 2.0, 3.0, 4.0]))
-    assert np.array_equal(out.data, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)))
-
-
-def test_linear_identity_weight():
-    out = T.linear(t([[1.0, 2.0], [3.0, 4.0]]), t(np.eye(2)))
-    assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_linear_shape_mismatch():
+def test_ffn_is_matmul_add_relu_matmul_add():
+    x, w1, b1 = t(np.ones((3, 2))), t(np.ones((2, 4))), t(np.zeros(4))
+    w2, b2 = t(np.ones((4, 2))), t(np.zeros(2))
+    out = T.ffn(x, w1, b1, w2, b2)
+    second, bias2 = out._parents
+    hidden, weight2 = second._parents
+    first_biased, = hidden._parents
+    first, bias1 = first_biased._parents
+    assert (bias2, weight2, bias1) == (b2, w2, b1)
+    assert first._parents == (x, w1)
     with pytest.raises(T.ShapeError):
-        T.linear(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
-    with pytest.raises(T.ShapeError):
-        T.linear(t(np.zeros((2, 3))), t(np.zeros((3, 5))), t(np.zeros(4)))
+        T.ffn(x, t(np.ones((3, 4))), b1, w2, b2)
 
 
 def test_ffn_dead_first_layer_gives_bias():
