@@ -35,12 +35,9 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class LossConfig:
-    margin: float = 0.3
     triplet_weight: float = 1.0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ConfigError("loss.margin must be nonnegative")
         if self.triplet_weight < 0:
             raise ConfigError("loss.triplet_weight must be nonnegative")
 
@@ -48,21 +45,13 @@ class LossConfig:
 @dataclass(frozen=True)
 class OptimConfig:
     lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    decay_factor: float = 10.0
     decay_interval: int = 20
 
     def __post_init__(self):
         if self.lr < 0:
             raise ConfigError("optimizer.lr must be nonnegative")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError("optimizer betas must lie in [0, 1)")
         if self.decay_interval < 0:
             raise ConfigError("optimizer.decay_interval must be nonnegative")
-        if self.decay_factor <= 0:
-            raise ConfigError("optimizer.decay_factor must be positive")
 
 
 @dataclass(frozen=True)

@@ -296,8 +296,9 @@ def read_tracklet(path) -> Tracklet:
         frames = np.frombuffer(body, dtype="<f4").reshape(t, c, h, w)
     except ValueError as err:  # extents numpy cannot represent
         raise TrackletFormatError("%s: %s" % (path, err))
-    if not np.isfinite(frames).all():
-        raise TrackletFormatError("%s: non-finite pixel values" % path)
+    if frames.size and not (frames.min() >= 0 and frames.max() <= 1):
+        raise TrackletFormatError("%s: non-finite pixel values or pixels "
+                                  "outside [0, 1]" % path)
     return Tracklet(frames.copy(), identity, camera, tracklet_id)
 
 

@@ -30,27 +30,22 @@ class DecoderConfig:
     ``dense_sources`` holds 1-based encoder block indices whose pooled tokens
     feed the interaction sub-layer: () builds no interaction sub-layer (the
     paper's TransEnc), (L,) reads the last block only (TransDec), and None,
-    the default, reads blocks 2..L (DenseIL). ``ffn_hidden`` None makes the
-    FFN as wide as ``d``; the stored value is always resolved to a width.
+    the default, reads blocks 2..L (DenseIL). The FFN is ``d`` wide.
     """
 
     R: int = 2
     d: int = 64
     heads: int = 4
-    ffn_hidden: int | None = None
     fusion: str = "attention"
     dense_sources: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.ffn_hidden is None:
-            object.__setattr__(self, "ffn_hidden", self.d)
         if self.fusion not in FUSIONS:
             raise ShapeError("unknown fusion %r" % self.fusion)
         if self.R < 0:
             raise ShapeError("block count must be >= 0")
-        if self.d < 2 or min(self.heads, self.ffn_hidden) < 1:
-            raise ShapeError("d must be at least 2, heads and ffn_hidden "
-                             "positive")
+        if self.d < 2 or self.heads < 1:
+            raise ShapeError("d must be at least 2, heads positive")
         if self.d % self.heads:
             raise ShapeError("width %d not divisible by %d heads" % (self.d, self.heads))
 
@@ -132,7 +127,7 @@ def dense_attention(H_r: Tensor, sources, params, prefix: str, heads: int, fusio
     if fusion == "attention":
         q_in = tn.layer_norm(H_r, params[prefix + ".ln.gamma"],
                              params[prefix + ".ln.beta"])
-        kv = tn.concat_rows(sources + [H_r]) if sources else H_r
+        kv = tn.concat(sources + [H_r], 0) if sources else H_r
         out, weights = multi_head_attention(
             q_in, kv,
             params[prefix + ".wq"], params[prefix + ".wk"],
@@ -144,7 +139,7 @@ def dense_attention(H_r: Tensor, sources, params, prefix: str, heads: int, fusio
             out = tn.add(out, s)
         return out, None
     if fusion == "concatenation":
-        cat = tn.concat_cols(sources + [H_r])
+        cat = tn.concat(sources + [H_r], 1)
         mapped = tn.matmul(cat, params[prefix + ".wcat"])
         return tn.add(H_r, mapped), None
     raise ShapeError("unknown fusion %r" % fusion)
@@ -222,7 +217,7 @@ def classify_head(embeddings: Tensor, params, bn_state: BNState, training: bool)
 
 def init_decoder(cfg: DecoderConfig, num_encoder_blocks: int, rng, dtype=np.float64):
     """Normal-init decoder params keyed by hierarchical names."""
-    d, h = cfg.d, cfg.ffn_hidden
+    d = cfg.d
     params = {}
 
     def par(name, arr):
@@ -248,9 +243,9 @@ def init_decoder(cfg: DecoderConfig, num_encoder_blocks: int, rng, dtype=np.floa
                 width = (S + 1) * d
                 par(prefix + ".dense.wcat",
                     rng.normal(0.0, width ** -0.5, (width, d)))
-        par(prefix + ".ffn.w1", rng.normal(0.0, np.sqrt(2.0 / d), (d, h)))
-        par(prefix + ".ffn.b1", np.zeros(h))
-        par(prefix + ".ffn.w2", rng.normal(0.0, h ** -0.5, (h, d)))
+        par(prefix + ".ffn.w1", rng.normal(0.0, np.sqrt(2.0 / d), (d, d)))
+        par(prefix + ".ffn.b1", np.zeros(d))
+        par(prefix + ".ffn.w2", rng.normal(0.0, d ** -0.5, (d, d)))
         par(prefix + ".ffn.b2", np.zeros(d))
         par(prefix + ".ffn.ln.gamma", np.ones(d))
         par(prefix + ".ffn.ln.beta", np.zeros(d))

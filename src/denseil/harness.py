@@ -11,6 +11,7 @@ import numpy as np
 from . import tensor as tn
 from .config import ConfigError, RunConfig, write_run_config
 from .data import CHANNELS, Corpus, pk_batches, restricted_sample
+from .decoder import FUSIONS
 from .flops import estimate_decoder_flops
 from .losses import total_loss
 from .metrics import EvalTable, cmc_and_map, metrics_rows, pairwise_distances
@@ -65,15 +66,13 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
         raise ValueError("corpus has no training split")
     _check_frame_shape(cfg, corpus.train + corpus.query + corpus.gallery)
     model = build_model(cfg)
-    opt = Adam(model.params, cfg.optimizer.beta1, cfg.optimizer.beta2,
-               cfg.optimizer.eps)
+    opt = Adam(model.params)
     sampler = stream(cfg.seed, SAMPLER_STREAM)
     dtype = cfg.np_dtype()
     epoch_rows = []
     step = 0
     for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg.optimizer.lr, cfg.optimizer.decay_interval,
-                   cfg.optimizer.decay_factor)
+        lr = lr_at(epoch, cfg.optimizer.lr, cfg.optimizer.decay_interval)
         ce_sum = tri_sum = 0.0
         batches = 0
         for batch in pk_batches(corpus.train, cfg.sampling.k_ids,
@@ -85,9 +84,9 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
             try:
                 logits, embeddings, _ = forward_batch(model, clips,
                                                       training=True)
-                loss, ce, tri = total_loss(logits, embeddings, labels,
-                                           cfg.loss.margin,
-                                           cfg.loss.triplet_weight)
+                loss, ce, tri = total_loss(
+                    logits, embeddings, labels,
+                    triplet_weight=cfg.loss.triplet_weight)
                 opt.zero_grad()
                 tn.backward(loss)
             except tn.NumericError as err:
@@ -187,7 +186,7 @@ ABLATION_AXES = ("fusion", "variant", "dense_sources", "R", "d", "P")
 def _axis_values(axis: str, cfg: RunConfig):
     L = cfg.encoder.num_blocks
     if axis == "fusion":
-        return ["attention", "summation", "concatenation"]
+        return list(FUSIONS)
     if axis == "variant":
         return ["TransEnc", "TransDec", "DenseIL"]
     if axis == "dense_sources":
@@ -207,8 +206,6 @@ def _with_setting(cfg: RunConfig, axis: str, value):
     if axis == "P":
         return replace(cfg, partitions=value)
     change = {axis: value}
-    if axis == "d":
-        change["ffn_hidden"] = value  # the hidden width tracks d
     if axis == "variant":  # the paper's decoders, by the blocks they read
         change = {"dense_sources": {
             "TransEnc": (), "TransDec": (cfg.encoder.num_blocks,),

@@ -81,7 +81,7 @@ def batch_hard_triplet(embeddings: Tensor, labels, margin: float = 0.3) -> Tenso
 
 
 def total_loss(logits: Tensor, embeddings: Tensor, labels,
-               margin: float = 0.3, triplet_weight: float = 1.0):
+               triplet_weight: float = 1.0):
     """cross_entropy + weight * batch_hard_triplet, plus the two parts.
 
     Weight 0 skips mining entirely, so identity-only training works on
@@ -90,5 +90,5 @@ def total_loss(logits: Tensor, embeddings: Tensor, labels,
     ce = cross_entropy(logits, labels)
     if triplet_weight == 0.0:
         return ce, ce, Tensor(np.zeros((), dtype=ce.data.dtype))
-    tri = batch_hard_triplet(embeddings, labels, margin)
+    tri = batch_hard_triplet(embeddings, labels)
     return tn.add(ce, tn.scale(tri, float(triplet_weight))), ce, tri

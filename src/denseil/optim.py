@@ -2,6 +2,8 @@
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma and Ba's defaults
+
 
 class Adam:
     """Keeps first/second moment estimates per parameter.
@@ -13,11 +15,8 @@ class Adam:
     arithmetic.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = params
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -28,8 +27,8 @@ class Adam:
 
     def step(self, lr: float):
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad
@@ -37,16 +36,15 @@ class Adam:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
-def lr_at(epoch: int, lr0: float, decay_interval: int,
-          decay_factor: float = 10.0) -> float:
-    """lr0 divided by decay_factor once per completed interval."""
+def lr_at(epoch: int, lr0: float, decay_interval: int) -> float:
+    """lr0 divided by 10 once per completed interval."""
     if decay_interval <= 0:
         return float(lr0)
-    return float(lr0) / float(decay_factor) ** (epoch // decay_interval)
+    return float(lr0) / 10.0 ** (epoch // decay_interval)

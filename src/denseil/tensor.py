@@ -283,48 +283,19 @@ def sum_axis1(a: Tensor) -> Tensor:
                   _backward=lambda g: (np.repeat(g[:, None], d, axis=1),))
 
 
-def concat_rows(parts) -> Tensor:
-    """Stack 2-D tensors vertically: [[n1,d],[n2,d],...] -> [n1+n2+..., d]."""
+def concat(parts, axis: int) -> Tensor:
+    """Join 2-D tensors along ``axis``: 0 stacks rows, 1 stacks columns."""
     parts = list(parts)
-    if not parts:
-        raise ShapeError("concat_rows needs at least one tensor")
-    width = parts[0].shape[1]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[1] != width:
-            raise ShapeError("concat_rows: width mismatch (%s vs %s)" % (p.shape, (None, width)))
-    sizes = [p.shape[0] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=0)
-
-    def back(g):
-        grads, off = [], 0
-        for n in sizes:
-            grads.append(g[off:off + n])
-            off += n
-        return tuple(grads)
-
-    return Tensor(out, _parents=tuple(parts), _backward=back)
-
-
-def concat_cols(parts) -> Tensor:
-    """Stack 2-D tensors horizontally: [[n,d1],[n,d2],...] -> [n, d1+d2+...]."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat_cols needs at least one tensor")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError("concat_cols: row-count mismatch")
-    sizes = [p.shape[1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
-
-    def back(g):
-        grads, off = [], 0
-        for d in sizes:
-            grads.append(g[:, off:off + d])
-            off += d
-        return tuple(grads)
-
-    return Tensor(out, _parents=tuple(parts), _backward=back)
+    if not parts or axis not in (0, 1):
+        raise ShapeError("concat needs at least one tensor and axis 0 or 1")
+    if any(p.data.ndim != 2 or p.shape[1 - axis] != parts[0].shape[1 - axis]
+           for p in parts):
+        raise ShapeError("concat: shapes %s disagree off axis %d"
+                         % ([p.shape for p in parts], axis))
+    cuts = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    return Tensor(np.concatenate([p.data for p in parts], axis=axis),
+                  _parents=tuple(parts),
+                  _backward=lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 def pick(a: Tensor, rows, cols) -> Tensor:

@@ -97,8 +97,8 @@ def _op_cases(rng):
         ("mean_rows", (a,), lambda x: T.sum_all(T.mul(T.mean_rows(x), T.mean_rows(x)))),
         ("mean_rows_stacked", (s3,), lambda x: T.sum_all(T.mul(T.mean_rows(x), T.mean_rows(x)))),
         ("sum_axis1", (a,), lambda x: T.sum_all(T.mul(T.sum_axis1(x), T.sum_axis1(x)))),
-        ("concat_rows", (a, b), lambda x, y: T.sum_all(T.mul(T.concat_rows([x, y]), T.concat_rows([x, y])))),
-        ("concat_cols", (a, b), lambda x, y: T.sum_all(T.mul(T.concat_cols([x, y]), T.concat_cols([x, y])))),
+        ("concat_axis0", (a, b), lambda x, y: T.sum_all(T.mul(T.concat([x, y], 0), T.concat([x, y], 0)))),
+        ("concat_axis1", (a, b), lambda x, y: T.sum_all(T.mul(T.concat([x, y], 1), T.concat([x, y], 1)))),
         ("pick", (a,), lambda x: T.sum_all(T.pick(x, [0, 1], [2, 0]))),
         ("softmax_rows", (a,), lambda x: T.sum_all(T.mul(T.softmax_rows(x), T.softmax_rows(x)))),
         ("softmax_rows_stacked", (s3, u3), lambda x, y: T.sum_all(T.mul(T.softmax_rows(x), y))),
@@ -121,7 +121,7 @@ def _op_cases(rng):
 
 def _stack_case(rng):
     """Full one-block DenseIL forward: pooled pyramid in, CE + triplet out."""
-    cfg = dec.DecoderConfig(R=1, d=6, heads=2, ffn_hidden=6)
+    cfg = dec.DecoderConfig(R=1, d=6, heads=2)
     L, I, P = 2, 2, 2
     params = dec.init_decoder(cfg, L, rng)
     emb = posemb.step_emb(I, P, cfg.d)
@@ -341,10 +341,10 @@ def test_criterion_07_flop_counter():
         wiring = int(rng.integers(0, 3))  # no sources, the last block, default
         fusion = str(rng.choice(list(dec.FUSIONS)))
         R = int(rng.integers(0, 4))
-        ffn_hidden = int(rng.choice([d, 2 * d]))
+        _ = rng.choice([d, 2 * d])  # unused; keeps the later draws as they were
         L = int(rng.integers(2, 5))
         cfg = dec.DecoderConfig(
-            R=R, d=d, heads=heads, ffn_hidden=ffn_hidden,
+            R=R, d=d, heads=heads,
             dense_sources=((), (L,), None)[wiring], fusion=fusion)
         I = int(rng.integers(1, 9))
         P = int(rng.integers(1, 16 // I + 1))

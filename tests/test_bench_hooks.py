@@ -6,7 +6,9 @@ benchmark while every other test passes. This installs the tracer, records
 one micro training step through the patched names, and checks the identity
 behind the benchmark's ``flops.matmul_macs_unexplained``: every forward
 matmul of a step is an adapter, the decoder stack, the classifier or the
-triplet loss's Gram matrix.
+triplet loss's Gram matrix. It also loads each workload's config from
+perfbench/workloads.py, so deleting a config key that a workload sets
+fails here too.
 """
 
 import os
@@ -16,6 +18,7 @@ from contextlib import ExitStack
 import numpy as np
 
 from denseil import harness, optim, tensor as tn
+from denseil.config import run_config_from_dict
 from denseil.model import build_model
 from denseil.rng import SAMPLER_STREAM, stream
 from micro import micro_corpus, micro_run_config
@@ -23,6 +26,7 @@ from micro import micro_corpus, micro_run_config
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 from tracing import Tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 def traced_step(cfg):
@@ -44,9 +48,8 @@ def traced_step(cfg):
         labels = np.array([tr.identity for tr in batch])
         logits, embeddings, _ = harness.forward_batch(model, clips,
                                                       training=True)
-        loss, _, _ = harness.total_loss(logits, embeddings, labels,
-                                        cfg.loss.margin,
-                                        cfg.loss.triplet_weight)
+        loss, _, _ = harness.total_loss(
+            logits, embeddings, labels, triplet_weight=cfg.loss.triplet_weight)
         opt.zero_grad()
         tn.backward(loss)
         opt.step(cfg.optimizer.lr)
@@ -70,3 +73,14 @@ def test_traced_step_matmul_macs_match_flops():
                      "optim.adam", "tensor.backward"):
             assert tracer.calls[span] == 1, (decoder, span)
         assert tracer.layer_metrics(1)["tensor.nodes_per_step"] > 0
+
+
+def test_workload_configs_load():
+    """A config key that a benchmark workload sets must still exist."""
+    for seed in (0, 101):
+        for encoder_only in (False, True):
+            cfg = run_config_from_dict(
+                workloads.training_config(seed, encoder_only))
+            assert cfg.decoder.R == (0 if encoder_only else 2)
+        assert run_config_from_dict(workloads.retrieval_config(seed)).seed \
+            == seed

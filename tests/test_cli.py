@@ -151,6 +151,12 @@ REMOVED_KEYS = [
     {"data": {"channels": 3}},
     {"decoder": {"variant": "TransDec"}},  # now "dense_sources": [L]
     {"encoder": {"downsample_last": False}},  # the last stride is always 1
+    {"decoder": {"ffn_hidden": 64}},  # the FFN is d wide
+    {"loss": {"margin": 0.3}},  # batch_hard_triplet's default
+    {"optimizer": {"beta1": 1.0}},  # Adam's constants in optim.py
+    {"optimizer": {"beta2": 0.999}},
+    {"optimizer": {"eps": 1e-8}},
+    {"optimizer": {"decay_factor": 0}},  # lr_at divides by 10
 ]
 
 

@@ -253,6 +253,22 @@ def test_read_tracklet_rejects_non_finite_pixels(tmp_path):
             read_tracklet(p)
 
 
+def test_read_tracklet_rejects_pixels_outside_unit_range(tmp_path):
+    tr = generate_dataset(SMALL).query[0]
+    p = tmp_path / "x.dilt"
+    for bad in (1.5, 2.0 ** 100, -0.5):
+        frames = tr.frames.copy()
+        frames[1, 2, 3, 4] = bad
+        write_tracklet(p, Tracklet(frames, tr.identity, tr.camera,
+                                   tr.tracklet_id))
+        with pytest.raises(TrackletFormatError, match=r"\[0, 1\]"):
+            read_tracklet(p)
+    frames = tr.frames.copy()
+    frames[0, 0, 0, :2] = 0.0, 1.0  # both ends are in range
+    write_tracklet(p, Tracklet(frames, tr.identity, tr.camera, tr.tracklet_id))
+    assert np.array_equal(read_tracklet(p).frames, frames)
+
+
 def test_corpus_roundtrip(tmp_path):
     corpus = generate_dataset(SMALL)
     write_corpus(corpus, tmp_path / "corpus")

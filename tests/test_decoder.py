@@ -395,7 +395,7 @@ def test_flops_match_instrumented_execution():
         (dec.DecoderConfig(R=2, d=4, heads=1, dense_sources=(3,)), 3, 1, 4),
         (dec.DecoderConfig(R=1, d=8, heads=2, fusion="summation"), 3, 2, 2),
         (dec.DecoderConfig(R=1, d=8, heads=2, fusion="concatenation"), 3, 2, 2),
-        (dec.DecoderConfig(R=3, d=8, heads=4, ffn_hidden=16), 4, 2, 3),
+        (dec.DecoderConfig(R=3, d=8, heads=4), 4, 2, 3),
     ]
     for cfg, L, I, P in cases:
         want = flops.estimate_decoder_flops(cfg, I, P, CHANNELS[:L])["total"]

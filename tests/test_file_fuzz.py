@@ -5,10 +5,13 @@ Each example mutates one valid file written by the library, runs the
 command that reads it in-process and checks the outcome: exit 0 with
 nothing on stderr, or exit 1/2/3 with a single ``denseil: ...`` line. An
 exception escaping ``main`` fails the test. Mutations whose outcome is
-fixed (truncation, a non-finite value, a dropped manifest column) must
-give exit 3, the code for a malformed file. numpy's RuntimeWarnings are
-filtered, as in test_cli.py: finite but huge values may overflow inside an
-op on the way to exit 0 or 2.
+fixed (truncation, a non-finite value, a pixel outside [0, 1], a dropped
+manifest column) must give exit 3, the code for a malformed file. A
+RuntimeWarning fails a tracklet example: every pixel that could overflow
+inside numpy is out of range and rejected on read. For checkpoints and
+manifests numpy's RuntimeWarnings are filtered, as in test_cli.py: finite
+but huge checkpoint values may overflow inside an op on the way to exit 0
+or 2.
 """
 
 import contextlib
@@ -28,8 +31,6 @@ from denseil.config import run_config_from_dict  # noqa: E402
 from denseil.data import write_corpus  # noqa: E402
 from denseil.harness import train_run  # noqa: E402
 from micro import micro_corpus, micro_dict  # noqa: E402
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 TRACKLET = "id000_t02_cam2.dilt"
 HEADER = 4 + 28  # magic, then the <7I header
@@ -85,10 +86,11 @@ def _mutate_bytes(data, blob, floats_at=()):
     return blob[:at] + value + blob[at + 4:], True
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_tracklet(files, data):
-    blob = (files / "corpus" / TRACKLET).read_bytes()
+    valid = blob = (files / "corpus" / TRACKLET).read_bytes()
     if data.draw(st.booleans()):
         at = 4 + 4 * data.draw(st.integers(0, 6))  # identity .. W
         blob = blob[:at] + struct.pack("<I", data.draw(FORGED)) + blob[at + 4:]
@@ -96,6 +98,9 @@ def test_mutated_tracklet(files, data):
     else:
         blob, must_fail = _mutate_bytes(data, blob,
                                         range(HEADER, len(blob) - 3, 4))
+    if len(blob) == len(valid):  # the pixels in place: each must be in [0, 1]
+        pixels = np.frombuffer(blob, "<f4", offset=HEADER)
+        must_fail |= not (pixels.min() >= 0 and pixels.max() <= 1)
     path = files / "bad.dilt"
     path.write_bytes(blob)
     code = _dump_attn(files, files / "run" / "final.dil1", path)
@@ -119,6 +124,7 @@ def _records(blob):
     return out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_checkpoint(files, data):
@@ -153,6 +159,7 @@ def test_mutated_checkpoint(files, data):
         assert code == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_manifest(files, data):

@@ -282,16 +282,17 @@ def test_ablate_dense_sources_values(tmp_path):
     assert [r[0] for r in rows] == ["2", "1+2"]
 
 
-def test_with_setting_changes_one_knob_plus_its_tied_field():
-    cfg = micro_run_config(decoder={"ffn_hidden": 24, "dense_sources": []})
-    run = _with_setting(cfg, "d", 32)
-    assert (run.decoder.d, run.decoder.ffn_hidden) == (32, 32)
-    assert replace(run, decoder=cfg.decoder) == cfg
-    run = _with_setting(cfg, "dense_sources", (1, 2))
-    assert run.decoder.dense_sources == (1, 2)
-    assert run.decoder.ffn_hidden == 24
-    assert _with_setting(cfg, "R", 0).decoder.ffn_hidden == 24
-    assert _with_setting(cfg, "P", 1).decoder == cfg.decoder
+def test_with_setting_changes_one_knob():
+    cfg = micro_run_config(decoder={"dense_sources": []})
+    for axis, value in (("d", 32), ("R", 0), ("dense_sources", (1, 2)),
+                        ("fusion", "summation")):
+        run = _with_setting(cfg, axis, value)
+        assert getattr(run.decoder, axis) == value
+        assert replace(run.decoder, **{axis: getattr(cfg.decoder, axis)}) \
+            == cfg.decoder
+        assert replace(run, decoder=cfg.decoder) == cfg
+    run = _with_setting(cfg, "P", 1)
+    assert run.partitions == 1 and run.decoder == cfg.decoder
 
 
 def test_with_setting_maps_variant_names_to_dense_sources():

@@ -153,7 +153,7 @@ def test_total_loss_combines():
     logits = t(rng.normal(size=(4, 3)))
     emb = t(rng.normal(size=(4, 5)))
     labels = np.array([0, 0, 1, 1])
-    combined, ce, tri = losses.total_loss(logits, emb, labels, margin=0.3,
+    combined, ce, tri = losses.total_loss(logits, emb, labels,
                                           triplet_weight=0.5)
     assert abs(float(combined.data)
                - (float(ce.data) + 0.5 * float(tri.data))) < 1e-12

@@ -70,7 +70,7 @@ def test_every_parameter_receives_a_gradient():
             p.grad = None
         logits, embeddings, _ = forward_batch(model, random_clips(cfg, b=4),
                                               training=True)
-        loss, _, _ = total_loss(logits, embeddings, labels, 0.3, 1.0)
+        loss, _, _ = total_loss(logits, embeddings, labels, 1.0)
         backward(loss)
         idle = sorted(n for n, p in model.params.items() if p.grad is None)
         assert not idle, (decoder, idle)

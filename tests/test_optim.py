@@ -82,5 +82,5 @@ def test_lr_schedule_decays_by_factor_per_interval():
     assert lr_at(19, 3e-3, 20) == 3e-3
     assert abs(lr_at(20, 3e-3, 20) - 3e-4) < 1e-18
     assert abs(lr_at(45, 3e-3, 20) - 3e-5) < 1e-19
-    assert abs(lr_at(10, 1.0, 5, decay_factor=2.0) - 0.25) < 1e-15
+    assert abs(lr_at(10, 1.0, 5) - 0.01) < 1e-15
     assert lr_at(1000, 0.1, 0) == 0.1  # no decay when interval is 0

@@ -191,7 +191,7 @@ def test_unreached_leaf_keeps_none_grad():
 def _graphs():
     """Fresh graphs whose leaves get their gradient through add (its own
     grad handed to both parents), from two nodes (a leaf used twice),
-    through the views reshape and concat_rows return, as one fresh array
+    through the views reshape and concat return, as one fresh array
     returned for two parents, and in float64 from a float32 graph that a
     float64 0-d constant joins, as batch_hard_triplet's margin does."""
     rng = np.random.default_rng(5)
@@ -201,7 +201,7 @@ def _graphs():
     yield "reshape", T.sum_all(T.mul(T.reshape(a, (3, 2)), w))
     a, b = t(rng.normal(size=(2, 3)), rg=True), t(rng.normal(size=(1, 3)), rg=True)
     w = t(rng.normal(size=(3, 3)), rg=True)
-    yield "concat_rows", T.sum_all(T.mul(T.concat_rows([a, b]), w))
+    yield "concat", T.sum_all(T.mul(T.concat([a, b], 0), w))
     a, b = t(rng.normal(size=3), rg=True), t(rng.normal(size=3), rg=True)
     both = T.Tensor(a.data + b.data, _parents=(a, b),
                     _backward=lambda g: (g * 1.0,) * 2)
@@ -342,8 +342,8 @@ def test_gradcheck_concat_rows_cols():
     b = t(rng.uniform(-1, 1, (4, 3)))
 
     def loss(a, b):
-        cat = T.concat_rows([a, b])
-        wide = T.concat_cols([cat, T.scale(cat, 2.0)])
+        cat = T.concat([a, b], 0)
+        wide = T.concat([cat, T.scale(cat, 2.0)], 1)
         return T.sum_all(T.mul(wide, wide))
 
     gradcheck(loss, [a, b])
