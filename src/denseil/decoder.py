@@ -67,14 +67,6 @@ class DecoderConfig:
         return tuple(sorted({L, *self.sources_for(L)}))
 
 
-def _split_heads(x: Tensor, clips: int, n: int, heads: int) -> Tensor:
-    """[groups*clips*n, d] rows, group-major, -> [clips, heads, groups*n, d/heads]."""
-    x = tn.reshape(x, (-1, clips, n, heads, x.shape[1] // heads))
-    groups = x.shape[0]
-    x = tn.transpose(x, (1, 3, 0, 2, 4))
-    return tn.reshape(x, (clips, heads, groups * n, x.shape[-1]))
-
-
 def multi_head_attention(q_in: Tensor, kv_in: Tensor, wq, wk, wv, wo, heads: int,
                          clips: int = 1):
     """Scaled dot-product attention over a batch of clips.
@@ -84,20 +76,9 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, wq, wk, wv, wo, heads: int
     a clip's queries see its own rows of every group, in group order.
     Returns (output [clips*n, d], weights [clips, heads, n, groups*n]).
     """
-    d = wq.shape[1]
-    if d % heads:
-        raise ShapeError("width %d not divisible by %d heads" % (d, heads))
-    dh = d // heads
-    n = q_in.shape[0] // clips
-    q = _split_heads(tn.matmul(q_in, wq), clips, n, heads)
-    k = _split_heads(tn.matmul(kv_in, wk), clips, n, heads)
-    v = _split_heads(tn.matmul(kv_in, wv), clips, n, heads)
-    scores = tn.scale(tn.matmul(q, tn.transpose(k, (0, 1, 3, 2))),
-                      1.0 / np.sqrt(dh))
-    attn = tn.softmax_rows(scores)
-    heads_out = tn.transpose(tn.matmul(attn, v), (0, 2, 1, 3))
-    concat = tn.reshape(heads_out, (clips * n, d))
-    return tn.matmul(concat, wo), attn.data
+    out, weights = tn.attention(tn.matmul(q_in, wq), tn.matmul(kv_in, wk),
+                                tn.matmul(kv_in, wv), heads, clips)
+    return tn.matmul(out, wo), weights
 
 
 def self_attention_block(H: Tensor, params, prefix: str, heads: int, clips: int = 1):

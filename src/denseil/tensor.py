@@ -317,20 +317,83 @@ def pick(a: Tensor, rows, cols) -> Tensor:
 # composite / fused nn ops
 
 
+def _softmax_(s: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with max subtraction, in place in ``s``."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _softmax_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # dx = y * (g - sum(g*y)) per row
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - dot)
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max subtraction."""
     if x.data.ndim < 2:
         raise ShapeError("softmax_rows expects rank >= 2, got %s" % (x.shape,))
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax_(x.data.copy())
+    return Tensor(out, _parents=(x,),
+                  _backward=lambda g: (_softmax_backward(out, g),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
+    """Multi-head scaled dot-product attention from projected rows.
+
+    ``q`` holds each clip's n query rows, clip-major: [clips*n, d]. ``k`` and
+    ``v`` hold one or more groups laid out like ``q``, group-major; a clip's
+    queries see its own rows of every group, in group order. One node splits
+    the heads, takes softmax(q kᵀ / sqrt(d/heads)) v and merges the heads, in
+    the arithmetic of those steps as separate ops, so it matches them byte
+    for byte. Returns (output [clips*n, d], weights [clips, heads, n, groups*n]).
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]:
+        raise ShapeError("attention expects 2-D q, k and v of one width, k and v "
+                         "alike; got %s, %s, %s" % (q.shape, k.shape, v.shape))
+    d = q.shape[1]
+    if heads < 1 or d % heads:
+        raise ShapeError("width %d not divisible by %d heads" % (d, heads))
+    n, rest = divmod(q.shape[0], clips)
+    if rest or not n or k.shape[0] % (clips * n):
+        raise ShapeError("attention: %d query and %d key rows do not split into "
+                         "%d clips" % (q.shape[0], k.shape[0], clips))
+    dh = d // heads
+    c = float(1.0 / np.sqrt(dh))
+
+    def split(x):  # [groups*clips*n, d] -> [clips, heads, groups*n, dh]
+        x = np.transpose(x.reshape(-1, clips, n, heads, dh), (1, 3, 0, 2, 4)).copy()
+        return x.reshape(clips, heads, -1, dh)
+
+    def unsplit(g):
+        g = g.reshape(clips, heads, -1, n, dh)
+        return np.transpose(g, (2, 0, 3, 1, 4)).reshape(-1, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    macs = 2 * qh.size * kh.shape[2]  # q kᵀ and weights v
+    for counter in _counters:
+        counter.macs += macs
+    kT = np.transpose(kh, (0, 1, 3, 2)).copy()
+    attn = qh @ kT
+    attn *= c
+    # finite scores give finite weights: each row's largest exp is 1
+    if not np.all(np.isfinite(attn)):
+        raise NumericError("non-finite attention scores of shape %s" % (attn.shape,))
+    _softmax_(attn)
+    out = np.transpose(attn @ vh, (0, 2, 1, 3)).copy().reshape(clips * n, d)
 
     def back(g):
-        # dx = y * (g - sum(g*y)) per row
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        gh = np.transpose(g.reshape(clips, n, heads, dh), (0, 2, 1, 3))
+        da = gh @ np.swapaxes(vh, -1, -2)
+        dv = np.swapaxes(attn, -1, -2) @ gh
+        ds = _softmax_backward(attn, da) * c
+        dq = ds @ np.swapaxes(kT, -1, -2)
+        dkT = np.swapaxes(qh, -1, -2) @ ds
+        return unsplit(dq), unsplit(np.transpose(dkT, (0, 1, 3, 2))), unsplit(dv)
 
-    return Tensor(out, _parents=(x,), _backward=back)
+    return Tensor(out, _parents=(q, k, v), _backward=back), attn
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -345,10 +408,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     eps = float(eps)
     if eps <= 0:
         raise ShapeError("layer_norm: eps must be positive")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # the variance in np.var's own arithmetic, reusing x - mu
+    xc = x.data - x.data.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / d + eps)
+    xhat = xc * inv
     out = xhat * gamma.data + beta.data
 
     def back(g):

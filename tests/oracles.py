@@ -230,6 +230,47 @@ def multihead_attention_ref(x_q, x_kv, wq, wk, wv, wo, heads):
     return concat @ wo
 
 
+def _softmax_rows_unfused(x):
+    """The softmax node as it was before it shared code: out of place."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
+
+    return T.Tensor(out, _parents=(x,), _backward=back)
+
+
+def unfused_attention_ref(q_in, kv_in, wq, wk, wv, wo, heads, clips=1):
+    """``decoder.multi_head_attention`` as a graph of one node per step.
+
+    Not an independent check: it composes the package's own ops the way the
+    decoder did before ``tensor.attention`` fused them (head split by
+    reshape, transpose and reshape; q kᵀ; scale; softmax; weights v; head
+    merge), so the fused node must match it byte for byte, forward and
+    backward. Same signature and return value as the decoder function.
+    """
+    d = wq.shape[1]
+    dh = d // heads
+    n = q_in.shape[0] // clips
+
+    def split(x):
+        x = T.reshape(x, (-1, clips, n, heads, dh))
+        groups = x.shape[0]
+        x = T.transpose(x, (1, 3, 0, 2, 4))
+        return T.reshape(x, (clips, heads, groups * n, dh))
+
+    q = split(T.matmul(q_in, wq))
+    k = split(T.matmul(kv_in, wk))
+    v = split(T.matmul(kv_in, wv))
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = _softmax_rows_unfused(scores)
+    heads_out = T.transpose(T.matmul(attn, v), (0, 2, 1, 3))
+    return T.matmul(T.reshape(heads_out, (clips * n, d)), wo), attn.data
+
+
 def cmc_map_ref(dist, q_ids, q_cams, g_ids, g_cams, topk):
     """Exhaustive CMC / mAP over a distance table, one query at a time.
 

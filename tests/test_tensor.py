@@ -49,6 +49,24 @@ def test_softmax_rejects_nan():
         T.softmax_rows(bad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_rows_keeps_out_of_place_rounding(dtype):
+    # the in-place softmax the attention node shares must round as
+    # e = exp(x - max); e / sum(e) did, forward and backward
+    rng = np.random.default_rng(5)
+    for shape in ((1, 1), (3, 7), (2, 5, 33), (16, 4, 32, 128)):
+        x = (rng.normal(size=shape) * 4).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        want_dx = want * (g - (g * want).sum(axis=-1, keepdims=True))
+        leaf = T.Tensor(x, requires_grad=True)
+        out = T.softmax_rows(leaf)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+        assert out.data.tobytes() == want.tobytes()
+        assert leaf.grad.tobytes() == want_dx.tobytes()
+
+
 def test_finite_check_on_construction():
     with pytest.raises(T.NumericError):
         T.Tensor(np.array([np.inf]))
@@ -90,6 +108,31 @@ def test_layer_norm_rejects_bad_eps_and_width():
         T.layer_norm(x, t(np.ones(2)), t(np.zeros(2)), eps=0.0)
     with pytest.raises(T.ShapeError):
         T.layer_norm(t(np.zeros((2, 0))), t(np.ones(0)), t(np.zeros(0)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_keeps_np_var_rounding(dtype):
+    # the variance reuses x - mu; it must round as np.var does
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 3, 8, 16, 64, 65, 128):
+        for rows in (1, 5, 32, 512):
+            x = rng.normal(rng.uniform(-50, 50), rng.uniform(1e-3, 10),
+                           (rows, d)).astype(dtype)
+            gamma, beta, g = (rng.normal(size=s).astype(dtype)
+                              for s in (d, d, (rows, d)))
+            mu = x.mean(axis=1, keepdims=True)
+            inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
+            xhat = (x - mu) * inv
+            dxhat = g * gamma
+            want = [xhat * gamma + beta,
+                    inv * (dxhat - dxhat.mean(axis=1, keepdims=True)
+                           - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)),
+                    (g * xhat).sum(axis=0), g.sum(axis=0)]
+            leaves = [T.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            out = T.layer_norm(*leaves)
+            T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+            got = [out.data] + [leaf.grad for leaf in leaves]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # ---------------------------------------------------------------- ffn
