@@ -185,13 +185,18 @@ def main(argv=None) -> int:
         print("denseil: error: %s" % err, file=sys.stderr)
         return 1
 
+    import numpy as np
+
     from .harness import TrainingDiverged
     from .imageops import RunningStatsError
     from .tensor import NumericError
 
     try:
-        return _COMMANDS[args.command](args)
-    except (TrainingDiverged, NumericError) as err:
+        # overflow and invalid operations fail the command; subnormal
+        # results are ordinary in attention, so underflow stays quiet
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
+    except (TrainingDiverged, NumericError, FloatingPointError) as err:
         print("denseil: numeric failure: %s" % err, file=sys.stderr)
         return 2
     except (ValueError, RunningStatsError) as err:

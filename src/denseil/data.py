@@ -304,18 +304,16 @@ def read_tracklet(path) -> Tracklet:
 
 def write_corpus(corpus: Corpus, outdir):
     """Write every tracklet plus a manifest.csv (filename, identity,
-    camera, split)."""
+    camera, split) whose rows keep the corpus order, so a loaded corpus
+    enumerates tracklets exactly like a fresh one."""
     os.makedirs(outdir, exist_ok=True)
     rows = []
     for split, tracklets in corpus.splits():
         for tr in tracklets:
-            # lexicographic filename order == generation order, so a loaded
-            # corpus enumerates tracklets exactly like a fresh one
             name = "id%03d_t%02d_cam%d.dilt" % (tr.identity, tr.tracklet_id,
                                                 tr.camera)
             write_tracklet(os.path.join(outdir, name), tr)
             rows.append((name, tr.identity, tr.camera, split))
-    rows.sort()
     with open(os.path.join(outdir, "manifest.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("filename", "identity", "camera", "split"))

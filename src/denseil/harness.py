@@ -62,8 +62,9 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
     ranking losses, step Adam. A non-finite loss aborts the run.
     """
     t0 = time.perf_counter()
-    if not corpus.train:
-        raise ValueError("corpus has no training split")
+    for split, tracklets in corpus.splits():
+        if not tracklets:
+            raise ValueError("corpus has no %s split" % split)
     _check_frame_shape(cfg, corpus.train + corpus.query + corpus.gallery)
     model = build_model(cfg)
     opt = Adam(model.params)
@@ -89,10 +90,10 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
                     triplet_weight=cfg.loss.triplet_weight)
                 opt.zero_grad()
                 tn.backward(loss)
-            except tn.NumericError as err:
+                opt.step(lr)
+            except (tn.NumericError, FloatingPointError) as err:
                 raise TrainingDiverged(
                     "diverged at epoch %d step %d: %s" % (epoch, step, err))
-            opt.step(lr)
             ce_sum += float(ce.data)
             tri_sum += float(tri.data)
             batches += 1
@@ -226,10 +227,11 @@ def ablate(cfg: RunConfig, axis: str, corpus: Corpus, outdir=None, log=None):
     FLOPs); with an outdir, each run keeps its own artifacts in a
     subdirectory and the comparison lands in ablation_<axis>.csv.
     """
+    # every setting's config is checked before the first one trains
+    settings = [(_value_label(value), _with_setting(cfg, axis, value))
+                for value in _axis_values(axis, cfg)]
     rows = []
-    for value in _axis_values(axis, cfg):
-        label = _value_label(value)
-        run_cfg = _with_setting(cfg, axis, value)
+    for label, run_cfg in settings:
         sub = None
         if outdir:
             sub = os.path.join(outdir, "%s_%s" % (axis, label))

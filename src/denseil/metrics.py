@@ -45,37 +45,30 @@ class EvalTable:
 
 
 def cmc_and_map(table: EvalTable, max_rank: int = 20, cross_camera: bool = True):
-    """Returns (cmc[max_rank], mAP, skipped_queries).
+    """Returns (cmc[max_rank], mAP, skipped_queries), all queries at once.
 
     ``cross_camera=False`` disables the same-camera filtering; that sanity
     mode makes a shared query/gallery set score a trivial self-match R-1.
     """
-    q_count = table.dist.shape[0]
-    hits = np.zeros(max_rank)
-    aps = []
-    skipped = 0
-    for qi in range(q_count):
-        row = table.dist[qi]
-        # stable sort keeps lower gallery indices first on ties
-        order = np.argsort(row, kind="stable")
-        if cross_camera:
-            drop = ((table.g_ids[order] == table.q_ids[qi])
-                    & (table.g_cams[order] == table.q_cams[qi]))
-            order = order[~drop]
-        match = table.g_ids[order] == table.q_ids[qi]
-        if not match.any():
-            skipped += 1
-            continue
-        positions = np.flatnonzero(match)
-        first = positions[0]
-        if first < max_rank:
-            hits[first:] += 1
-        precision = (np.arange(len(positions)) + 1.0) / (positions + 1.0)
-        aps.append(precision.mean())
-    valid = q_count - skipped
+    # stable sort keeps lower gallery indices first on ties
+    order = np.argsort(table.dist, axis=1, kind="stable")
+    same = table.g_ids[order] == table.q_ids[:, None]
+    drop = same & (table.g_cams[order] == table.q_cams[:, None])
+    kept = ~drop if cross_camera else np.ones_like(drop)
+    match = same & kept
+    matches = match.sum(axis=1)
+    scored = matches > 0
+    valid = int(scored.sum())
     if valid == 0:
         raise EvalTableError("every query lost all valid gallery matches")
-    return hits / valid, float(np.mean(aps)), skipped
+    rank = np.cumsum(kept, axis=1)  # 1-based rank among the kept entries
+    first = np.take_along_axis(rank, match.argmax(axis=1)[:, None], 1)[scored, 0]
+    hits = (first[:, None] <= np.arange(1, max_rank + 1)).sum(axis=0)
+    # precision at each match, else 0; cumsum adds them in rank order
+    precision = np.divide(np.cumsum(match, axis=1), rank,
+                          out=np.zeros(rank.shape), where=match)
+    aps = np.cumsum(precision, axis=1)[scored, -1] / matches[scored]
+    return hits / valid, float(np.mean(aps)), len(scored) - valid
 
 
 def metrics_rows(cmc: np.ndarray, mean_ap: float, skipped: int):

@@ -262,25 +262,34 @@ def test_criterion_04_step_emb_formula():
 
 def test_criterion_05_metric_oracle():
     rng = np.random.default_rng(53)
-    checked = 0
-    while checked < 200:
-        q, g = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        table = metrics.EvalTable(
-            np.round(rng.uniform(0, 3, size=(q, g)), 1),
-            rng.integers(0, 4, size=q), rng.integers(0, 3, size=q),
-            rng.integers(0, 4, size=g), rng.integers(0, 3, size=g))
-        want_cmc, want_map, want_skip = cmc_map_ref(
-            table.dist, table.q_ids, table.q_cams, table.g_ids, table.g_cams, 6)
-        try:
-            cmc, mean_ap, skipped = metrics.cmc_and_map(table, max_rank=6)
-        except metrics.EvalTableError:
-            assert want_skip == q
-            continue
-        assert np.array_equal(cmc, want_cmc)
-        assert mean_ap == want_map
-        assert skipped == want_skip
-        assert np.all(np.diff(cmc) >= 0.0)
-        checked += 1
+    many = 0  # queries with 8 or more cross-camera matches
+    # small tables over 4 identities, then wide ones over 2, where a query
+    # has many true matches and its AP sums many precisions
+    for n_ids, g_lo, g_hi in ((4, 1, 7), (2, 16, 60)):
+        checked = 0
+        while checked < 200:
+            q, g = int(rng.integers(1, 7)), int(rng.integers(g_lo, g_hi))
+            table = metrics.EvalTable(
+                np.round(rng.uniform(0, 3, size=(q, g)), 1),
+                rng.integers(0, n_ids, size=q), rng.integers(0, 3, size=q),
+                rng.integers(0, n_ids, size=g), rng.integers(0, 3, size=g))
+            want_cmc, want_map, want_skip = cmc_map_ref(
+                table.dist, table.q_ids, table.q_cams, table.g_ids,
+                table.g_cams, 6)
+            try:
+                cmc, mean_ap, skipped = metrics.cmc_and_map(table, max_rank=6)
+            except metrics.EvalTableError:
+                assert want_skip == q
+                continue
+            assert np.array_equal(cmc, want_cmc)
+            assert mean_ap == want_map
+            assert skipped == want_skip
+            assert np.all(np.diff(cmc) >= 0.0)
+            checked += 1
+            matches = ((table.g_ids == table.q_ids[:, None])
+                       & (table.g_cams != table.q_cams[:, None])).sum(axis=1)
+            many += int((matches >= 8).sum())
+    assert many >= 200, many
 
     ids = np.arange(5)
     perfect = metrics.EvalTable(
@@ -288,8 +297,9 @@ def test_criterion_05_metric_oracle():
         ids, np.zeros(5, int), ids, np.ones(5, int))
     cmc, mean_ap, skipped = metrics.cmc_and_map(perfect, max_rank=5)
     assert mean_ap == 1.0 and cmc[0] == 1.0 and skipped == 0
-    _verdict(5, "CMC/mAP equal brute force on 200 random tables; "
-                "CMC monotone; perfect ranking gives mAP 1.0")
+    _verdict(5, "CMC/mAP equal brute force on 400 random tables (%d "
+                "queries with >= 8 matches); CMC monotone; perfect ranking "
+                "gives mAP 1.0" % many)
 
 
 # --------------------------------------------------------------- criterion 6

@@ -127,6 +127,23 @@ def test_ablate_cli(workspace, capsys):
     assert table[3].startswith("concatenation,")
 
 
+def test_ablate_rejects_a_setting_before_any_training(workspace, capsys):
+    tmp_path, _, data_dir = workspace
+    # four blocks leave the 16-row micro frames a final map 2 rows tall, so
+    # P=1 and P=2 could train but P=4 cannot
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text(json.dumps(micro_dict(
+        epochs=1, encoder={"channels": [4, 6, 8, 10]})))
+    out = tmp_path / "sweep"
+    assert main(["ablate", "--config", str(cfg_path), "--axis", "P",
+                 "--data", str(data_dir), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("denseil: error: partitions=4 exceeds the final "
+                            "encoder map height 2\n")
+    assert captured.out == ""  # no setting trained
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert main([]) == 1
     assert main(["trian"]) == 1
@@ -175,6 +192,7 @@ REMOVED_KEYS = [
     {"data": {"cameras": 1}},  # query and gallery need two cameras
     {"data": {"tracklets_per_identity": 1}},  # train, query and gallery
     {"data": {"tracklets_per_identity": 2}},
+    {"decoder": {"fusion": "sum"}},  # not one of decoder.FUSIONS
 ] + REMOVED_KEYS, ids=json.dumps)
 def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
                                                        override):
@@ -347,6 +365,20 @@ def test_manifest_non_integer_identity_exits_3(workspace, capsys):
                            capsys)
 
 
+def test_corpus_without_eval_split_exits_1_before_training(workspace,
+                                                          capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    _rewrite_manifest(data_dir, lambda lines: [
+        line for line in lines if not line.endswith((",query", ",gallery"))])
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "denseil: error: corpus has no query split\n"
+    assert captured.out == ""  # no epoch trained
+    assert not out.exists()
+
+
 def test_checkpoint_undecodable_record_name_exits_3(workspace, capsys):
     tmp_path, cfg_path, data_dir = workspace
     run_dir = tmp_path / "run"
@@ -390,6 +422,32 @@ def test_malformed_checkpoint_records_exit_3(workspace, capsys):
         err = _exits_3_with_one_line(["eval", "--checkpoint", str(bad),
                                       "--data", str(data_dir)], capsys)
         assert repr(key) in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_checkpoint_record_exits_2_from_eval_and_dump_attn(workspace,
+                                                                capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    records = load_checkpoint(run_dir / "final.dil1")
+    w = records["adapter.block2.w"].copy()
+    w.reshape(-1)[0] = 3e38  # finite in float32; layer norm's square is not
+    bad = run_dir / "huge.dil1"
+    save_checkpoint(bad, dict(records, **{"adapter.block2.w": w}))
+    out_csv = tmp_path / "attn.csv"
+    for argv in (["eval", "--checkpoint", str(bad), "--data", str(data_dir)],
+                 ["dump-attn", "--checkpoint", str(bad), "--tracklet",
+                  str(data_dir / "id000_t02_cam2.dilt"),
+                  "--out", str(out_csv)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("denseil: numeric failure: overflow "
+                                "encountered in multiply\n")
+        assert captured.out == ""
+    assert not out_csv.exists()
 
 
 def test_non_finite_tracklet_exits_3_from_train_and_dump_attn(workspace,

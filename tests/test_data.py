@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from denseil import tensor as tn
-from denseil.data import (NUM_BANDS, CorpusError, SynthConfig, Tracklet,
-                          TrackletFormatError, _body_box, _glyph_size,
-                          generate_dataset, load_corpus, pk_batches,
-                          read_tracklet, restricted_sample, write_corpus,
-                          write_tracklet)
+from denseil.data import (NUM_BANDS, Corpus, CorpusError, SynthConfig,
+                          Tracklet, TrackletFormatError, _body_box,
+                          _glyph_size, generate_dataset, load_corpus,
+                          pk_batches, read_tracklet, restricted_sample,
+                          write_corpus, write_tracklet)
 from denseil.encoder import EncoderConfig, encode_clip, init_encoder
 from denseil.partition import band_heights, ppool
 from denseil.rng import stream
@@ -277,6 +277,24 @@ def test_corpus_roundtrip(tmp_path):
     manifest = (tmp_path / "corpus" / "manifest.csv").read_text().splitlines()
     assert manifest[0] == "filename,identity,camera,split"
     assert len(manifest) == 1 + 16
+
+
+def test_corpus_roundtrip_keeps_generation_order_past_100_tracklets(
+        tmp_path):
+    # by filename, id000_t100 would sort between id000_t10 and id000_t11
+    t = 104
+    corpus = Corpus()
+    for identity in range(2):
+        for j in range(t):
+            split = (corpus.train if j < t - 2
+                     else corpus.query if j == t - 2 else corpus.gallery)
+            split.append(Tracklet(np.zeros((1, 3, 8, 8), np.float32),
+                                  identity, (identity + j) % 3, j))
+    write_corpus(corpus, tmp_path)
+    back = load_corpus(tmp_path)
+    for (_, want), (_, got) in zip(corpus.splits(), back.splits()):
+        assert ([(tr.identity, tr.tracklet_id) for tr in got]
+                == [(tr.identity, tr.tracklet_id) for tr in want])
 
 
 def test_load_corpus_requires_manifest(tmp_path):

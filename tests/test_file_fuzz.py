@@ -7,11 +7,11 @@ nothing on stderr, or exit 1/2/3 with a single ``denseil: ...`` line. An
 exception escaping ``main`` fails the test. Mutations whose outcome is
 fixed (truncation, a non-finite value, a pixel outside [0, 1], a dropped
 manifest column) must give exit 3, the code for a malformed file. A
-RuntimeWarning fails a tracklet example: every pixel that could overflow
-inside numpy is out of range and rejected on read. For checkpoints and
-manifests numpy's RuntimeWarnings are filtered, as in test_cli.py: finite
-but huge checkpoint values may overflow inside an op on the way to exit 0
-or 2.
+RuntimeWarning fails a tracklet or checkpoint example: every pixel that
+could overflow inside numpy is out of range and rejected on read, and a
+finite but huge checkpoint value that overflows inside an op raises under
+the CLI's floating-point error state and exits 2. For manifests numpy's
+RuntimeWarnings are filtered, as in test_cli.py.
 """
 
 import contextlib
@@ -124,7 +124,7 @@ def _records(blob):
     return out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_checkpoint(files, data):

@@ -98,6 +98,35 @@ def test_ties_break_by_gallery_index():
     assert np.array_equal(cmc2, [1.0, 1.0])
 
 
+def test_one_query_ranked_past_the_gallery_size():
+    # the shape of perfbench's per-query retrieval op: one query, and a
+    # max_rank above the number of gallery entries left to rank
+    table = metrics.EvalTable([[0.1, 0.3, 0.2]], [1], [0], [2, 1, 1], [1, 2, 0])
+    cmc, mean_ap, skipped = metrics.cmc_and_map(table, max_rank=10)
+    assert cmc.dtype == np.float64
+    assert np.array_equal(cmc, [0.0] + [1.0] * 9)
+    assert mean_ap == 0.5 and skipped == 0
+    want = cmc_map_ref(table.dist, table.q_ids, table.q_cams, table.g_ids,
+                       table.g_cams, 10)
+    assert np.array_equal(cmc, want[0]) and (mean_ap, skipped) == want[1:]
+
+
+def test_first_kept_entry_after_dropped_same_camera_entries():
+    # the two nearest entries share the query's identity and camera; the
+    # third is a cross-camera match, so it ranks first among kept entries
+    table = metrics.EvalTable([[0.1, 0.2, 0.3, 0.4, 0.5]], [1], [0],
+                              [1, 1, 1, 2, 1], [0, 0, 2, 1, 1])
+    cmc, mean_ap, skipped = metrics.cmc_and_map(table, max_rank=3)
+    assert np.array_equal(cmc, [1.0, 1.0, 1.0])
+    assert mean_ap == (1.0 + 2.0 / 3.0) / 2.0 and skipped == 0
+
+
+def test_empty_gallery_raises():
+    table = metrics.EvalTable(np.zeros((2, 0)), [1, 2], [0, 0], [], [])
+    with pytest.raises(metrics.EvalTableError):
+        metrics.cmc_and_map(table)
+
+
 def test_cmc_monotone_and_bounded():
     rng = np.random.default_rng(101)
     for _ in range(50):
