@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partition import band_heights
-from .rng import stream
-
-APPEARANCE_STREAM = 4 << 32
+from .rng import APPEARANCE_STREAM, stream
 
 CHANNELS = 3  # the renderer draws RGB frames
 NUM_BANDS = 4

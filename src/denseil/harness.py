@@ -46,12 +46,18 @@ def decoder_flops(cfg: RunConfig) -> dict:
 
 
 def _check_frame_shape(cfg: RunConfig, tracklets):
-    """Reject tracklets whose (C, H, W) frames differ from ``cfg.data``."""
+    """Reject tracklets whose (C, H, W) frames differ from ``cfg.data`` or
+    that have fewer frames than ``sampling.chunks``."""
     want = (CHANNELS, cfg.data.height, cfg.data.width)
     for tr in tracklets:
         if tr.frames.shape[1:] != want:
             raise ConfigError("corpus frames are %s (C, H, W), config "
                               "data says %s" % (tr.frames.shape[1:], want))
+        if len(tr.frames) < cfg.sampling.chunks:
+            raise ConfigError(
+                "tracklet %d of identity %d has %d frames, fewer than "
+                "sampling.chunks=%d" % (tr.tracklet_id, tr.identity,
+                                        len(tr.frames), cfg.sampling.chunks))
 
 
 def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
@@ -66,6 +72,12 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
         if not tracklets:
             raise ValueError("corpus has no %s split" % split)
     _check_frame_shape(cfg, corpus.train + corpus.query + corpus.gallery)
+    for tr in corpus.train:
+        if not 0 <= tr.identity < cfg.data.num_identities:
+            raise ConfigError(
+                "train tracklet %d has identity %d, outside [0, %d) set by "
+                "data.num_identities" % (tr.tracklet_id, tr.identity,
+                                         cfg.data.num_identities))
     model = build_model(cfg)
     opt = Adam(model.params)
     sampler = stream(cfg.seed, SAMPLER_STREAM)

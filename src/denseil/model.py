@@ -128,15 +128,6 @@ def load_model(path, cfg: RunConfig) -> Model:
             raise CheckpointError("%s: record %r is %r, not a batch count"
                                   % (path, key + "count", float(count)))
         st.num_batches = int(count)
-    # Older checkpoints carry an adapter for every block and attention
-    # weights for every interaction sub-layer, whatever the fusion; the
-    # unread ones never trained, so they are dropped.
-    for l in range(1, cfg.encoder.num_blocks + 1):
-        records.pop("adapter.block%d.w" % l, None)
-    if cfg.decoder.fusion != "attention":
-        for r in range(1, cfg.decoder.R + 1):
-            for w in ("wq", "wk", "wv", "wo", "ln.gamma", "ln.beta"):
-                records.pop("decoder.block%d.dense.%s" % (r, w), None)
     if records:
         raise CheckpointError(
             "%s: unexpected record %r" % (path, next(iter(records))))

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# reserved stream-id offsets, spaced so derived ids never collide
+# Every stream id in the package, spaced so derived ids never collide. Ids
+# below INIT_STREAM are the per-tracklet render streams
+# (identity * tracklets_per_identity + j); eval adds a per-tracklet offset
+# to EVAL_STREAM.
 INIT_STREAM = 1 << 32
 SAMPLER_STREAM = 2 << 32
 EVAL_STREAM = 3 << 32
+APPEARANCE_STREAM = 4 << 32
 
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:

@@ -193,10 +193,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(a.data * c, _parents=(a,), _backward=lambda g: (g * c,))
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[..., m, k] @ [..., k, n] -> [..., m, n]; leading (stack) dims must match."""
     if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
@@ -317,29 +313,6 @@ def pick(a: Tensor, rows, cols) -> Tensor:
 # composite / fused nn ops
 
 
-def _softmax_(s: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, with max subtraction, in place in ``s``."""
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
-
-
-def _softmax_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # dx = y * (g - sum(g*y)) per row
-    dot = (g * y).sum(axis=-1, keepdims=True)
-    return y * (g - dot)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max subtraction."""
-    if x.data.ndim < 2:
-        raise ShapeError("softmax_rows expects rank >= 2, got %s" % (x.shape,))
-    out = _softmax_(x.data.copy())
-    return Tensor(out, _parents=(x,),
-                  _backward=lambda g: (_softmax_backward(out, g),))
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
     """Multi-head scaled dot-product attention from projected rows.
 
@@ -381,14 +354,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
     # finite scores give finite weights: each row's largest exp is 1
     if not np.all(np.isfinite(attn)):
         raise NumericError("non-finite attention scores of shape %s" % (attn.shape,))
-    _softmax_(attn)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     out = np.transpose(attn @ vh, (0, 2, 1, 3)).copy().reshape(clips * n, d)
 
     def back(g):
         gh = np.transpose(g.reshape(clips, n, heads, dh), (0, 2, 1, 3))
         da = gh @ np.swapaxes(vh, -1, -2)
         dv = np.swapaxes(attn, -1, -2) @ gh
-        ds = _softmax_backward(attn, da) * c
+        ds = attn * (da - (da * attn).sum(axis=-1, keepdims=True)) * c
         dq = ds @ np.swapaxes(kT, -1, -2)
         dkT = np.swapaxes(qh, -1, -2) @ ds
         return unsplit(dq), unsplit(np.transpose(dkT, (0, 1, 3, 2))), unsplit(dv)

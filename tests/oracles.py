@@ -189,13 +189,6 @@ def backward_ref(loss):
             parent.grad += g
 
 
-def softmax_rows_ref(x):
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def attention_ref(q, k, v):
     """Single-head scaled dot-product attention, one python loop per query."""
     q = np.asarray(q, dtype=np.float64)
@@ -231,7 +224,8 @@ def multihead_attention_ref(x_q, x_kv, wq, wk, wv, wo, heads):
 
 
 def _softmax_rows_unfused(x):
-    """The softmax node as it was before it shared code: out of place."""
+    """The row softmax as its own node, out of place, as the decoder ran it
+    before ``tensor.attention``."""
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)

@@ -77,13 +77,15 @@ def _op_cases(rng):
     w2 = rng.normal(size=(4, 2))
     bw2 = rng.normal(size=2)
     s3 = rng.normal(size=(2, 2, 3))
-    u3 = rng.normal(size=(2, 2, 3))
+    q4 = rng.normal(size=(4, 4))
+    kv = rng.normal(size=(2, 12, 4))  # three groups of two 2-row clips
+    y4 = T.Tensor(rng.normal(size=(4, 4)))
     m3 = rng.normal(size=(2, 3, 2))
     cases = [
         ("add", (a, b), lambda x, y: T.sum_all(T.add(x, y))),
         ("sub", (a, b), lambda x, y: T.sum_all(T.mul(T.sub(x, y), T.sub(x, y)))),
         ("mul", (a, b), lambda x, y: T.sum_all(T.mul(x, y))),
-        ("scale_neg", (a,), lambda x: T.sum_all(T.neg(T.scale(x, 1.7)))),
+        ("scale", (a,), lambda x: T.sum_all(T.scale(x, -1.7))),
         ("matmul", (a, m), lambda x, y: T.sum_all(T.matmul(x, y))),
         ("matmul_stacked", (s3, m3), lambda x, y: T.sum_all(T.mul(T.matmul(x, y), T.matmul(x, y)))),
         ("transpose", (a,), lambda x: T.sum_all(T.mul(T.transpose(x), T.transpose(x)))),
@@ -100,8 +102,9 @@ def _op_cases(rng):
         ("concat_axis0", (a, b), lambda x, y: T.sum_all(T.mul(T.concat([x, y], 0), T.concat([x, y], 0)))),
         ("concat_axis1", (a, b), lambda x, y: T.sum_all(T.mul(T.concat([x, y], 1), T.concat([x, y], 1)))),
         ("pick", (a,), lambda x: T.sum_all(T.pick(x, [0, 1], [2, 0]))),
-        ("softmax_rows", (a,), lambda x: T.sum_all(T.mul(T.softmax_rows(x), T.softmax_rows(x)))),
-        ("softmax_rows_stacked", (s3, u3), lambda x, y: T.sum_all(T.mul(T.softmax_rows(x), y))),
+        ("attention_self", (q4,), lambda x: T.sum_all(T.mul(*[T.attention(x, x, x, 2)[0]] * 2))),
+        ("attention_groups", (q4, kv[0], kv[1]),
+         lambda x, k, v: T.sum_all(T.mul(T.attention(x, k, v, 2, clips=2)[0], y4))),
         ("layer_norm", (a, gamma, beta), lambda x, g, c: T.sum_all(T.mul(T.layer_norm(x, g, c), T.layer_norm(x, g, c)))),
         ("linear_ffn", (a, w1, bw1, w2, bw2),
          lambda x, u1, c1, u2, c2: T.sum_all(T.mul(T.ffn(x, u1, c1, u2, c2), T.ffn(x, u1, c1, u2, c2)))),

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -379,6 +381,39 @@ def test_corpus_without_eval_split_exits_1_before_training(workspace,
     assert not out.exists()
 
 
+def test_tracklet_shorter_than_chunks_exits_1_before_training(workspace,
+                                                              capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    path = data_dir / "id000_t03_cam0.dilt"  # a gallery tracklet
+    short = read_tracklet(path)
+    write_tracklet(path, dataclasses.replace(short, frames=short.frames[:2]))
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "denseil: error: tracklet %d of identity %d has 2 frames, fewer than "
+        "sampling.chunks=4\n" % (short.tracklet_id, short.identity))
+    assert captured.out == ""  # no epoch trained
+
+
+def test_train_identity_past_num_identities_exits_1_before_training(
+        workspace, capsys):
+    tmp_path, cfg_path, _ = workspace
+    wide_cfg = tmp_path / "wide.json"
+    wide_cfg.write_text(json.dumps(micro_dict(data={"num_identities": 6})))
+    wide = tmp_path / "wide"
+    assert main(["gen-data", "--config", str(wide_cfg),
+                 "--out", str(wide)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--data", str(wide),
+                 "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "denseil: error: train tracklet 0 has identity 4, outside [0, 4) "
+        "set by data.num_identities\n")
+    assert captured.out == ""  # no epoch trained
+
+
 def test_checkpoint_undecodable_record_name_exits_3(workspace, capsys):
     tmp_path, cfg_path, data_dir = workspace
     run_dir = tmp_path / "run"
@@ -422,6 +457,42 @@ def test_malformed_checkpoint_records_exit_3(workspace, capsys):
         err = _exits_3_with_one_line(["eval", "--checkpoint", str(bad),
                                       "--data", str(data_dir)], capsys)
         assert repr(key) in err
+
+
+def test_checkpoint_read_under_another_decoder_wiring_exits_3(workspace,
+                                                              capsys):
+    # a checkpoint holds exactly the records of the model its config builds
+    tmp_path, _, data_dir = workspace
+    cfg_path = tmp_path / "three.json"
+    cfg_path.write_text(json.dumps(micro_dict(
+        epochs=1, encoder={"channels": [4, 8, 12]})))
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+
+    def copy_with(name, **decoder):
+        copy = tmp_path / name
+        shutil.copytree(run_dir, copy)
+        cfg = json.loads((copy / "config.json").read_text())
+        cfg["decoder"].update(decoder)
+        (copy / "config.json").write_text(json.dumps(cfg))
+        return copy / "final.dil1"
+
+    summed = copy_with("summed", fusion="summation")
+    err = _exits_3_with_one_line(["eval", "--checkpoint", str(summed),
+                                  "--data", str(data_dir)], capsys)
+    assert re.search(r"unexpected record 'decoder\.block1\.dense\.[a-z.]+'$",
+                     err)
+
+    last_only = copy_with("last_only", dense_sources=[3])
+    out_csv = tmp_path / "attn.csv"
+    err = _exits_3_with_one_line(
+        ["dump-attn", "--checkpoint", str(last_only), "--tracklet",
+         str(data_dir / "id000_t02_cam2.dilt"), "--out", str(out_csv)],
+        capsys)
+    assert re.search(r"unexpected record 'adapter\.block2\.w'$", err)
+    assert not out_csv.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -470,21 +541,36 @@ def test_non_finite_tracklet_exits_3_from_train_and_dump_attn(workspace,
     assert not out_csv.exists()
 
 
-def test_cli_training_is_byte_identical_across_processes(workspace):
-    # through ``python -m denseil.cli``, the path that pins BLAS threads
-    tmp_path, cfg_path, data_dir = workspace
+def _unpinned_env():
+    """This environment without the BLAS thread settings, with the package
+    on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(denseil.__file__)))
     env = {k: v for k, v in os.environ.items()
            if not k.endswith("_NUM_THREADS")
            and k != "VECLIB_MAXIMUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_cli_import_pins_blas_and_loads_no_numpy():
+    # tests/conftest.py pins BLAS for the suite by this import alone
+    subprocess.run([sys.executable, "-c",
+                    "import denseil.cli, os, sys; "
+                    "assert 'numpy' not in sys.modules; "
+                    "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'"],
+                   env=_unpinned_env(), check=True)
+
+
+def test_cli_training_is_byte_identical_across_processes(workspace):
+    # through ``python -m denseil.cli``, the path that pins BLAS threads
+    tmp_path, cfg_path, data_dir = workspace
     runs = [tmp_path / "a", tmp_path / "b"]
     for out in runs:
         subprocess.run([sys.executable, "-m", "denseil.cli", "train",
                         "--config", str(cfg_path), "--data", str(data_dir),
                         "--out", str(out)],
-                       env=env, check=True, capture_output=True)
+                       env=_unpinned_env(), check=True, capture_output=True)
     for name in ("final.dil1", "report.csv"):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 

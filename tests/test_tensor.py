@@ -12,59 +12,49 @@ def t(data, rg=False):
 # ---------------------------------------------------------------- softmax
 
 
+def softmax(x):
+    """Row softmax of a [rows, cols] array by ``T.attention``'s weights: one
+    head of width 1, one unit query per clip and one key per column, so
+    each score q·k is exactly the entry."""
+    rows, cols = x.shape
+    k = t(x.T.reshape(-1, 1))  # group-major: key g of clip r is x[r, g]
+    _, weights = T.attention(t(np.ones((rows, 1))), k, k, heads=1, clips=rows)
+    return weights.reshape(rows, cols)
+
+
 def test_softmax_uniform_logits():
-    out = T.softmax_rows(t([[0.0, 0.0, 0.0]]))
-    assert np.allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
+    out = softmax(np.array([[0.0, 0.0, 0.0]]))
+    assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_softmax_large_equal_logits_stable():
-    out = T.softmax_rows(t([[1000.0, 1000.0]]))
-    assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-12)
+    out = softmax(np.array([[1000.0, 1000.0]]))
+    assert np.allclose(out, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_softmax_log_integer_logits():
-    out = T.softmax_rows(t([[np.log(1.0), np.log(2.0), np.log(3.0)]]))
-    assert np.allclose(out.data, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-12)
+    out = softmax(np.log([[1.0, 2.0, 3.0]]))
+    assert np.allclose(out, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_at_huge_magnitude():
     rng = np.random.default_rng(0)
-    x = t(rng.uniform(-1e4, 1e4, size=(5, 7)))
-    out = T.softmax_rows(x)
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
-    assert np.all(out.data <= 1)
-    moderate = T.softmax_rows(t(rng.uniform(-5, 5, size=(5, 7))))
-    assert np.all(moderate.data > 0)
+    out = softmax(rng.uniform(-1e4, 1e4, size=(5, 7)))
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
+    assert np.all(out <= 1)
+    assert np.all(softmax(rng.uniform(-5, 5, size=(5, 7))) > 0)
 
 
 def test_softmax_rejects_non_2d():
     with pytest.raises(T.ShapeError):
-        T.softmax_rows(t([1.0, 2.0]))
+        T.attention(t([1.0, 2.0]), t([1.0, 2.0]), t([1.0, 2.0]), heads=1)
 
 
 def test_softmax_rejects_nan():
-    bad = T.Tensor(np.array([[1.0, 0.0]]))
-    bad.data[0, 0] = np.nan  # past the construction check
+    k = t([[1.0], [0.0]])
+    k.data[0, 0] = np.nan  # past the construction check
     with pytest.raises(T.NumericError):
-        T.softmax_rows(bad)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_softmax_rows_keeps_out_of_place_rounding(dtype):
-    # the in-place softmax the attention node shares must round as
-    # e = exp(x - max); e / sum(e) did, forward and backward
-    rng = np.random.default_rng(5)
-    for shape in ((1, 1), (3, 7), (2, 5, 33), (16, 4, 32, 128)):
-        x = (rng.normal(size=shape) * 4).astype(dtype)
-        g = rng.normal(size=shape).astype(dtype)
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        want = e / e.sum(axis=-1, keepdims=True)
-        want_dx = want * (g - (g * want).sum(axis=-1, keepdims=True))
-        leaf = T.Tensor(x, requires_grad=True)
-        out = T.softmax_rows(leaf)
-        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
-        assert out.data.tobytes() == want.tobytes()
-        assert leaf.grad.tobytes() == want_dx.tobytes()
+        T.attention(t([[1.0]]), k, k, heads=1)
 
 
 def test_finite_check_on_construction():
@@ -352,14 +342,6 @@ def test_gradcheck_relu_away_from_kink():
     gradcheck(lambda x: T.sum_all(T.relu(x)), [x])
 
 
-def test_gradcheck_softmax_pick():
-    rng = np.random.default_rng(14)
-    x = t(rng.uniform(-2, 2, (3, 5)))
-    rows = np.array([0, 1, 2])
-    cols = np.array([4, 0, 2])
-    gradcheck(lambda x: T.sum_all(T.log(T.pick(T.softmax_rows(x), rows, cols))), [x])
-
-
 def test_gradcheck_layer_norm():
     rng = np.random.default_rng(15)
     x = t(rng.uniform(-1, 1, (3, 6)))
@@ -456,11 +438,9 @@ def test_stacked_ops_match_per_slice_ops():
     with T.count_matmuls() as counter:
         prod = T.matmul(t(a), t(b))
     assert counter.macs == 3 * 2 * 4 * 5
-    soft = T.softmax_rows(t(a))
     mean = T.mean_rows(t(a))
     for i in range(3):
         assert np.allclose(prod.data[i], a[i] @ b[i], atol=1e-12)
-        assert np.allclose(soft.data[i], T.softmax_rows(t(a[i])).data, atol=1e-15)
         assert np.allclose(mean.data[i], a[i].mean(axis=0), atol=1e-15)
     assert np.array_equal(T.transpose(t(a), (2, 0, 1)).data,
                           np.transpose(a, (2, 0, 1)))
@@ -478,6 +458,6 @@ def test_determinism_same_input_bitwise():
     def run():
         out = T.ffn(T.layer_norm(t(x), t(np.ones(6)), t(np.zeros(6))),
                     t(w), t(np.zeros(6)), t(w.T.copy()), t(np.zeros(6)))
-        return T.softmax_rows(out).data.tobytes()
+        return T.attention(out, out, out, heads=2)[1].tobytes()
 
     assert run() == run()
