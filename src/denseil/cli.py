@@ -42,8 +42,6 @@ def build_parser():
     p = sub.add_parser("eval", help="score a checkpoint on the eval split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--allow-self-match", action="store_true",
-                   help="sanity mode: gallery = query set, no camera filter")
 
     p = sub.add_parser("ablate", help="sweep one axis, same seed and corpus")
     p.add_argument("--config", required=True)
@@ -105,8 +103,7 @@ def cmd_eval(args):
     cfg = _sibling_config(args.checkpoint)
     model = load_model(args.checkpoint, cfg)
     corpus = load_corpus(args.data)
-    rows = evaluate_model(model, cfg, corpus,
-                          self_match=args.allow_self_match)
+    rows = evaluate_model(model, cfg, corpus)
     print("metric,value")
     for name, value in rows:
         print("%s,%s" % (name, value))
@@ -131,6 +128,7 @@ def cmd_dump_attn(args):
     from .decoder import dump_attention
     from .harness import _check_frame_shape, eval_clip
     from .model import forward_batch, load_model
+    from .tensor import no_grad
     cfg = _sibling_config(args.checkpoint)
     dec = cfg.decoder
     for off, setting in ((dec.R == 0, "decoder.R is 0"),
@@ -144,8 +142,9 @@ def cmd_dump_attn(args):
     model = load_model(args.checkpoint, cfg)
     tracklet = read_tracklet(args.tracklet)
     _check_frame_shape(cfg, [tracklet])
-    _, _, dense_attn = forward_batch(model, eval_clip(cfg, tracklet),
-                                     training=False)
+    with no_grad():
+        _, _, dense_attn = forward_batch(model, eval_clip(cfg, tracklet),
+                                         training=False)
     source_ids = cfg.decoder.sources_for(cfg.encoder.num_blocks)
     rows = dump_attention(dense_attn, cfg.sampling.chunks, cfg.partitions,
                           source_ids, args.out)

@@ -143,18 +143,18 @@ def eval_clip(cfg: RunConfig, tracklet) -> np.ndarray:
 def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
     """The tracklets' fixed samples, embedded in eval mode: [N, d].
 
-    One forward pass per training batch of clips, so evaluation holds about
-    one training batch of activations. Eval batch norm uses running
-    statistics, so a row does not depend on its batch-mates beyond float
-    rounding. Only each batch's embeddings are kept: its graph goes before
-    the next batch is built.
+    One forward pass per training batch of clips, under ``tn.no_grad``: no
+    graph is built, so each activation is freed once the forward code drops
+    it. Eval batch norm uses running statistics, so a row does not depend
+    on its batch-mates beyond float rounding.
     """
     size = cfg.sampling.k_ids * cfg.sampling.t_per_id
     rows = []
     for start in range(0, len(tracklets), size):
         clips = np.concatenate([eval_clip(cfg, tr)
                                 for tr in tracklets[start:start + size]])
-        rows.append(forward_batch(model, clips, training=False)[1].data)
+        with tn.no_grad():
+            rows.append(forward_batch(model, clips, training=False)[1].data)
     return np.concatenate(rows)
 
 
@@ -163,30 +163,21 @@ def embed_tracklet(model: Model, cfg: RunConfig, tracklet) -> np.ndarray:
     return embed_tracklets(model, cfg, [tracklet])[0]
 
 
-def evaluate_model(model: Model, cfg: RunConfig, corpus: Corpus,
-                   self_match: bool = False):
-    """Metric rows for the held-out split.
-
-    ``self_match=True`` is the labeled sanity mode: the gallery is the query
-    set itself and camera filtering is off, so R-1 must be 1.0.
-    """
-    queries = corpus.query
-    galleries = queries if self_match else corpus.gallery
+def evaluate_model(model: Model, cfg: RunConfig, corpus: Corpus):
+    """Metric rows for the held-out split: each query ranked against the
+    gallery, same-camera matches left out."""
+    queries, galleries = corpus.query, corpus.gallery
     if not queries or not galleries:
         raise ValueError("corpus is missing an eval split")
     _check_frame_shape(cfg, queries + galleries)
-    if self_match:
-        q = g = embed_tracklets(model, cfg, queries)
-    else:
-        both = embed_tracklets(model, cfg, queries + galleries)
-        q, g = both[:len(queries)], both[len(queries):]
+    both = embed_tracklets(model, cfg, queries + galleries)
+    q, g = both[:len(queries)], both[len(queries):]
     table = EvalTable(pairwise_distances(q, g),
                       [tr.identity for tr in queries],
                       [tr.camera for tr in queries],
                       [tr.identity for tr in galleries],
                       [tr.camera for tr in galleries])
-    cmc, mean_ap, skipped = cmc_and_map(table, max_rank=20,
-                                        cross_camera=not self_match)
+    cmc, mean_ap, skipped = cmc_and_map(table, max_rank=20)
     return metrics_rows(cmc, mean_ap, skipped)
 
 

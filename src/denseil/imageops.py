@@ -95,18 +95,19 @@ class BNState:
     first training pass has no statistics to use and is an error.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, dtype=np.float64):
+    def __init__(self, channels: int, dtype=np.float64):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
         self.num_batches = 0
-        self.momentum = float(momentum)
 
     def update(self, mean, var):
-        m = self.momentum
+        m = MOMENTUM
         self.running_mean = (1.0 - m) * self.running_mean + m * mean
         self.running_var = (1.0 - m) * self.running_var + m * var
         self.num_batches += 1
 
+
+MOMENTUM = 0.1  # weight of each training batch in the running statistics
 
 # Elementwise passes run on [rows*C / W, W] views, W a multiple of C of up to
 # this many elements: numpy broadcasts a per-channel vector over [rows, C]

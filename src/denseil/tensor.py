@@ -30,7 +30,8 @@ class Tensor:
     """An n-d array plus the bookkeeping needed for reverse-mode autodiff.
 
     ``_backward`` maps the output gradient to one gradient per parent.
-    Leaves (inputs, parameters) have no parents.
+    Leaves (inputs, parameters) have no parents; inside ``no_grad`` every
+    new tensor is one.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -40,6 +41,8 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
+        if _no_grad:
+            _parents, _backward = (), None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
         self._parents = _parents
@@ -61,7 +64,7 @@ class Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul instrumentation
+# scopes: matmul instrumentation and no_grad
 
 _counters = []  # the open count_matmuls scopes, innermost last
 
@@ -76,6 +79,21 @@ def count_matmuls():
         yield counter
     finally:
         _counters.pop()
+
+
+_no_grad = []  # the open no_grad scopes
+
+
+@contextmanager
+def no_grad():
+    """Context manager in which ops build no graph: each result keeps no
+    parents and no backward closure, so it needs no gradient unless made
+    with ``requires_grad=True``. The arithmetic is unchanged; scopes nest."""
+    _no_grad.append(True)
+    try:
+        yield
+    finally:
+        _no_grad.pop()
 
 
 # ---------------------------------------------------------------------------

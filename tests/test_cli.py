@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import denseil
+from denseil import model, tensor
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
 from denseil.data import read_tracklet, write_tracklet
@@ -54,12 +56,6 @@ def test_train_eval_cycle(workspace, capsys):
     assert out[0] == "metric,value"
     assert out[1].startswith("mAP,")
 
-    assert main(["eval", "--checkpoint", str(run_dir / "final.dil1"),
-                 "--data", str(data_dir), "--allow-self-match"]) == 0
-    rows = dict(line.split(",") for line in
-                capsys.readouterr().out.splitlines()[1:])
-    assert rows["R-1"] == "1.0"
-
 
 def test_eval_without_sibling_config(workspace, tmp_path, capsys):
     _, cfg_path, data_dir = workspace
@@ -95,6 +91,35 @@ def test_dump_attn(workspace, capsys):
                         "key_frame,key_part,weight")
     # R=1 block, 2 heads, n=8 queries, sources {2} -> keys 2n=16
     assert len(lines) == 1 + 1 * 2 * 8 * 16
+
+
+def test_dump_attn_builds_no_graph_and_writes_the_same_bytes(workspace,
+                                                             monkeypatch):
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    forward = model.forward_batch
+    graphs = []  # per dump: did the forward pass build a graph?
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        graphs.append(bool(out[1]._parents))
+        return out
+
+    monkeypatch.setattr(model, "forward_batch", recording_forward)
+
+    def dump(name):
+        path = tmp_path / name
+        assert main(["dump-attn", "--checkpoint", str(run_dir / "final.dil1"),
+                     "--tracklet", str(data_dir / "id000_t02_cam2.dilt"),
+                     "--out", str(path)]) == 0
+        return path.read_bytes()
+
+    scoped = dump("scoped.csv")
+    monkeypatch.setattr(tensor, "no_grad", contextlib.nullcontext)
+    assert dump("graph.csv") == scoped
+    assert graphs == [False, True]
 
 
 def test_dump_attn_rejects_a_tracklet_of_another_frame_shape(workspace,
@@ -150,6 +175,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main([]) == 1
     assert main(["trian"]) == 1
     assert main(["train", "--config"]) == 1
+    assert main(["eval", "--checkpoint", "run/final.dil1", "--data", "data",
+                 "--allow-self-match"]) == 1
+    assert "--allow-self-match" in capsys.readouterr().err
     capsys.readouterr()
 
 

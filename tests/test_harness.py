@@ -15,7 +15,7 @@ from denseil.harness import (TrainingDiverged, _with_setting, ablate,
 from denseil.imageops import RunningStatsError
 from denseil.metrics import (EvalTable, cmc_and_map, metrics_rows,
                              pairwise_distances)
-from denseil.model import build_model
+from denseil.model import build_model, forward_batch
 from micro import micro_corpus, micro_run_config
 
 
@@ -105,14 +105,6 @@ def test_metric_rows_structure():
     assert 0.0 <= report.metric("mAP") <= 1.0
 
 
-def test_self_match_sanity_mode():
-    cfg = micro_run_config(epochs=1)
-    model, _ = train_run(cfg, micro_corpus())
-    rows = evaluate_model(model, cfg, micro_corpus(), self_match=True)
-    assert dict(rows)["R-1"] == 1.0
-    assert dict(rows)["mAP"] == 1.0
-
-
 def test_embed_tracklet_uses_a_fixed_sample():
     cfg = micro_run_config(epochs=1)
     model, _ = train_run(cfg, micro_corpus())
@@ -153,12 +145,10 @@ def test_batched_embeddings_match_one_at_a_time(dtype, tol):
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("self_match", [False, True])
-def test_evaluate_model_rows_match_per_tracklet_embeddings(dtype, self_match):
+def test_evaluate_model_rows_match_per_tracklet_embeddings(dtype):
     cfg, model = _trained_on_odd_split(dtype)
     corpus = micro_corpus(data=ODD_DATA)
-    queries = corpus.query
-    galleries = queries if self_match else corpus.gallery
+    queries, galleries = corpus.query, corpus.gallery
     q = np.stack([embed_tracklet(model, cfg, tr) for tr in queries])
     g = np.stack([embed_tracklet(model, cfg, tr) for tr in galleries])
     table = EvalTable(pairwise_distances(q, g),
@@ -166,10 +156,44 @@ def test_evaluate_model_rows_match_per_tracklet_embeddings(dtype, self_match):
                       [tr.camera for tr in queries],
                       [tr.identity for tr in galleries],
                       [tr.camera for tr in galleries])
-    expected = metrics_rows(*cmc_and_map(table, max_rank=20,
-                                         cross_camera=not self_match))
-    assert evaluate_model(model, cfg, corpus, self_match=self_match) \
-        == expected
+    expected = metrics_rows(*cmc_and_map(table, max_rank=20))
+    assert evaluate_model(model, cfg, corpus) == expected
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_embed_tracklets_matches_a_graph_building_forward_byte_for_byte(
+        dtype):
+    cfg, model = _trained_on_odd_split(dtype)
+    corpus = micro_corpus(data=ODD_DATA)
+    tracklets = corpus.query + corpus.gallery
+    size = cfg.sampling.k_ids * cfg.sampling.t_per_id
+    rows = []
+    for start in range(0, len(tracklets), size):
+        clips = np.concatenate([harness.eval_clip(cfg, tr)
+                                for tr in tracklets[start:start + size]])
+        _, normed, _ = forward_batch(model, clips, training=False)
+        assert normed._parents and normed.requires_grad  # a graph was built
+        rows.append(normed.data)
+    assert embed_tracklets(model, cfg, tracklets).tobytes() \
+        == np.concatenate(rows).tobytes()
+
+
+def test_embed_tracklets_builds_no_graph(monkeypatch):
+    cfg, model = _trained_on_odd_split("float32")
+    corpus = micro_corpus(data=ODD_DATA)
+    outputs = []
+
+    def keeping_forward(*args, **kwargs):
+        outputs.append(forward_batch(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(harness, "forward_batch", keeping_forward)
+    embed_tracklets(model, cfg, corpus.query + corpus.gallery)
+    assert len(outputs) == 3  # 10 tracklets in batches of 4
+    for logits, normed, _ in outputs:
+        for node in (logits, normed):
+            assert node._parents == () and node._backward is None
+            assert not node.requires_grad
 
 
 def test_last_training_graph_is_dropped_before_eval(monkeypatch):

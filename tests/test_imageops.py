@@ -115,7 +115,7 @@ def test_batchnorm_train_standardizes():
 
 def test_batchnorm_running_stats_converge():
     rng = np.random.default_rng(34)
-    st = im.BNState(2, momentum=0.5)
+    st = im.BNState(2)
     g, b = t(np.ones(2)), t(np.zeros(2))
     for _ in range(40):
         x = t(rng.normal(loc=[1.0, -2.0], scale=1.0, size=(64, 2)))

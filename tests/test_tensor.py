@@ -425,6 +425,74 @@ def test_matmul_counter_nests():
     assert outer.macs == 16
 
 
+def test_no_grad_ops_make_leaves_even_from_parameters():
+    rng = np.random.default_rng(22)
+    x = t(rng.normal(size=(4, 6)))
+    w = t(rng.normal(size=(6, 6)), rg=True)
+    g, b = t(np.ones(6), rg=True), t(np.zeros(6), rg=True)
+    with T.no_grad():
+        h = T.matmul(x, w)
+        outs = [h, T.add(h, b), T.layer_norm(h, g, b), T.ffn(x, w, b, w, b),
+                T.attention(h, h, h, heads=2)[0]]
+    for out in outs:
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+    assert T.matmul(x, w)._parents == (x, w)  # outside, a graph again
+
+
+def test_no_grad_scopes_nest():
+    a = t(np.ones((2, 2)), rg=True)
+    with T.no_grad():
+        with T.no_grad():
+            assert T.matmul(a, a)._parents == ()
+        assert T.matmul(a, a)._parents == ()  # the outer scope is still open
+    assert T.matmul(a, a)._parents == (a, a)
+
+
+def test_no_grad_closes_on_an_exception():
+    from denseil.harness import evaluate_model
+    from denseil.imageops import RunningStatsError
+    from denseil.model import build_model
+    from micro import micro_corpus, micro_run_config
+
+    cfg = micro_run_config()
+    with pytest.raises(RunningStatsError):  # raised inside embed's scope
+        evaluate_model(build_model(cfg), cfg, micro_corpus())
+    w = t(np.ones((2, 2)), rg=True)
+    loss = T.sum_all(T.matmul(t(np.ones((1, 2))), w))
+    assert loss._parents
+    T.backward(loss)
+    assert np.array_equal(w.grad, np.ones((2, 2)))
+
+
+def test_no_grad_keeps_an_explicit_trainable_leaf():
+    with T.no_grad():
+        w = t(np.full((2, 2), 3.0), rg=True)
+    assert w.requires_grad and w._parents == ()
+    T.backward(T.sum_all(T.mul(w, w)))
+    assert np.array_equal(w.grad, np.full((2, 2), 6.0))
+
+
+def test_no_grad_counts_the_same_macs_for_an_eval_forward():
+    from denseil import data as dt
+    from denseil import rng as drng
+    from denseil.model import build_model, forward_batch
+    from micro import micro_corpus, micro_run_config
+
+    cfg = micro_run_config()
+    model = build_model(cfg)
+    rng = drng.stream(cfg.seed, 5)
+    clips = np.stack([dt.restricted_sample(tr, cfg.sampling.chunks, rng)
+                      for tr in micro_corpus().train[:4]]).astype(cfg.np_dtype())
+    forward_batch(model, clips, training=True)  # batch-norm statistics
+    with T.count_matmuls() as graph:
+        forward_batch(model, clips, training=False)
+    with T.no_grad(), T.count_matmuls() as leaves:
+        out = forward_batch(model, clips, training=False)[1]
+    assert out._parents == ()
+    assert leaves.macs == graph.macs > 0
+
+
 def test_matmul_rejects_bad_shapes():
     with pytest.raises(T.ShapeError):
         T.matmul(t(np.zeros(3)), t(np.zeros((3, 2))))
