@@ -6,6 +6,7 @@ silently training with a default.
 
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -106,7 +107,7 @@ def _check_value(key, value, hint, default):
     """``value`` if its JSON type fits the field annotation ``hint``.
 
     A list (or tuple) of ints becomes a tuple, an int passes as a float, a
-    float must be finite, and None passes only where the default is None.
+    number must be finite as a float, and None only where the default is None.
     """
     if value is None and default is None:
         return None
@@ -118,7 +119,12 @@ def _check_value(key, value, hint, default):
     elif type(value) is float and hint is float:
         if math.isfinite(value):
             return value
-    elif type(value) is hint or (type(value), hint) == (int, float):
+    elif type(value) is int and hint in (int, float):
+        if abs(value) > sys.float_info.max:  # float(value) would overflow
+            raise ConfigError("%s must fit in a float, got an int of %d digits"
+                              % (key, len(str(abs(value)))))
+        return value
+    elif type(value) is hint:
         return value
     kind = "list of int" if typing.get_origin(hint) is tuple else hint.__name__
     raise ConfigError("%s must be %s, got %s" % (key, kind, json.dumps(value)))

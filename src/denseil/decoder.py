@@ -140,23 +140,21 @@ def decoder_forward(tokens: Tensor, pyramid_tokens, emb, cfg: DecoderConfig, par
     ``tokens`` is [B, n, d], the last encoder block's pooled tokens (also the
     decoder input); ``pyramid_tokens`` lists blocks 1..L-1's, same shape,
     or None for a block outside ``cfg.read_blocks``.
-    ``emb`` is the [n, d] ``step_emb`` table or None to disable positions.
+    ``emb`` is the [n, d] ``step_emb`` table, added to every clip's tokens.
     Inside the stack rows are [B*n, d]; only attention looks across a clip's
     rows. A block's weights are [B, heads, n, (S+1)*n], or None when it has
     no attention-fused interaction sub-layer. With R=0 each embedding is
     exactly the mean of its clip's input rows: no final norm applies.
     """
     clips, n, d = tokens.shape
-    if emb is not None and emb.shape[0] != n:
+    if emb.shape[0] != n:
         raise ShapeError("positional table has %d rows, tokens %d"
                          % (emb.shape[0], n))
     levels = list(pyramid_tokens) + [tokens]
     sources = [tn.reshape(levels[l - 1], (clips * n, d))
                for l in cfg.sources_for(len(levels))] if cfg.R else []
 
-    x = tokens
-    if emb is not None:
-        x = tn.add(x, Tensor(emb.astype(x.dtype)))
+    x = tn.add(tokens, Tensor(emb.astype(tokens.dtype)))
     x = tn.reshape(x, (clips * n, d))
 
     dense_attn = []

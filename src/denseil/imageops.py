@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import EPS, ShapeError, Tensor
 
 
 class RunningStatsError(RuntimeError):
@@ -152,7 +152,7 @@ def _batch_mean(total: np.ndarray, n: int) -> np.ndarray:
 
 
 def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-               training: bool, eps: float, relu: bool) -> Tensor:
+               training: bool, relu: bool) -> Tensor:
     # Channels are the last axis; statistics run over every other axis. The
     # reductions run on [rows, C] views in numpy's axis-0 order and every
     # elementwise pass on a wide view: each value rounds exactly as it does
@@ -173,7 +173,7 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
                 "batch norm eval requested before any training pass accumulated statistics")
         mu, var = state.running_mean, state.running_var
         xc = xw - np.tile(mu, k)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + EPS)
     xc *= np.tile(inv, k)
     xhat = xc
     out = xhat * np.tile(gamma.data, k)
@@ -215,7 +215,7 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
 
 
 def batchnorm_nchw(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-                   training: bool, eps: float = 1e-5, relu: bool = False) -> Tensor:
+                   training: bool, relu: bool = False) -> Tensor:
     """Per-channel batch norm over channels-last [N,H,W,C]; stats over (N,H,W).
 
     With ``relu`` the node also applies max(0, .) to its output, bit for bit
@@ -227,14 +227,14 @@ def batchnorm_nchw(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         raise ShapeError("batchnorm_nchw expects a 4-D tensor")
     if gamma.shape != (x.shape[3],) or beta.shape != (x.shape[3],):
         raise ShapeError("batchnorm_nchw: gamma/beta must match channel count")
-    return _batchnorm(x, gamma, beta, state, training, float(eps), relu)
+    return _batchnorm(x, gamma, beta, state, training, relu)
 
 
 def batchnorm_rows(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-                   training: bool, eps: float = 1e-5) -> Tensor:
+                   training: bool) -> Tensor:
     """Per-feature batch norm over [B,d]; stats over the batch axis."""
     if x.data.ndim != 2:
         raise ShapeError("batchnorm_rows expects a 2-D tensor")
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ShapeError("batchnorm_rows: gamma/beta must match feature count")
-    return _batchnorm(x, gamma, beta, state, training, float(eps), False)
+    return _batchnorm(x, gamma, beta, state, training, False)

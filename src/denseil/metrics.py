@@ -44,17 +44,13 @@ class EvalTable:
             raise ShapeError("gallery labels do not match distance columns")
 
 
-def cmc_and_map(table: EvalTable, max_rank: int = 20, cross_camera: bool = True):
-    """Returns (cmc[max_rank], mAP, skipped_queries), all queries at once.
-
-    ``cross_camera=False`` disables the same-camera filtering; that sanity
-    mode makes a shared query/gallery set score a trivial self-match R-1.
-    """
+def cmc_and_map(table: EvalTable, max_rank: int = 20):
+    """Returns (cmc[max_rank], mAP, skipped_queries), all queries at once."""
     # stable sort keeps lower gallery indices first on ties
     order = np.argsort(table.dist, axis=1, kind="stable")
     same = table.g_ids[order] == table.q_ids[:, None]
     drop = same & (table.g_cams[order] == table.q_cams[:, None])
-    kept = ~drop if cross_camera else np.ones_like(drop)
+    kept = ~drop
     match = same & kept
     matches = match.sum(axis=1)
     scored = matches > 0

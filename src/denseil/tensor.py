@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+EPS = 1e-5  # added to the variance by layer norm and batch norm
+
 
 class ShapeError(ValueError):
     """Operand shapes do not satisfy an op's contract."""
@@ -389,8 +391,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
     return Tensor(out, _parents=(q, k, v), _backward=back), attn
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization: gamma * (x - mean) / sqrt(var + eps) + beta."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row normalization: gamma * (x - mean) / sqrt(var + EPS) + beta."""
     if x.data.ndim != 2:
         raise ShapeError("layer_norm expects a 2-D tensor")
     d = x.shape[1]
@@ -398,12 +400,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError("layer_norm: zero feature width")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError("layer_norm: gamma/beta must have shape (%d,)" % d)
-    eps = float(eps)
-    if eps <= 0:
-        raise ShapeError("layer_norm: eps must be positive")
     # the variance in np.var's own arithmetic, reusing x - mu
     xc = x.data - x.data.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / d + EPS)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
 

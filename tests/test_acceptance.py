@@ -219,11 +219,12 @@ def _embed(cfg, I, P, params, tokens, pyr, emb):
 
 def test_criterion_03_permutation_property():
     cfg, I, P, params, tokens, pyr = _decoder_instance(31)
-    base = _embed(cfg, I, P, params, tokens, pyr, None)
+    zeros = np.zeros((I * P, cfg.d))
+    base = _embed(cfg, I, P, params, tokens, pyr, zeros)
     rng = np.random.default_rng(32)
     for _ in range(50):
         perm = rng.permutation(I * P)
-        got = _embed(cfg, I, P, params, tokens[perm], [x[perm] for x in pyr], None)
+        got = _embed(cfg, I, P, params, tokens[perm], [x[perm] for x in pyr], zeros)
         assert np.abs(got - base).max() <= 1e-8
 
     emb = posemb.step_emb(I, P, cfg.d)

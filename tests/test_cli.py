@@ -223,6 +223,10 @@ REMOVED_KEYS = [
     {"data": {"tracklets_per_identity": 1}},  # train, query and gallery
     {"data": {"tracklets_per_identity": 2}},
     {"decoder": {"fusion": "sum"}},  # not one of decoder.FUSIONS
+    # numbers too big for a float: train would overflow converting them
+    pytest.param({"optimizer": {"lr": 10 ** 400}}, id="lr=10**400"),
+    pytest.param({"loss": {"triplet_weight": 10 ** 400}},
+                 id="triplet_weight=10**400"),
 ] + REMOVED_KEYS, ids=json.dumps)
 def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
                                                        override):
@@ -240,6 +244,7 @@ def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
         assert err.count("\n") == 1 and "Traceback" not in err
         if override in REMOVED_KEYS:
             assert "unknown key %s" % key in err
+    assert not (tmp_path / "out").exists()  # no checkpoint, no epoch trained
 
 
 @pytest.mark.parametrize("sampling", [{"k_ids": 1}, {"t_per_id": 1}],

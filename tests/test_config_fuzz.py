@@ -22,7 +22,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6)
-EDGE_VALUES = (-1, 0, 1, 2 ** 64)
+EDGE_VALUES = (-1, 0, 1, 2 ** 64, 10 ** 400)
 EDGE_INTS = st.integers(-3, 3) | st.sampled_from(EDGE_VALUES)
 
 

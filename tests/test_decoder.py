@@ -165,13 +165,14 @@ def test_forward_r0_is_mean_of_tokens_plus_emb():
 def test_forward_permutation_invariant_without_positions():
     cfg = dec.DecoderConfig(R=2, d=8, heads=2)
     params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=71)
-    base, _ = dec.decoder_forward(tokens, pyr, None, cfg, params)
+    zeros = np.zeros((4, 8))
+    base, _ = dec.decoder_forward(tokens, pyr, zeros, cfg, params)
     rng = np.random.default_rng(72)
     for _ in range(5):
         perm = rng.permutation(4)
         tokens_p = t(tokens.data[:, perm])
         pyr_p = [t(m.data[:, perm]) for m in pyr]
-        out, _ = dec.decoder_forward(tokens_p, pyr_p, None, cfg, params)
+        out, _ = dec.decoder_forward(tokens_p, pyr_p, zeros, cfg, params)
         assert np.abs(out.data - base.data).max() <= 1e-8
 
 
@@ -249,7 +250,7 @@ def test_dense_sources_wiring():
 def test_transenc_ignores_sources_at_forward():
     cfg = dec.DecoderConfig(R=1, d=8, heads=2, dense_sources=())
     params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=77)
-    out, dense_attn = dec.decoder_forward(tokens, pyr, None, cfg, params)
+    out, dense_attn = dec.decoder_forward(tokens, pyr, np.zeros((4, 8)), cfg, params)
     assert dense_attn == [None]
     assert out.shape == (1, 8)
 

@@ -175,9 +175,9 @@ def test_self_match_sanity_mode():
     rng = np.random.default_rng(104)
     e = rng.normal(size=(5, 4))
     ids = np.arange(5)
-    cams = np.zeros(5, int)
-    table = metrics.EvalTable(metrics.pairwise_distances(e, e), ids, cams, ids, cams)
-    cmc, _, _ = metrics.cmc_and_map(table, max_rank=3, cross_camera=False)
+    table = metrics.EvalTable(metrics.pairwise_distances(e, e), ids,
+                              np.zeros(5, int), ids, np.ones(5, int))
+    cmc, _, _ = metrics.cmc_and_map(table, max_rank=3)
     assert cmc[0] == 1.0
 
 
