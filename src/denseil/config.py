@@ -46,13 +46,10 @@ class LossConfig:
 @dataclass(frozen=True)
 class OptimConfig:
     lr: float = 3e-3
-    decay_interval: int = 20
 
     def __post_init__(self):
         if self.lr < 0:
             raise ConfigError("optimizer.lr must be nonnegative")
-        if self.decay_interval < 0:
-            raise ConfigError("optimizer.decay_interval must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -103,11 +100,20 @@ class RunConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
+def _fits_float(key, value: int) -> int:
+    """``value``, unless float(value) would overflow."""
+    if abs(value) > sys.float_info.max:
+        raise ConfigError("%s must fit in a float, got an int of %d digits"
+                          % (key, len(str(abs(value)))))
+    return value
+
+
 def _check_value(key, value, hint, default):
     """``value`` if its JSON type fits the field annotation ``hint``.
 
     A list (or tuple) of ints becomes a tuple, an int passes as a float, a
-    number must be finite as a float, and None only where the default is None.
+    number (list elements too) must be finite as a float, and None only
+    where the default is None.
     """
     if value is None and default is None:
         return None
@@ -115,15 +121,12 @@ def _check_value(key, value, hint, default):
         hint = typing.get_args(hint)[0]
     if typing.get_origin(hint) is tuple:
         if type(value) in (list, tuple) and all(type(v) is int for v in value):
-            return tuple(value)
+            return tuple(_fits_float(key, v) for v in value)
     elif type(value) is float and hint is float:
         if math.isfinite(value):
             return value
     elif type(value) is int and hint in (int, float):
-        if abs(value) > sys.float_info.max:  # float(value) would overflow
-            raise ConfigError("%s must fit in a float, got an int of %d digits"
-                              % (key, len(str(abs(value)))))
-        return value
+        return _fits_float(key, value)
     elif type(value) is hint:
         return value
     kind = "list of int" if typing.get_origin(hint) is tuple else hint.__name__

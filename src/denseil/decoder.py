@@ -263,8 +263,6 @@ def dump_attention(dense_attn, I: int, P: int, source_ids, path) -> int:
         out.writerow(["block", "head", "query_frame", "query_part",
                       "key_source", "key_frame", "key_part", "weight"])
         for b, weights in enumerate(dense_attn, start=1):
-            if weights is None:
-                continue
             for (h, qi, ki), w in np.ndenumerate(weights[0]):
                 qf, qp = idx[qi]
                 kf, kp = idx[ki % n]

@@ -65,7 +65,9 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
 
     Each step: sample a K-identity batch, draw one frame per chunk from
     every tracklet, run the full stack, apply identity plus hard-mined
-    ranking losses, step Adam. A non-finite loss aborts the run.
+    ranking losses, step Adam. A non-finite loss aborts the run. With an
+    ``outdir``, it is created and given config.json before the first epoch,
+    so every snapshot in it can be loaded even if the run dies later.
     """
     t0 = time.perf_counter()
     for split, tracklets in corpus.splits():
@@ -79,13 +81,16 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
                 "data.num_identities" % (tr.tracklet_id, tr.identity,
                                          cfg.data.num_identities))
     model = build_model(cfg)
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+        write_run_config(cfg, os.path.join(outdir, "config.json"))
     opt = Adam(model.params)
     sampler = stream(cfg.seed, SAMPLER_STREAM)
     dtype = cfg.np_dtype()
     epoch_rows = []
     step = 0
     for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg.optimizer.lr, cfg.optimizer.decay_interval)
+        lr = lr_at(epoch, cfg.optimizer.lr)
         ce_sum = tri_sum = 0.0
         batches = 0
         for batch in pk_batches(corpus.train, cfg.sampling.k_ids,
@@ -127,7 +132,7 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
     report = RunReport(epoch_rows, metric_rows, decoder_flops(cfg),
                        time.perf_counter() - t0)
     if outdir:
-        write_run_artifacts(outdir, cfg, model, report)
+        write_run_artifacts(outdir, model, report)
     return model, report
 
 
@@ -235,10 +240,7 @@ def ablate(cfg: RunConfig, axis: str, corpus: Corpus, outdir=None, log=None):
                 for value in _axis_values(axis, cfg)]
     rows = []
     for label, run_cfg in settings:
-        sub = None
-        if outdir:
-            sub = os.path.join(outdir, "%s_%s" % (axis, label))
-            os.makedirs(sub, exist_ok=True)
+        sub = os.path.join(outdir, "%s_%s" % (axis, label)) if outdir else None
         if log:
             log("== %s = %s" % (axis, label))
         _, report = train_run(run_cfg, corpus, outdir=sub, log=log)
@@ -263,14 +265,12 @@ def ablate(cfg: RunConfig, axis: str, corpus: Corpus, outdir=None, log=None):
 # artifacts
 
 
-def write_run_artifacts(outdir, cfg: RunConfig, model: Model,
-                        report: RunReport):
-    """config.json + final.dil1 + report.csv + summary.json.
+def write_run_artifacts(outdir, model: Model, report: RunReport):
+    """final.dil1 + report.csv + summary.json, into the ``outdir`` that
+    ``train_run`` made.
 
     Everything except the wall clock is a pure function of (config, seed).
     """
-    os.makedirs(outdir, exist_ok=True)
-    write_run_config(cfg, os.path.join(outdir, "config.json"))
     save_model(os.path.join(outdir, "final.dil1"), model)
     with open(os.path.join(outdir, "report.csv"), "w", newline="") as f:
         out = csv.writer(f)

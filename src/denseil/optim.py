@@ -3,6 +3,7 @@
 import numpy as np
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma and Ba's defaults
+DECAY_INTERVAL = 20  # epochs per tenfold learning-rate cut
 
 
 class Adam:
@@ -43,8 +44,6 @@ class Adam:
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
-def lr_at(epoch: int, lr0: float, decay_interval: int) -> float:
-    """lr0 divided by 10 once per completed interval."""
-    if decay_interval <= 0:
-        return float(lr0)
-    return float(lr0) / 10.0 ** (epoch // decay_interval)
+def lr_at(epoch: int, lr0: float) -> float:
+    """lr0 divided by 10 once per completed ``DECAY_INTERVAL`` epochs."""
+    return float(lr0) / 10.0 ** (epoch // DECAY_INTERVAL)

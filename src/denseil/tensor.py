@@ -25,7 +25,7 @@ class NumericError(ArithmeticError):
 
 
 class GraphError(RuntimeError):
-    """Misuse of the computation graph (non-scalar backward, cycle)."""
+    """Misuse of the computation graph (non-scalar loss, misshapen gradient)."""
 
 
 class Tensor:
@@ -138,27 +138,23 @@ def backward(loss: Tensor) -> None:
 
 
 def _toposort(root: Tensor):
-    # Iterative DFS; gray/black marks double as the cycle check.
-    GRAY, BLACK = 0, 1
-    state = {}
+    # Iterative post-order DFS. The graph is acyclic: ``_parents`` is set
+    # only in ``Tensor.__init__``, from tensors that already exist.
+    seen = set()
     order = []
     stack = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
-            state[id(node)] = BLACK
             order.append(node)
             continue
-        mark = state.get(id(node))
-        if mark == BLACK:
+        if id(node) in seen:
             continue
-        if mark == GRAY:
-            raise GraphError("cycle detected in computation graph")
-        state[id(node)] = GRAY
+        seen.add(id(node))
         stack.append((node, True))
         if node.requires_grad:
             for parent in node._parents:
-                if state.get(id(parent)) != BLACK:
+                if id(parent) not in seen:
                     stack.append((parent, False))
     return order
 

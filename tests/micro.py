@@ -18,7 +18,7 @@ MICRO = {
     "encoder": {"channels": [6, 12]},
     "decoder": {"R": 1, "d": 12, "heads": 2},
     "sampling": {"chunks": 4, "k_ids": 2, "t_per_id": 2},
-    "optimizer": {"lr": 1e-3, "decay_interval": 1},
+    "optimizer": {"lr": 1e-3},
 }
 
 

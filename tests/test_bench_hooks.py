@@ -6,9 +6,10 @@ benchmark while every other test passes. This installs the tracer, records
 one micro training step through the patched names, and checks the identity
 behind the benchmark's ``flops.matmul_macs_unexplained``: every forward
 matmul of a step is an adapter, the decoder stack, the classifier or the
-triplet loss's Gram matrix. It also loads each workload's config from
-perfbench/workloads.py, so deleting a config key that a workload sets
-fails here too.
+triplet loss's Gram matrix, both directly and through perfbench/run.py's
+``layer_summary``, which reads config keys of its own under ``--trace 1``.
+It also loads each workload's config from perfbench/workloads.py, so
+deleting a config key that a workload sets fails here too.
 """
 
 import os
@@ -26,6 +27,7 @@ from micro import micro_corpus, micro_run_config
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 from tracing import Tracer  # noqa: E402
+import run as bench_run  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -73,6 +75,14 @@ def test_traced_step_matmul_macs_match_flops():
                      "optim.adam", "tensor.backward"):
             assert tracer.calls[span] == 1, (decoder, span)
         assert tracer.layer_metrics(1)["tensor.nodes_per_step"] > 0
+        # the one step as a one-round traced run, timings left at 1 s
+        run = workloads.Run("train_desk", cfg.seed, True, tracer=tracer,
+                            rounds=[workloads.Round(op_s=[1.0],
+                                                    traced_op_s=[1.0],
+                                                    ref_s=[1.0])],
+                            cfg=cfg, clips_per_op=b)
+        layers, _ = bench_run.layer_summary(run)
+        assert layers["flops.matmul_macs_unexplained"] == 0, decoder
 
 
 def test_workload_configs_load():

@@ -57,6 +57,23 @@ def test_train_eval_cycle(workspace, capsys):
     assert out[1].startswith("mAP,")
 
 
+def test_train_snapshots_into_a_fresh_out_dir_then_eval_one(workspace,
+                                                            capsys):
+    tmp_path, _, data_dir = workspace
+    cfg_path = tmp_path / "snap.json"
+    cfg_path.write_text(json.dumps(micro_dict(epochs=2,
+                                              checkpoint_interval=1)))
+    run_dir = tmp_path / "new" / "run"  # train creates both levels
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    assert (run_dir / "epoch_001.dil1").exists()
+    assert not (run_dir / "epoch_002.dil1").exists()  # that one is final
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "epoch_001.dil1"),
+                 "--data", str(data_dir)]) == 0
+    assert capsys.readouterr().out.startswith("metric,value\nmAP,")
+
+
 def test_eval_without_sibling_config(workspace, tmp_path, capsys):
     _, cfg_path, data_dir = workspace
     orphan = tmp_path / "orphan.dil1"
@@ -204,6 +221,17 @@ REMOVED_KEYS = [
     {"optimizer": {"beta2": 0.999}},
     {"optimizer": {"eps": 1e-8}},
     {"optimizer": {"decay_factor": 0}},  # lr_at divides by 10
+    {"optimizer": {"decay_interval": 20}},  # optim.DECAY_INTERVAL
+]
+
+# numbers too big for a float: train would overflow converting them, or
+# try to allocate them
+TOO_BIG = [
+    pytest.param({"optimizer": {"lr": 10 ** 400}}, id="lr=10**400"),
+    pytest.param({"loss": {"triplet_weight": 10 ** 400}},
+                 id="triplet_weight=10**400"),
+    pytest.param({"encoder": {"channels": [8, 10 ** 400]}},
+                 id="channels=[8, 10**400]"),
 ]
 
 
@@ -223,11 +251,7 @@ REMOVED_KEYS = [
     {"data": {"tracklets_per_identity": 1}},  # train, query and gallery
     {"data": {"tracklets_per_identity": 2}},
     {"decoder": {"fusion": "sum"}},  # not one of decoder.FUSIONS
-    # numbers too big for a float: train would overflow converting them
-    pytest.param({"optimizer": {"lr": 10 ** 400}}, id="lr=10**400"),
-    pytest.param({"loss": {"triplet_weight": 10 ** 400}},
-                 id="triplet_weight=10**400"),
-] + REMOVED_KEYS, ids=json.dumps)
+] + TOO_BIG + REMOVED_KEYS, ids=json.dumps)
 def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
                                                        override):
     tmp_path, _, data_dir = workspace
@@ -244,6 +268,8 @@ def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
         assert err.count("\n") == 1 and "Traceback" not in err
         if override in REMOVED_KEYS:
             assert "unknown key %s" % key in err
+        if override in [p.values[0] for p in TOO_BIG]:
+            assert "%s must fit in a float" % key in err
     assert not (tmp_path / "out").exists()  # no checkpoint, no epoch trained
 
 

@@ -25,7 +25,6 @@ def test_empty_dict_gives_desk_defaults():
     assert cfg.sampling.k_ids == 8
     assert cfg.sampling.t_per_id == 2
     assert cfg.optimizer.lr == 3e-3
-    assert cfg.optimizer.decay_interval == 20
     assert cfg.loss.triplet_weight == 1.0
 
 
@@ -136,7 +135,7 @@ def test_readme_configuration_names_every_settable_key():
     assert sorted(bullets) == sorted(
         f.name for f in dataclasses.fields(RunConfig)
         if dataclasses.is_dataclass(f.type))
-    assert settable == 27
+    assert settable == 26
 
 
 def test_readme_configuration_defaults_load_as_the_defaults():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from denseil import harness
+from denseil.checkpoint import load_checkpoint
 from denseil.config import ConfigError
 from denseil.harness import (TrainingDiverged, _with_setting, ablate,
                              embed_tracklet, embed_tracklets, evaluate_model,
@@ -49,7 +50,7 @@ def test_ce_only_two_identities_improves():
         data={"num_identities": 2},
         sampling={"k_ids": 2},
         loss={"triplet_weight": 0.0},
-        optimizer={"lr": 3e-3, "decay_interval": 100})
+        optimizer={"lr": 3e-3})
     _, report = train_run(cfg, micro_corpus(data={"num_identities": 2}))
     assert report.epoch_rows[-1][1] < report.epoch_rows[0][1]
 
@@ -304,6 +305,27 @@ def test_ablate_dense_sources_values(tmp_path):
     cfg = micro_run_config(epochs=1)
     rows = ablate(cfg, "dense_sources", micro_corpus())
     assert [r[0] for r in rows] == ["2", "1+2"]
+
+
+def test_ablate_over_variant(tmp_path):
+    # three blocks, so TransDec (3,) and DenseIL (2, 3) read different sets
+    cfg = micro_run_config(epochs=1, encoder={"channels": [4, 6, 8]})
+    rows = ablate(cfg, "variant", micro_corpus(), outdir=tmp_path)
+    assert [r[0] for r in rows] == ["TransEnc", "TransDec", "DenseIL"]
+    flops = [r[6] for r in rows]
+    assert flops[0] < flops[1] < flops[2]  # each reads one more source
+    table = (tmp_path / "ablation_variant.csv").read_text().splitlines()
+    assert table[0] == "variant,mAP,R-1,R-5,R-10,R-20,decoder_flops"
+    assert [line.split(",")[0] for line in table[1:]] == [r[0] for r in rows]
+    dense = [any(".dense." in name for name in load_checkpoint(
+        tmp_path / ("variant_" + r[0]) / "final.dil1")) for r in rows]
+    assert dense == [False, True, True]  # TransEnc has no interaction
+
+
+def test_ablate_over_d_sets_each_width():
+    cfg = micro_run_config()
+    assert [_with_setting(cfg, "d", value).decoder.d
+            for value in harness._axis_values("d", cfg)] == [32, 64, 128]
 
 
 def test_with_setting_changes_one_knob():

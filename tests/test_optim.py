@@ -1,7 +1,7 @@
 import numpy as np
 
 from denseil import tensor as tn
-from denseil.optim import Adam, lr_at
+from denseil.optim import DECAY_INTERVAL, Adam, lr_at
 from denseil.tensor import Tensor
 
 
@@ -78,9 +78,9 @@ def test_float32_params_stay_float32():
 
 
 def test_lr_schedule_decays_by_factor_per_interval():
-    assert lr_at(0, 3e-3, 20) == 3e-3
-    assert lr_at(19, 3e-3, 20) == 3e-3
-    assert abs(lr_at(20, 3e-3, 20) - 3e-4) < 1e-18
-    assert abs(lr_at(45, 3e-3, 20) - 3e-5) < 1e-19
-    assert abs(lr_at(10, 1.0, 5) - 0.01) < 1e-15
-    assert lr_at(1000, 0.1, 0) == 0.1  # no decay when interval is 0
+    assert DECAY_INTERVAL == 20
+    assert lr_at(0, 3e-3) == 3e-3
+    assert lr_at(19, 3e-3) == 3e-3
+    assert abs(lr_at(20, 3e-3) - 3e-4) < 1e-18
+    assert abs(lr_at(45, 3e-3) - 3e-5) < 1e-19
+    assert abs(lr_at(100, 1.0) - 1e-5) < 1e-20
