@@ -13,9 +13,11 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .data import SynthConfig
+from .data import CHANNELS, SynthConfig
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
+
+MAX_PARAMS = 10 ** 9  # the most parameters a loadable config's model may have
 
 
 class ConfigError(ValueError):
@@ -95,6 +97,29 @@ class RunConfig:
             if self.loss.triplet_weight > 0 and getattr(self.sampling, name) < 2:
                 raise ConfigError("sampling.%s must be at least 2 while "
                                   "loss.triplet_weight > 0" % name)
+        params = self.num_params()
+        if params > MAX_PARAMS:
+            raise ConfigError("the model would have %d parameters, more than "
+                              "the limit of %d" % (params, MAX_PARAMS))
+
+    def num_params(self) -> int:
+        """The parameter count of ``model.build_model(self)``, from the
+        shapes alone, so that a config too large to build fails at load."""
+        dec = self.decoder
+        d, L = dec.d, self.encoder.num_blocks
+        total, cin = 0, CHANNELS
+        for c in self.encoder.channels:  # two 3x3 convs, each with a norm
+            total += 9 * c * (cin + c) + 4 * c
+            cin = c
+        total += d * sum(self.encoder.channels[l - 1]
+                         for l in dec.read_blocks(L))  # adapters
+        S = len(dec.sources_for(L))
+        attn = 4 * d * d + 2 * d  # q, k, v and output maps plus a norm
+        dense = {"attention": attn, "summation": 0,
+                 "concatenation": (S + 1) * d * d}[dec.fusion] if S else 0
+        ffn = 2 * d * d + 4 * d
+        total += dec.R * (attn + dense + ffn) + (2 * d if dec.R else 0)
+        return total + d * self.data.num_identities + 2 * d  # the head
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import EPS, ShapeError, Tensor
+from .tensor import EPS, ShapeError, Tensor, array_mean
 
 
 class RunningStatsError(RuntimeError):
@@ -43,10 +43,7 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
     padded = (n, h + 2 * ph, wd + 2 * pw, c)
     xp = np.zeros(padded, dtype=x.data.dtype)
     xp[:, ph:ph + h, pw:pw + wd] = x.data
-    sn, sh, sw, sc = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, ho, wo, kh, kw * c), (sn, stride * sh, stride * sw, sh, sc))
-    cols = win.reshape(n * ho * wo, kh * kw * c)
+    cols = _windows(xp, ho, wo, kh, kw, stride).reshape(n * ho * wo, kh * kw * c)
     wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * c)
     out = cols @ wmat.T
     if bias is not None:
@@ -77,6 +74,15 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
 
     parents = (x, w) if bias is None else (x, w, bias)
     return Tensor(out, _parents=parents, _backward=back)
+
+
+def _windows(xp: np.ndarray, ho: int, wo: int, kh: int, kw: int, stride: int):
+    """The [n, ho, wo, kh, kw*C] view of the C-contiguous padded input
+    ``xp`` whose entry (o, i) is the kw*C run that output o's window reads
+    in its row i. ``as_strided``'s view, made by the ndarray constructor."""
+    sn, sh, sw, sc = xp.strides
+    return np.ndarray((xp.shape[0], ho, wo, kh, kw * xp.shape[3]), xp.dtype,
+                      xp, 0, (sn, stride * sh, stride * sw, sh, sc))
 
 
 def _tap_range(offset: int, stride: int, out_len: int, in_len: int):
@@ -119,7 +125,7 @@ def _widen(a: np.ndarray, c: int):
     """``a`` with the [rows, c] rows it holds packed k to a row, and k.
 
     k is the largest power of two that divides the row count with k*c at
-    most ``_WIDE``; per-channel vectors are ``np.tile``d k times to match.
+    most ``_WIDE``; per-channel vectors are ``_tile``d k times to match.
     Elementwise results do not depend on the layout.
     """
     rows = a.size // c
@@ -140,15 +146,15 @@ def _colsum(a: np.ndarray, c: int) -> np.ndarray:
     """
     a2 = a.reshape(-1, c)
     if c == 1 or not a2.flags.c_contiguous:
-        return a2.sum(axis=0)
+        return np.add.reduce(a2, axis=0)
     return np.einsum("ij->j", a2)
 
 
-def _batch_mean(total: np.ndarray, n: int) -> np.ndarray:
-    """A per-channel sum over n rows divided as ``np.mean`` and ``np.var``
-    divide it: by an intp count, rounded to the sum's dtype."""
-    return np.true_divide(total, np.intp(n), out=np.empty_like(total),
-                          casting="unsafe")
+def _tile(v: np.ndarray, k: int) -> np.ndarray:
+    """``np.tile(v, k)`` for a 1-D ``v``: a new array holding k copies."""
+    out = np.empty((k, v.shape[0]), dtype=v.dtype)
+    out[...] = v
+    return out.reshape(-1)
 
 
 def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
@@ -159,12 +165,13 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     # in np.mean / np.var and the unfused composition with tensor.relu.
     c = gamma.shape[0]
     n = x.data.size // c
+    stat_axes = tuple(range(x.data.ndim - 1))  # every axis but the channels
     xw, k = _widen(x.data, c)
     if training:
-        mu = _batch_mean(_colsum(x.data, c), n)
-        xc = xw - np.tile(mu, k)
+        mu = array_mean(x.data, stat_axes, total=_colsum(x.data, c))
+        xc = xw - _tile(mu, k)
         sq = np.square(xc)
-        var = _batch_mean(_colsum(sq, c), n)
+        var = array_mean(x.data, stat_axes, total=_colsum(sq, c))
         del sq
         state.update(mu, var)
     else:
@@ -172,12 +179,12 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
             raise RunningStatsError(
                 "batch norm eval requested before any training pass accumulated statistics")
         mu, var = state.running_mean, state.running_var
-        xc = xw - np.tile(mu, k)
+        xc = xw - _tile(mu, k)
     inv = 1.0 / np.sqrt(var + EPS)
-    xc *= np.tile(inv, k)
+    xc *= _tile(inv, k)
     xhat = xc
-    out = xhat * np.tile(gamma.data, k)
-    out += np.tile(beta.data, k)
+    out = xhat * _tile(gamma.data, k)
+    out += _tile(beta.data, k)
     mask = None
     if relu:
         # out * mask, not np.where: a non-finite value stays non-finite for
@@ -204,11 +211,11 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         if training:
             # batch statistics depend on x, so the mean terms flow back too:
             # dx = scale * (g - mean(g) - xhat * dgamma / n)
-            gw -= np.tile(_batch_mean(dbeta, n), k)
-            np.multiply(xhat, np.tile(dgamma, k), out=prod)
+            gw -= _tile(array_mean(x.data, stat_axes, total=dbeta), k)
+            np.multiply(xhat, _tile(dgamma, k), out=prod)
             prod /= n
             gw -= prod
-        gw *= np.tile(gamma.data * inv, k)
+        gw *= _tile(gamma.data * inv, k)
         return dx, dgamma, dbeta
 
     return Tensor(out.reshape(x.shape), _parents=(x, gamma, beta), _backward=back)

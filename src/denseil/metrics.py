@@ -25,7 +25,8 @@ def pairwise_distances(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     if queries.ndim != 2 or gallery.ndim != 2 or queries.shape[1] != gallery.shape[1]:
         raise ShapeError("queries %s and gallery %s must share width"
                          % (queries.shape, gallery.shape))
-    sq = (queries ** 2).sum(axis=1)[:, None] + (gallery ** 2).sum(axis=1)[None, :]
+    sq = (np.add.reduce(queries ** 2, axis=1)[:, None]
+          + np.add.reduce(gallery ** 2, axis=1)[None, :])
     s = sq - 2.0 * (queries @ gallery.T)
     return np.sqrt(np.maximum(s, 0.0))
 
@@ -47,24 +48,26 @@ class EvalTable:
 def cmc_and_map(table: EvalTable, max_rank: int = 20):
     """Returns (cmc[max_rank], mAP, skipped_queries), all queries at once."""
     # stable sort keeps lower gallery indices first on ties
-    order = np.argsort(table.dist, axis=1, kind="stable")
+    order = table.dist.argsort(axis=1, kind="stable")
     same = table.g_ids[order] == table.q_ids[:, None]
     drop = same & (table.g_cams[order] == table.q_cams[:, None])
     kept = ~drop
     match = same & kept
-    matches = match.sum(axis=1)
+    matches = np.add.reduce(match, axis=1)
     scored = matches > 0
-    valid = int(scored.sum())
+    valid = int(np.add.reduce(scored))
     if valid == 0:
         raise EvalTableError("every query lost all valid gallery matches")
-    rank = np.cumsum(kept, axis=1)  # 1-based rank among the kept entries
-    first = np.take_along_axis(rank, match.argmax(axis=1)[:, None], 1)[scored, 0]
-    hits = (first[:, None] <= np.arange(1, max_rank + 1)).sum(axis=0)
+    # cumsum of a bool array counts; np.add.accumulate would OR
+    rank = kept.cumsum(axis=1)  # 1-based rank among the kept entries
+    first = rank[np.arange(len(rank)), match.argmax(axis=1)][scored]
+    hits = np.add.reduce(first[:, None] <= np.arange(1, max_rank + 1), axis=0)
     # precision at each match, else 0; cumsum adds them in rank order
-    precision = np.divide(np.cumsum(match, axis=1), rank,
+    precision = np.divide(match.cumsum(axis=1), rank,
                           out=np.zeros(rank.shape), where=match)
-    aps = np.cumsum(precision, axis=1)[scored, -1] / matches[scored]
-    return hits / valid, float(np.mean(aps)), len(scored) - valid
+    aps = precision.cumsum(axis=1)[scored, -1] / matches[scored]
+    # np.mean's arithmetic: the sum, then one division by the count
+    return hits / valid, float(np.add.reduce(aps) / len(aps)), len(scored) - valid
 
 
 def metrics_rows(cmc: np.ndarray, mean_ap: float, skipped: int):

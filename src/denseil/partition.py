@@ -7,9 +7,11 @@ frame-major: row (i-1)*P + (p-1) belongs to frame i, partition p (1-based).
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
-from .tensor import ShapeError, Tensor, matmul, reshape
+from .tensor import ShapeError, Tensor, array_mean, matmul, reshape
 
 
 def band_heights(H: int, P: int):
@@ -33,10 +35,11 @@ def ppool(block: Tensor, P: int) -> Tensor:
         raise ShapeError("ppool expects a 4-D block")
     n, h, w, c = block.shape
     heights = band_heights(h, P)
-    starts = np.concatenate([[0], np.cumsum(heights)])
-    bands = [block.data[:, starts[b]:starts[b + 1]].mean(axis=(1, 2))
-             for b in range(P)]
-    out = np.stack(bands, axis=1).reshape(n * P, c)
+    starts = [0, *accumulate(heights)]
+    out = np.empty((n, P, c), dtype=block.data.dtype)
+    for b in range(P):
+        out[:, b] = array_mean(block.data[:, starts[b]:starts[b + 1]], (1, 2))
+    out = out.reshape(n * P, c)
 
     def back(g):
         g3 = g.reshape(n, P, c)

@@ -8,7 +8,9 @@ build, so identical inputs give bit-identical outputs across runs.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,7 +51,7 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise NumericError("non-finite values in tensor of shape %s" % (arr.shape,))
 
     @property
@@ -63,6 +65,35 @@ class Tensor:
     def __repr__(self):
         return "Tensor(shape=%s, dtype=%s, requires_grad=%s)" % (
             self.shape, self.data.dtype.name, self.requires_grad)
+
+
+# ---------------------------------------------------------------------------
+# numpy calls without numpy's Python wrappers
+#
+# Ops call ufuncs, ``ufunc.reduce`` and ndarray methods directly: np.all,
+# np.mean and their kin run several Python frames per call, which at B=1 cost
+# more than the arithmetic. Each helper rounds exactly as the call it stands
+# for; tests/test_tensor.py holds the byte oracles.
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.all(np.isfinite(a))``."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
+def array_mean(a: np.ndarray, axis, keepdims: bool = False, total=None):
+    """``a.mean(axis, keepdims=keepdims)`` in np.mean's own arithmetic: the
+    sum over ``axis``, then a true divide by the np.intp element count,
+    cast back into the sum's dtype. ``total`` is that sum when the caller
+    has it already; it is left unchanged. The mean must be an array, not a
+    scalar."""
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    count = np.intp(math.prod(a.shape[i] for i in axes))
+    if total is None:
+        out = total = np.add.reduce(a, axis=axis, keepdims=keepdims)
+    else:
+        out = np.empty(total.shape, dtype=total.dtype)
+    return np.true_divide(total, count, out=out, casting="unsafe")
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +159,9 @@ def backward(loss: Tensor) -> None:
         for parent, g in zip(node._parents, node._backward(node.grad)):
             if not parent.requires_grad or g is None:
                 continue
-            if np.shape(g) != parent.data.shape:
+            if g.shape != parent.data.shape:
                 raise GraphError("gradient of shape %s for a tensor of shape %s"
-                                 % (np.shape(g), parent.data.shape))
+                                 % (g.shape, parent.data.shape))
             if parent.grad is not None:
                 g = parent.grad + g
             parent.grad = g = np.asarray(g, dtype=parent.data.dtype)
@@ -216,20 +247,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                          "got %s and %s" % (a.shape, b.shape))
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul: inner dims disagree, %s vs %s" % (a.shape, b.shape))
-    macs = int(np.prod(a.shape[:-1])) * a.shape[-1] * b.shape[-1]
+    macs = math.prod(a.shape[:-1]) * a.shape[-1] * b.shape[-1]
     for counter in _counters:
         counter.macs += macs
     out = a.data @ b.data
     return Tensor(out, _parents=(a, b),
-                  _backward=lambda g: (g @ np.swapaxes(b.data, -1, -2),
-                                       np.swapaxes(a.data, -1, -2) @ g))
+                  _backward=lambda g: (g @ b.data.swapaxes(-1, -2),
+                                       a.data.swapaxes(-1, -2) @ g))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     """Permute axes as ``np.transpose`` does; None reverses them."""
     undo = None if axes is None else np.argsort(axes)
-    return Tensor(np.transpose(a.data, axes).copy(), _parents=(a,),
-                  _backward=lambda g: (np.transpose(g, undo),))
+    return Tensor(a.data.transpose(axes).copy(), _parents=(a,),
+                  _backward=lambda g: (g.transpose(undo),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -282,7 +313,7 @@ def mean_rows(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError("mean_rows expects a tensor of rank >= 2")
     n = a.shape[-2]
-    return Tensor(a.data.mean(axis=-2), _parents=(a,),
+    return Tensor(array_mean(a.data, -2), _parents=(a,),
                   _backward=lambda g: (np.broadcast_to(np.expand_dims(g / n, -2), a.shape),))
 
 
@@ -304,7 +335,7 @@ def concat(parts, axis: int) -> Tensor:
            for p in parts):
         raise ShapeError("concat: shapes %s disagree off axis %d"
                          % ([p.shape for p in parts], axis))
-    cuts = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    cuts = list(accumulate(p.shape[axis] for p in parts))[:-1]
     return Tensor(np.concatenate([p.data for p in parts], axis=axis),
                   _parents=tuple(parts),
                   _backward=lambda g: tuple(np.split(g, cuts, axis=axis)))
@@ -353,36 +384,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
     c = float(1.0 / np.sqrt(dh))
 
     def split(x):  # [groups*clips*n, d] -> [clips, heads, groups*n, dh]
-        x = np.transpose(x.reshape(-1, clips, n, heads, dh), (1, 3, 0, 2, 4)).copy()
+        x = x.reshape(-1, clips, n, heads, dh).transpose(1, 3, 0, 2, 4).copy()
         return x.reshape(clips, heads, -1, dh)
 
     def unsplit(g):
         g = g.reshape(clips, heads, -1, n, dh)
-        return np.transpose(g, (2, 0, 3, 1, 4)).reshape(-1, d)
+        return g.transpose(2, 0, 3, 1, 4).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     macs = 2 * qh.size * kh.shape[2]  # q kᵀ and weights v
     for counter in _counters:
         counter.macs += macs
-    kT = np.transpose(kh, (0, 1, 3, 2)).copy()
+    kT = kh.transpose(0, 1, 3, 2).copy()
     attn = qh @ kT
     attn *= c
     # finite scores give finite weights: each row's largest exp is 1
-    if not np.all(np.isfinite(attn)):
+    if not _all_finite(attn):
         raise NumericError("non-finite attention scores of shape %s" % (attn.shape,))
-    attn -= attn.max(axis=-1, keepdims=True)
+    attn -= np.maximum.reduce(attn, axis=-1, keepdims=True)
     np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    out = np.transpose(attn @ vh, (0, 2, 1, 3)).copy().reshape(clips * n, d)
+    attn /= np.add.reduce(attn, axis=-1, keepdims=True)
+    out = (attn @ vh).transpose(0, 2, 1, 3).copy().reshape(clips * n, d)
 
     def back(g):
-        gh = np.transpose(g.reshape(clips, n, heads, dh), (0, 2, 1, 3))
-        da = gh @ np.swapaxes(vh, -1, -2)
-        dv = np.swapaxes(attn, -1, -2) @ gh
-        ds = attn * (da - (da * attn).sum(axis=-1, keepdims=True)) * c
-        dq = ds @ np.swapaxes(kT, -1, -2)
-        dkT = np.swapaxes(qh, -1, -2) @ ds
-        return unsplit(dq), unsplit(np.transpose(dkT, (0, 1, 3, 2))), unsplit(dv)
+        gh = g.reshape(clips, n, heads, dh).transpose(0, 2, 1, 3)
+        da = gh @ vh.swapaxes(-1, -2)
+        dv = attn.swapaxes(-1, -2) @ gh
+        # ds = attn * (da - sum(da * attn)) * c, built in da's own buffer
+        da -= np.add.reduce(da * attn, axis=-1, keepdims=True)
+        da *= attn
+        da *= c
+        dq = da @ kT.swapaxes(-1, -2)
+        dkT = qh.swapaxes(-1, -2) @ da
+        return unsplit(dq), unsplit(dkT.transpose(0, 1, 3, 2)), unsplit(dv)
 
     return Tensor(out, _parents=(q, k, v), _backward=back), attn
 
@@ -397,18 +431,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError("layer_norm: gamma/beta must have shape (%d,)" % d)
     # the variance in np.var's own arithmetic, reusing x - mu
-    xc = x.data - x.data.mean(axis=1, keepdims=True)
+    xc = x.data - array_mean(x.data, 1, keepdims=True)
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / d + EPS)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
 
     def back(g):
-        dbeta = g.sum(axis=0)
-        dgamma = (g * xhat).sum(axis=0)
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built
+        # in dxhat's buffer with one scratch array
+        dbeta = np.add.reduce(g, axis=0)
+        tmp = g * xhat
+        dgamma = np.add.reduce(tmp, axis=0)
         dxhat = g * gamma.data
-        dx = inv * (dxhat - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-        return (dx, dgamma, dbeta)
+        np.multiply(dxhat, xhat, out=tmp)
+        proj = array_mean(tmp, 1, keepdims=True)
+        dxhat -= array_mean(dxhat, 1, keepdims=True)
+        np.multiply(xhat, proj, out=tmp)
+        dxhat -= tmp
+        dxhat *= inv
+        return (dxhat, dgamma, dbeta)
 
     return Tensor(out, _parents=(x, gamma, beta), _backward=back)
 

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,33 @@ def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
         if override in [p.values[0] for p in TOO_BIG]:
             assert "%s must fit in a float" % key in err
     assert not (tmp_path / "out").exists()  # no checkpoint, no epoch trained
+
+
+@pytest.mark.parametrize("override", [
+    {"encoder": {"channels": [8, 10 ** 20]}},
+    {"decoder": {"d": 2 ** 16}},
+    {"data": {"num_identities": 10 ** 9}},
+], ids=json.dumps)
+def test_config_over_the_parameter_limit_exits_1_before_allocating(
+        workspace, capsys, override):
+    tmp_path, _, data_dir = workspace
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(micro_dict(**override)))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        for argv in (["flops", "--config", str(big)],
+                     ["train", "--config", str(big), "--data", str(data_dir),
+                      "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "more than the limit of 1000000000" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no weight, corpus or output was allocated
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("sampling", [{"k_ids": 1}, {"t_per_id": 1}],

@@ -6,9 +6,11 @@ import re
 import numpy as np
 import pytest
 
+from denseil import config
 from denseil.config import (ConfigError, RunConfig, load_run_config,
                             run_config_from_dict, run_config_to_dict,
                             write_run_config)
+from denseil.model import build_model
 
 
 def test_empty_dict_gives_desk_defaults():
@@ -51,6 +53,28 @@ def test_bad_values_rejected():
         run_config_from_dict({"data": {"occlusion_prob": 2.0}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"sampling": {"chunks": 0}})
+
+
+@pytest.mark.parametrize("obj", [
+    {}, {"decoder": {"R": 0}}, {"decoder": {"R": 3, "d": 32}},
+    {"decoder": {"dense_sources": []}}, {"decoder": {"dense_sources": [4]}},
+    {"decoder": {"fusion": "summation"}},
+    {"decoder": {"fusion": "concatenation", "dense_sources": [1, 3]}},
+    {"encoder": {"channels": [4, 8, 16]}, "data": {"num_identities": 40}},
+], ids=json.dumps)
+def test_num_params_counts_what_build_model_builds(obj):
+    cfg = run_config_from_dict(obj)
+    built = build_model(cfg)
+    assert cfg.num_params() == sum(p.data.size for p in built.params.values())
+
+
+def test_parameter_limit_is_inclusive(monkeypatch):
+    count = RunConfig().num_params()
+    monkeypatch.setattr(config, "MAX_PARAMS", count)
+    run_config_from_dict({})
+    monkeypatch.setattr(config, "MAX_PARAMS", count - 1)
+    with pytest.raises(ConfigError, match="parameters, more than the limit"):
+        run_config_from_dict({})
 
 
 def test_lists_become_tuples():

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import sys
 import weakref
 from dataclasses import replace
 
@@ -125,6 +126,40 @@ def _trained_on_odd_split(dtype):
     cfg = micro_run_config(epochs=1, dtype=dtype, data=ODD_DATA)
     model, _ = train_run(cfg, micro_corpus(data=ODD_DATA))
     return cfg, model
+
+
+# numpy's Python-level wrappers that a query's ops replace with ufuncs,
+# ``ufunc.reduce`` and ndarray methods: (file, function)
+NUMPY_WRAPPERS = {("fromnumeric.py", name)
+                  for name in ("all", "prod", "transpose", "swapaxes")} | {
+    ("_methods.py", "_mean"), ("_methods.py", "_all"),
+    ("_shape_base_impl.py", "tile"), ("_stride_tricks_impl.py", "as_strided")}
+
+
+def test_a_query_runs_no_numpy_python_wrappers():
+    cfg, model = _trained_on_odd_split("float32")
+    corpus = micro_corpus(data=ODD_DATA)
+    gallery = embed_tracklets(model, cfg, corpus.gallery)
+    tr = corpus.query[0]
+    seen = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call":
+            key = (os.path.basename(code.co_filename), code.co_name)
+            if key in NUMPY_WRAPPERS and "numpy" in code.co_filename:
+                seen.append(key)
+
+    sys.setprofile(profile)
+    try:
+        emb = embed_tracklet(model, cfg, tr)
+        table = EvalTable(pairwise_distances(emb[None], gallery), [tr.identity],
+                          [tr.camera], [g.identity for g in corpus.gallery],
+                          [g.camera for g in corpus.gallery])
+        cmc_and_map(table)
+    finally:
+        sys.setprofile(None)
+    assert seen == []
 
 
 @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12),

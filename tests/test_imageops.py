@@ -290,3 +290,35 @@ def test_fused_batchnorm_relu_rejects_non_finite_pre_activations():
             x.data[0, 0, 0, 0] = np.nan
         with pytest.raises(T.NumericError):
             im.batchnorm_nchw(x, g, b, im.BNState(2), training=True, relu=True)
+
+
+# numpy calls without wrappers: each stand-in against the call it replaces
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tile_matches_np_tile_byte_for_byte(dtype):
+    v = np.random.default_rng(44).normal(size=24).astype(dtype)
+    for k in (1, 2, 16, 85):
+        got = im._tile(v, k)
+        want = np.tile(v, k)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, v)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_windows_match_as_strided(dtype, stride):
+    rng = np.random.default_rng(45)
+    n, h, w, c, kh, kw = 3, 10, 6, 5, 3, 3
+    xp = rng.normal(size=(n, h + 2, w + 2, c)).astype(dtype)
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    sn, sh, sw, sc = xp.strides
+    want = np.lib.stride_tricks.as_strided(
+        xp, (n, ho, wo, kh, kw * c), (sn, stride * sh, stride * sw, sh, sc))
+    got = im._windows(xp, ho, wo, kh, kw, stride)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.dtype == want.dtype and np.shares_memory(got, xp)
+    cols = (n * ho * wo, kh * kw * c)
+    assert got.reshape(cols).tobytes() == want.reshape(cols).tobytes()

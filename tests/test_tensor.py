@@ -62,6 +62,65 @@ def test_finite_check_on_construction():
         T.Tensor(np.array([np.inf]))
 
 
+# ------------------------------------------- numpy calls without wrappers
+# Each helper stands for a numpy call with Python-level frames; these pin
+# its bytes to that call's, in both float dtypes.
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, axis, keepdims", [
+    ((5, 7), 1, True), ((33, 129), 1, True),          # layer norm rows
+    ((3, 16, 64), -2, False), ((1, 257, 12), -2, False),  # mean_rows
+    ((8, 5, 4, 64), (1, 2), False), ((2, 3, 1, 7), (1, 2), False),  # ppool
+])
+def test_array_mean_matches_ndarray_mean_byte_for_byte(dtype, shape, axis,
+                                                       keepdims):
+    rng = np.random.default_rng(41)
+    a = rng.normal(3.0, 10.0, shape).astype(dtype)
+    got = T.array_mean(a, axis, keepdims=keepdims)
+    want = a.mean(axis=axis, keepdims=keepdims)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # strided band views, as ppool passes them
+    if a.ndim == 4:
+        band = a[:, 1:4]
+        assert (T.array_mean(band, axis).tobytes()
+                == band.mean(axis=axis).tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_array_mean_of_a_given_total_divides_as_np_mean(dtype):
+    # batch norm hands in its per-channel sums over every axis but the last
+    rng = np.random.default_rng(42)
+    for shape in ((4, 8, 6, 16), (2, 3, 5, 1), (37, 64)):
+        a = rng.normal(-2.0, 5.0, shape).astype(dtype)
+        rows = a.reshape(-1, shape[-1])
+        total = rows.sum(axis=0)
+        before = total.tobytes()
+        got = T.array_mean(a, tuple(range(a.ndim - 1)), total=total)
+        assert got.tobytes() == rows.mean(axis=0).tobytes()
+        assert total.tobytes() == before and not np.shares_memory(got, total)
+
+
+def test_all_finite_matches_np_all_isfinite():
+    for a in (np.zeros(0), np.array(1.5), np.array(np.inf),
+              np.ones((3, 4), dtype=np.float32), np.full((2, 2), -np.inf),
+              np.array([[1.0, np.nan]]), np.array([0.0, 1e308 * 10])):
+        assert T._all_finite(a) is bool(np.all(np.isfinite(a)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_row_reductions_match_the_methods_byte_for_byte(dtype):
+    # tensor.attention's row max and row sum, on weights-shaped arrays
+    rng = np.random.default_rng(43)
+    for shape in ((1, 4, 32, 128), (3, 2, 16, 16), (2, 1, 5, 3)):
+        a = rng.normal(0.0, 4.0, shape).astype(dtype)
+        assert (np.maximum.reduce(a, axis=-1, keepdims=True).tobytes()
+                == a.max(axis=-1, keepdims=True).tobytes())
+        assert (np.add.reduce(a, axis=-1, keepdims=True).tobytes()
+                == a.sum(axis=-1, keepdims=True).tobytes())
+
+
 # ---------------------------------------------------------------- layer norm
 
 
