@@ -32,6 +32,8 @@ CAMERA_GAIN_HI = 1.15
 CAMERA_OFFSET = 0.05
 GLYPH_DELTA = 0.6  # glyph brightness offset against its band, per channel
 
+MAX_CORPUS_VALUES = 10 ** 9  # the most pixel values a config's corpus may hold
+
 TRACKLET_MAGIC = b"DILT"
 _HEADER = struct.Struct("<7I")
 
@@ -78,6 +80,13 @@ class SynthConfig:
         if bot - top < NUM_BANDS:
             raise CorpusError("data.height=%d leaves %d figure rows for %d "
                               "body bands" % (self.height, bot - top, NUM_BANDS))
+        values = (self.num_identities * self.tracklets_per_identity
+                  * self.frames_per_tracklet * CHANNELS * self.height
+                  * self.width)
+        if values > MAX_CORPUS_VALUES:
+            raise CorpusError("the corpus would hold %d pixel values, more "
+                              "than the limit of %d"
+                              % (values, MAX_CORPUS_VALUES))
 
 
 @dataclass
@@ -173,23 +182,32 @@ def _render_base(cfg, app):
 
 
 def _render_tracklet(cfg, base, gain, offset, rng):
-    frames = np.empty(
-        (cfg.frames_per_tracklet, CHANNELS, cfg.height, cfg.width), dtype=np.float32)
+    """[T, 3, H, W] float32 frames of ``base`` under a camera color shift.
+
+    Only the draws run per frame: the figure is lit and clipped once, each
+    frame is one row gather from it (its jitter, as np.roll), then gray bars
+    go in, their level already inside [0, 1].
+    """
     hi = cfg.height
     bar_lo = -(-hi // 4)  # ceil(0.25 H)
     bar_hi = hi // 2
+    shifts = np.empty(cfg.frames_per_tracklet, dtype=np.intp)
+    bars = []
     for i in range(cfg.frames_per_tracklet):
-        shift = int(rng.integers(-cfg.jitter, cfg.jitter + 1))
-        img = np.roll(base, shift, axis=1)
-        img = img * gain[:, None, None] + offset[:, None, None]
+        shifts[i] = rng.integers(-cfg.jitter, cfg.jitter + 1)
         if rng.random() < cfg.occlusion_prob:
             bar = int(rng.integers(bar_lo, bar_hi + 1))
             bar_top = int(rng.integers(0, hi - bar + 1))
             # gray level varies per bar so occlusion perturbs pooled
             # features instead of shifting every clip the same way
             gray = float(rng.uniform(OCCLUDER_GRAY_LO, OCCLUDER_GRAY_HI))
-            img[:, bar_top:bar_top + bar, :] = gray
-        frames[i] = np.clip(img, 0.0, 1.0)
+            bars.append((i, bar_top, bar, gray))
+    lit = np.clip(base * gain[:, None, None] + offset[:, None, None],
+                  0.0, 1.0).astype(np.float32)
+    rows = (np.arange(hi) - shifts[:, None]) % hi  # np.roll's rule, [T, H]
+    frames = lit[np.arange(CHANNELS)[:, None], rows[:, None, :]]
+    for i, bar_top, bar, gray in bars:
+        frames[i, :, bar_top:bar_top + bar, :] = gray
     return frames
 
 

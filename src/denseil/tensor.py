@@ -258,7 +258,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     """Permute axes as ``np.transpose`` does; None reverses them."""
-    undo = None if axes is None else np.argsort(axes)
+    undo = None if axes is None else np.argsort([x % a.data.ndim for x in axes])
     return Tensor(a.data.transpose(axes).copy(), _parents=(a,),
                   _backward=lambda g: (g.transpose(undo),))
 

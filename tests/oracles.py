@@ -344,3 +344,23 @@ def batch_hard_triplet_ref(embeddings, labels, margin):
                for j in range(b) if labels[j] != labels[a]]
         total += max(0.0, margin + max(pos) - min(neg))
     return total / b
+
+
+def render_tracklet_ref(cfg, base, gain, offset, rng):
+    """One tracklet drawn frame by frame: roll, color shift, bar, clip."""
+    frames = np.empty(
+        (cfg.frames_per_tracklet, 3, cfg.height, cfg.width), dtype=np.float32)
+    hi = cfg.height
+    bar_lo = -(-hi // 4)  # ceil(0.25 H)
+    bar_hi = hi // 2
+    for i in range(cfg.frames_per_tracklet):
+        shift = int(rng.integers(-cfg.jitter, cfg.jitter + 1))
+        img = np.roll(base, shift, axis=1)
+        img = img * gain[:, None, None] + offset[:, None, None]
+        if rng.random() < cfg.occlusion_prob:
+            bar = int(rng.integers(bar_lo, bar_hi + 1))
+            bar_top = int(rng.integers(0, hi - bar + 1))
+            gray = float(rng.uniform(0.1, 0.9))
+            img[:, bar_top:bar_top + bar, :] = gray
+        frames[i] = np.clip(img, 0.0, 1.0)
+    return frames

@@ -16,6 +16,7 @@ import denseil
 from denseil import model, tensor
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
+from denseil.config import ConfigError, run_config_from_dict
 from denseil.data import read_tracklet, write_tracklet
 from micro import micro_dict
 
@@ -277,23 +278,32 @@ def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
 @pytest.mark.parametrize("override", [
     {"encoder": {"channels": [8, 10 ** 20]}},
     {"decoder": {"d": 2 ** 16}},
-    {"data": {"num_identities": 10 ** 9}},
+    {"data": {"num_identities": 10 ** 9}},  # data: the corpus limit trips
+    {"data": {"frames_per_tracklet": 10 ** 12}},
+    {"data": {"height": 2 ** 16, "width": 2 ** 16}},
+    {"data": {"tracklets_per_identity": 10 ** 7}},
 ], ids=json.dumps)
 def test_config_over_the_parameter_limit_exits_1_before_allocating(
         workspace, capsys, override):
+    # only sizes load rejects: gen-data would render a corpus that passed
+    with pytest.raises(ConfigError, match="more than the limit"):
+        run_config_from_dict(micro_dict(**override))
     tmp_path, _, data_dir = workspace
     big = tmp_path / "big.json"
     big.write_text(json.dumps(micro_dict(**override)))
     capsys.readouterr()
     tracemalloc.start()
     try:
-        for argv in (["flops", "--config", str(big)],
+        for argv in (["gen-data", "--config", str(big),
+                      "--out", str(tmp_path / "out")],
+                     ["flops", "--config", str(big)],
                      ["train", "--config", str(big), "--data", str(data_dir),
                       "--out", str(tmp_path / "out")]):
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1
             assert "more than the limit of 1000000000" in err
+            assert ("pixel values" in err) == ("data" in override)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,6 @@
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -6,13 +8,14 @@ import pytest
 from denseil import tensor as tn
 from denseil.data import (NUM_BANDS, Corpus, CorpusError, SynthConfig,
                           Tracklet, TrackletFormatError, _body_box,
-                          _glyph_size, generate_dataset, load_corpus,
+                          _draw_appearances, _glyph_size, _render_base,
+                          _render_tracklet, generate_dataset, load_corpus,
                           pk_batches, read_tracklet, restricted_sample,
                           write_corpus, write_tracklet)
 from denseil.encoder import EncoderConfig, encode_clip, init_encoder
 from denseil.partition import band_heights, ppool
 from denseil.rng import stream
-from oracles import nhwc
+from oracles import nhwc, render_tracklet_ref
 
 
 def index_tracklet(t_full):
@@ -105,6 +108,67 @@ def test_static_frames_without_jitter_or_occlusion():
                 tr.frames[0], tr.frames.shape))
 
 
+RENDER_CASES = {
+    "desk defaults": {},
+    "retrieval shape": dict(num_identities=8, tracklets_per_identity=3,
+                            frames_per_tracklet=16),
+    "no jitter": dict(jitter=0, frames_per_tracklet=8),
+    "jitter wraps the height": dict(height=8, width=8, jitter=11),
+    "never occluded": dict(occlusion_prob=0.0, frames_per_tracklet=8),
+    "always occluded": dict(occlusion_prob=1.0, frames_per_tracklet=8),
+    "half similar": dict(similarity=0.5, frames_per_tracklet=8),
+    "odd height and width": dict(height=7, width=5, jitter=3, seed=9),
+}
+
+
+@pytest.mark.parametrize("overrides", RENDER_CASES.values(),
+                         ids=list(RENDER_CASES))
+def test_rendered_tracklets_match_the_frame_by_frame_oracle(overrides):
+    cfg = SynthConfig(**overrides)
+    gains, offsets, appearances = _draw_appearances(cfg)
+    corpus = generate_dataset(cfg)
+    count = 0
+    for _, tracklets in corpus.splits():
+        for tr in tracklets:
+            rng = stream(cfg.seed, tr.identity * cfg.tracklets_per_identity
+                         + tr.tracklet_id)
+            want = render_tracklet_ref(
+                cfg, _render_base(cfg, appearances[tr.identity]),
+                gains[tr.camera], offsets[tr.camera], rng)
+            assert tr.frames.dtype == np.float32
+            assert tr.frames.flags.c_contiguous
+            assert tr.frames.shape == want.shape
+            assert tr.frames.tobytes() == want.tobytes()
+            count += 1
+    assert count == cfg.num_identities * cfg.tracklets_per_identity
+
+
+def test_rendering_lights_each_tracklet_once_and_never_rolls(monkeypatch):
+    per_tracklet = []  # the numpy Python frames each render entered
+
+    def profiled(*args):
+        calls = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and "numpy" in code.co_filename:
+                calls.append((os.path.basename(code.co_filename), code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            return _render_tracklet(*args)
+        finally:
+            sys.setprofile(None)
+            per_tracklet.append(calls)
+
+    monkeypatch.setattr("denseil.data._render_tracklet", profiled)
+    corpus = generate_dataset(SMALL)
+    assert len(per_tracklet) == sum(len(trs) for _, trs in corpus.splits())
+    for calls in per_tracklet:
+        assert ("numeric.py", "roll") not in calls
+        assert calls.count(("_methods.py", "_clip")) <= 1  # every clip's path
+
+
 def test_split_sizes_and_disjointness():
     corpus = generate_dataset(SMALL)
     assert len(corpus.train) == 4 * 2
@@ -141,13 +205,23 @@ def test_bad_config_values_rejected():
         SynthConfig(jitter=-1)
 
 
+def test_corpus_size_limit_is_inclusive(monkeypatch):
+    values = 16 * 4 * 32 * 3 * 32 * 16  # the desk corpus, 3.1M values
+    monkeypatch.setattr("denseil.data.MAX_CORPUS_VALUES", values)
+    SynthConfig()
+    monkeypatch.setattr("denseil.data.MAX_CORPUS_VALUES", values - 1)
+    with pytest.raises(CorpusError, match="3145728 pixel values, more than"):
+        SynthConfig()
+
+
 def test_every_accepted_frame_size_fits_bands_and_glyph():
     # the figure box needs a row per band; once it has them, the glyph
     # always fits its band and the body, at every height and width
     rejected = []
     for size in range(1, 2049):
         try:
-            cfg = SynthConfig(height=size, width=size)
+            # one frame keeps a 2048 x 2048 corpus under MAX_CORPUS_VALUES
+            cfg = SynthConfig(height=size, width=size, frames_per_tracklet=1)
         except CorpusError as err:
             assert "data.height=%d" % size in str(err)
             rejected.append(size)

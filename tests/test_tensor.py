@@ -387,6 +387,23 @@ def test_gradcheck_matmul_transpose():
     gradcheck(lambda a, b: T.sum_all(T.matmul(T.transpose(a), T.matmul(a, b))), [a, b])
 
 
+def test_transpose_gradient_with_negative_axes():
+    a = t(np.zeros((2, 2)), rg=True)
+    T.backward(T.sum_all(T.mul(T.transpose(a, (-1, 0)), t([[1, 2], [3, 4]]))))
+    assert np.array_equal(a.grad, [[1, 3], [2, 4]])
+    b = t(np.zeros((2, 3)), rg=True)
+    w = np.arange(6.0).reshape(3, 2)
+    T.backward(T.sum_all(T.mul(T.transpose(b, (-1, 0)), t(w))))
+    assert np.array_equal(b.grad, w.T)
+
+
+def test_gradcheck_transpose_negative_axes_3d():
+    rng = np.random.default_rng(13)
+    a = t(rng.uniform(-1, 1, (2, 3, 4)))
+    w = t(rng.uniform(-1, 1, (2, 4, 3)))
+    gradcheck(lambda a: T.sum_all(T.mul(T.transpose(a, (0, -1, 1)), w)), [a])
+
+
 def test_gradcheck_exp_log_sqrt():
     rng = np.random.default_rng(12)
     x = t(rng.uniform(0.5, 2.0, (2, 3)))
