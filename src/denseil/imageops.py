@@ -7,6 +7,10 @@ slice/concat nodes would build thousands of tiny nodes per call.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 from .tensor import EPS, ShapeError, Tensor, array_mean
@@ -52,28 +56,59 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
 
     def back(g):
         g2 = g.reshape(-1, cout)
-        # contiguous, so Adam's elementwise passes over it are not strided
-        dw = np.ascontiguousarray(
-            (g2.T @ cols).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2))
-        dx = None
-        if x.requires_grad:
-            # col2im one tap at a time, straight into dx: output row o of tap
-            # (i, j) reads input row o*stride + i - ph, so each += is a single
-            # strided add over the outputs whose input lies inside x
-            taps = wmat.reshape(cout, kh, kw, c)
-            dx = np.zeros(x.shape, dtype=g.dtype)
-            for i in range(kh):
-                xi, oi = _tap_range(i - ph, stride, ho, h)
-                for j in range(kw):
-                    xj, oj = _tap_range(j - pw, stride, wo, wd)
-                    part = (g2 @ taps[:, i, j]).reshape(n, ho, wo, c)
-                    dx[:, xi, xj] += part[:, oi, oj]
+
+        def weight_grad():
+            # contiguous, so Adam's elementwise passes over it are not strided
+            return np.ascontiguousarray(
+                (g2.T @ cols).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2))
+
+        # dw runs on the worker thread while this one builds dx. Each makes
+        # the serial code's numpy calls and writes only arrays of its own,
+        # so no byte depends on the schedule. The copied context carries
+        # the caller's np.errstate.
+        job = _worker().submit(contextvars.copy_context().run, weight_grad)
+        try:
+            dx = None
+            if x.requires_grad:
+                # col2im one tap at a time, straight into dx: output row o of
+                # tap (i, j) reads input row o*stride + i - ph, so each += is
+                # a single strided add over the outputs whose input lies in x
+                taps = wmat.reshape(cout, kh, kw, c)
+                dx = np.zeros(x.shape, dtype=g.dtype)
+                for i in range(kh):
+                    xi, oi = _tap_range(i - ph, stride, ho, h)
+                    for j in range(kw):
+                        xj, oj = _tap_range(j - pw, stride, wo, wd)
+                        part = (g2 @ taps[:, i, j]).reshape(n, ho, wo, c)
+                        dx[:, xi, xj] += part[:, oi, oj]
+        finally:
+            wait((job,))  # an error of the caller's own is the one raised
+        dw = job.result()
         if bias is not None:
             return dx, dw, g2.sum(axis=0)
         return dx, dw
 
     parents = (x, w) if bias is None else (x, w, bias)
     return Tensor(out, _parents=parents, _backward=back)
+
+
+_pool = None  # conv backward's one worker thread, made on first use
+
+
+def _worker() -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(1, thread_name_prefix="denseil-conv-dw")
+    return _pool
+
+
+def _drop_worker():
+    # a forked child has no copy of the thread, so it makes its own
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_worker)
 
 
 def _windows(xp: np.ndarray, ho: int, wo: int, kh: int, kw: int, stride: int):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import denseil
-from denseil import model, tensor
+from denseil import imageops, model, tensor
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
 from denseil.config import ConfigError, run_config_from_dict
@@ -682,6 +682,52 @@ def test_divergence_exits_2(workspace, capsys):
                      "--out", str(tmp_path / "divout")])
     assert code == 2
     assert "diverged" in capsys.readouterr().err
+
+
+def test_overflow_in_a_weight_gradient_exits_2_at_its_step(workspace, capsys,
+                                                           monkeypatch):
+    # From the second training step on, the first conv is handed an output
+    # gradient of 3e38 everywhere. Its float32 dw, a sum over nonnegative
+    # pixels made on the conv worker thread, overflows in that step.
+    tmp_path, cfg_path, data_dir = workspace
+    conv = imageops.conv2d
+    first_convs = []
+
+    def flooded(x, w, bias=None, stride=1):
+        out = conv(x, w, bias, stride)
+        if x.shape[3] != 3:
+            return out
+        first_convs.append(out)
+        if len(first_convs) < 2:
+            return out
+        return tensor.Tensor(out.data, _parents=(out,),
+                             _backward=lambda g: (np.full_like(g, 3e38),))
+
+    monkeypatch.setattr(imageops, "conv2d", flooded)
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(tmp_path / "flood")]) == 2
+    err = capsys.readouterr().err
+    assert "diverged at epoch 0 step 1: overflow" in err
+    assert len(first_convs) == 2
+
+
+def test_flops_and_eval_start_no_thread(workspace):
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    script = (
+        "import sys, threading\n"
+        "from denseil.cli import main\n"
+        "from denseil import imageops\n"
+        "assert main(['flops', '--config', sys.argv[1]]) == 0\n"
+        "assert main(['eval', '--checkpoint', sys.argv[2],"
+        " '--data', sys.argv[3]]) == 0\n"
+        "assert imageops._pool is None\n"
+        "assert threading.active_count() == 1\n")
+    subprocess.run([sys.executable, "-c", script, str(cfg_path),
+                    str(run_dir / "final.dil1"), str(data_dir)],
+                   env=_unpinned_env(), check=True, capture_output=True)
 
 
 def test_ablate_bad_axis_exits_1(workspace, capsys):

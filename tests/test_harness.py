@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from denseil import harness
+from denseil import harness, imageops
+from denseil import tensor as tn
 from denseil.checkpoint import load_checkpoint
 from denseil.config import ConfigError
 from denseil.harness import (TrainingDiverged, _with_setting, ablate,
@@ -160,6 +161,34 @@ def test_a_query_runs_no_numpy_python_wrappers():
     finally:
         sys.setprofile(None)
     assert seen == []
+
+
+class _SubmitSpy:
+    """Stands in for conv backward's worker and counts what it is given."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.calls = 0
+
+    def submit(self, *args):
+        self.calls += 1
+        return self.pool.submit(*args)
+
+
+def test_queries_and_evaluation_submit_nothing_to_the_conv_worker(monkeypatch):
+    cfg, model = _trained_on_odd_split("float32")
+    corpus = micro_corpus(data=ODD_DATA)
+    spy = _SubmitSpy(imageops._worker())
+    monkeypatch.setattr(imageops, "_pool", spy)
+    embed_tracklet(model, cfg, corpus.query[0])
+    evaluate_model(model, cfg, corpus)
+    assert spy.calls == 0
+    # the spy does see a training step's conv backwards, one per conv
+    clips = np.stack([tr.frames[:cfg.sampling.chunks]
+                      for tr in corpus.train[:2]])
+    logits, _, _ = forward_batch(build_model(cfg), clips, training=True)
+    tn.backward(tn.sum_all(logits))
+    assert spy.calls == 2 * len(cfg.encoder.channels)
 
 
 @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12),

@@ -1,3 +1,7 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -219,6 +223,95 @@ def test_conv2d_backward_matches_padded_col2im_byte_for_byte():
                 assert a.dtype == r.dtype and a.shape == r.shape, (name, case)
                 assert np.array_equal(_bytes(a), _bytes(r)), (name, case)
             assert got[1].flags.c_contiguous, case
+
+
+def test_first_conv_backward_without_dx_matches_padded_col2im_byte_for_byte():
+    # the frames need no gradient, so the worker's dw is the whole backward
+    rng = np.random.default_rng(42)
+    shape, cout, stride = DESK_CONVS[0]
+    for dtype in (np.float32, np.float64):
+        x = rng.normal(size=shape).astype(dtype)
+        w = rng.normal(size=(cout, shape[3], 3, 3)).astype(dtype)
+        out = im.conv2d(T.Tensor(x), T.Tensor(w, requires_grad=True),
+                        stride=stride)
+        g = rng.normal(size=out.shape).astype(dtype)
+        dx, dw = out._backward(g.copy())
+        want = conv2d_backward_ref(x, w, g, stride)[1]
+        assert dx is None
+        assert dw.dtype == want.dtype and dw.flags.c_contiguous
+        assert np.array_equal(_bytes(dw), _bytes(want)), dtype.__name__
+
+
+def test_conv2d_backward_raises_an_overflow_in_dw_under_the_callers_errstate():
+    # 1e20 * 1e20 overflows float32 in dw alone; x needs no gradient, so
+    # only the worker thread's GEMM can raise
+    x = np.full((2, 4, 4, 3), 1e20, np.float32)
+    w = np.full((4, 3, 3, 3), 1e-20, np.float32)
+    out = im.conv2d(T.Tensor(x), T.Tensor(w, requires_grad=True))
+    g = np.full(out.shape, 1e20, np.float32)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            out._backward(g)
+
+
+class _WorkerError(Exception):
+    pass
+
+
+def test_conv2d_backward_joins_the_worker_when_dx_fails(monkeypatch):
+    # dx overflows on the caller while the worker's job, slowed down, fails
+    # too: the caller's error is the one raised, once the job has finished
+    pool = im._worker()
+    jobs = []
+
+    class Slow:
+        def submit(self, fn, *args):
+            def slow_and_failing():
+                time.sleep(0.2)
+                fn(*args)
+                raise _WorkerError
+            jobs.append(pool.submit(slow_and_failing))
+            return jobs[-1]
+
+    monkeypatch.setattr(im, "_pool", Slow())
+    x = np.full((2, 4, 4, 3), 1e-30, np.float32)
+    w = np.full((4, 3, 3, 3), 1e20, np.float32)
+    out = im.conv2d(T.Tensor(x, requires_grad=True),
+                    T.Tensor(w, requires_grad=True))
+    g = np.full(out.shape, 1e20, np.float32)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            out._backward(g)
+    assert len(jobs) == 1 and jobs[0].done()
+    assert isinstance(jobs[0].exception(), _WorkerError)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_conv2d_backward_runs_in_a_child_forked_after_one():
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(2, 6, 4, 3))
+    w = rng.normal(size=(4, 3, 3, 3))
+    g = rng.normal(size=(2, 3, 2, 4))
+
+    def grads():
+        out = im.conv2d(t(x, rg=True), t(w, rg=True), stride=2)
+        return out._backward(g)
+
+    want = grads()  # this process's worker thread exists from here on
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            # a backward waiting on a thread the child lacks ends by SIGALRM
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(30)
+            got = grads()
+            code = 0 if all(np.array_equal(a, b)
+                            for a, b in zip(got, want)) else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_fused_batchnorm_relu_matches_unfused_composition_byte_for_byte():
