@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partition import band_heights
-from .rng import APPEARANCE_STREAM, stream
+from .rng import (APPEARANCE_STREAM, EVAL_STREAM, TRACKLET_STRIDE,
+                  stream)
 
 CHANNELS = 3  # the renderer draws RGB frames
 NUM_BANDS = 4
@@ -87,6 +88,15 @@ class SynthConfig:
             raise CorpusError("the corpus would hold %d pixel values, more "
                               "than the limit of %d"
                               % (values, MAX_CORPUS_VALUES))
+        # each tracklet's eval stream is its own (rng.py)
+        for name, most in (("tracklets_per_identity", TRACKLET_STRIDE),
+                           ("num_identities",
+                            (APPEARANCE_STREAM - EVAL_STREAM)
+                            // TRACKLET_STRIDE)):
+            if getattr(self, name) > most:
+                raise CorpusError("%s=%d is more than %d, so evaluation "
+                                  "streams would collide"
+                                  % (name, getattr(self, name), most))
 
 
 @dataclass

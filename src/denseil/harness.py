@@ -1,13 +1,16 @@
 """Training loop, evaluation pipeline, ablation runner, run reports."""
 
+import contextvars
 import csv
 import json
 import os
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import imageops
 from . import tensor as tn
 from .config import ConfigError, RunConfig, write_run_config
 from .data import CHANNELS, Corpus, pk_batches, restricted_sample
@@ -15,11 +18,10 @@ from .decoder import FUSIONS
 from .flops import estimate_decoder_flops
 from .losses import total_loss
 from .metrics import EvalTable, cmc_and_map, metrics_rows, pairwise_distances
-from .model import Model, build_model, forward_batch, save_model
+from .model import (Model, build_model, decoder_stage, encoder_stage,
+                    forward_batch, save_model)
 from .optim import Adam, lr_at
-from .rng import EVAL_STREAM, SAMPLER_STREAM, stream
-
-TRACKLET_STRIDE = 1024  # eval stream ids: identity * stride + tracklet_id
+from .rng import EVAL_STREAM, SAMPLER_STREAM, TRACKLET_STRIDE, stream
 
 
 class TrainingDiverged(ArithmeticError):
@@ -152,15 +154,47 @@ def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
     graph is built, so each activation is freed once the forward code drops
     it. Eval batch norm uses running statistics, so a row does not depend
     on its batch-mates beyond float rounding.
+
+    With more than one batch the two stages overlap: the worker thread runs
+    batch i's decoder stage while this thread assembles batch i+1 and runs
+    its encoder stage. At most one job is in flight and each stage makes
+    the serial calls, so the bytes are the serial ones.
     """
     size = cfg.sampling.k_ids * cfg.sampling.t_per_id
-    rows = []
-    for start in range(0, len(tracklets), size):
-        clips = np.concatenate([eval_clip(cfg, tr)
-                                for tr in tracklets[start:start + size]])
+
+    def batch(start):
+        return np.concatenate([eval_clip(cfg, tr)
+                               for tr in tracklets[start:start + size]])
+
+    if len(tracklets) <= size:
         with tn.no_grad():
-            rows.append(forward_batch(model, clips, training=False)[1].data)
+            return forward_batch(model, batch(0), training=False)[1].data
+    rows = []
+    job = None
+    # no_grad stays open until the last job is joined: the worker reads it
+    with tn.no_grad():
+        try:
+            for start in range(0, len(tracklets), size):
+                clips = batch(start)
+                pyramid = encoder_stage(model, clips, training=False)
+                if job is not None:
+                    rows.append(job.result())
+                # the copied context carries the caller's np.errstate
+                job = imageops._worker().submit(
+                    contextvars.copy_context().run, _embedding_rows, model,
+                    pyramid, len(clips))
+                del pyramid  # held by the job alone, so freed as it ends
+            rows.append(job.result())
+        finally:
+            if job is not None:
+                wait((job,))  # an error of the caller's own is the one raised
     return np.concatenate(rows)
+
+
+def _embedding_rows(model: Model, pyramid, b: int) -> np.ndarray:
+    """``decoder_stage``'s normed embeddings alone: a job's result keeps
+    no attention weights alive."""
+    return decoder_stage(model, pyramid, b, training=False)[1].data
 
 
 def embed_tracklet(model: Model, cfg: RunConfig, tracklet) -> np.ndarray:

@@ -92,13 +92,15 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
     return Tensor(out, _parents=parents, _backward=back)
 
 
-_pool = None  # conv backward's one worker thread, made on first use
+# The package's one worker thread, made on first use: conv backward's weight
+# gradients and, in a multi-batch evaluation, each batch's decoder stage.
+_pool = None
 
 
 def _worker() -> ThreadPoolExecutor:
     global _pool
     if _pool is None:
-        _pool = ThreadPoolExecutor(1, thread_name_prefix="denseil-conv-dw")
+        _pool = ThreadPoolExecutor(1, thread_name_prefix="denseil-worker")
     return _pool
 
 

@@ -55,21 +55,24 @@ def build_model(cfg: RunConfig) -> Model:
     return Model(cfg, params, states)
 
 
-def forward_batch(model: Model, clips: np.ndarray, training: bool):
-    """Embed a [B, I, C, H, W] batch of clips.
-
-    Returns (logits [B, num_ids], embeddings [B, d], each decoder block's
-    interaction weights, as ``decoder_forward`` gives them). The frames go
-    channels-last once, for the whole encoder. Encoder batch norm sees the
-    whole batch at once; the decoder runs once over all B clips, attention
-    staying within each clip.
-    Embeddings are the post-norm features the metric side ranks.
-    """
+def encoder_stage(model: Model, clips: np.ndarray, training: bool):
+    """The encoder half of ``forward_batch``: a [B, I, C, H, W] batch of
+    clips, channels-last once, through ``encode_clip``. Returns every
+    block's [B*I, H_l, W_l, C_l] map. Encoder batch norm sees the whole
+    batch at once."""
     b, i = clips.shape[0], clips.shape[1]
     frames = clips.reshape((b * i,) + clips.shape[2:])
     x = Tensor(np.ascontiguousarray(frames.transpose(0, 2, 3, 1)))
-    pyramid = encode_clip(x, model.cfg.encoder, model.params, model.states,
-                          training)
+    return encode_clip(x, model.cfg.encoder, model.params, model.states,
+                       training)
+
+
+def decoder_stage(model: Model, pyramid, b: int, training: bool):
+    """The decoder half of ``forward_batch``, over ``encoder_stage``'s maps
+    of ``b`` clips: part pooling and adapters, STEP-Emb, the decoder stack
+    and the head. The decoder runs once over all B clips, attention staying
+    within each clip."""
+    i = pyramid[0].shape[0] // b
     tokens, earlier = stack_partitions(pyramid, model.cfg.partitions,
                                        model.adapter_weights(), b)
     emb = step_emb(i, model.cfg.partitions, model.cfg.decoder.d)
@@ -78,6 +81,18 @@ def forward_batch(model: Model, clips: np.ndarray, training: bool):
     logits, normed = classify_head(embeddings, model.params,
                                    model.states["head.bn"], training)
     return logits, normed, dense_attn
+
+
+def forward_batch(model: Model, clips: np.ndarray, training: bool):
+    """Embed a [B, I, C, H, W] batch of clips: ``decoder_stage`` over
+    ``encoder_stage``.
+
+    Returns (logits [B, num_ids], embeddings [B, d], each decoder block's
+    interaction weights, as ``decoder_forward`` gives them). Embeddings are
+    the post-norm features the metric side ranks.
+    """
+    return decoder_stage(model, encoder_stage(model, clips, training),
+                         clips.shape[0], training)
 
 
 def save_model(path, model: Model):

@@ -12,12 +12,14 @@ import numpy as np
 
 # Every stream id in the package, spaced so derived ids never collide. Ids
 # below INIT_STREAM are the per-tracklet render streams
-# (identity * tracklets_per_identity + j); eval adds a per-tracklet offset
-# to EVAL_STREAM.
+# (identity * tracklets_per_identity + j); evaluation's are EVAL_STREAM +
+# identity * TRACKLET_STRIDE + j. data.SynthConfig keeps j below the stride
+# and the eval ids below APPEARANCE_STREAM.
 INIT_STREAM = 1 << 32
 SAMPLER_STREAM = 2 << 32
 EVAL_STREAM = 3 << 32
 APPEARANCE_STREAM = 4 << 32
+TRACKLET_STRIDE = 1024
 
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:

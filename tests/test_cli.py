@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import denseil
-from denseil import imageops, model, tensor
+from denseil import harness, imageops, model, tensor
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
 from denseil.config import ConfigError, run_config_from_dict
@@ -389,6 +389,35 @@ def test_unrenderable_height_exits_1_from_gen_data_flops_and_train(
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("data, sampling", [
+    ({"tracklets_per_identity": 1025}, {}),
+    # one frame of 8x2 keeps the corpus under its size limit
+    ({"num_identities": (1 << 22) + 1, "tracklets_per_identity": 3,
+      "frames_per_tracklet": 1, "height": 8, "width": 2}, {"chunks": 1}),
+], ids=["tracklets_per_identity", "num_identities"])
+def test_colliding_eval_streams_exit_1_from_gen_data_flops_and_train(
+        workspace, capsys, data, sampling):
+    # evaluation seeds tracklet j of identity i by i * 1024 + j
+    tmp_path, _, data_dir = workspace
+    bad = tmp_path / "collide.json"
+    bad.write_text(json.dumps(micro_dict(data=data, sampling=sampling)))
+    name = next(iter(data))
+    for argv in (["gen-data", "--config", str(bad),
+                  "--out", str(tmp_path / "big")],
+                 ["flops", "--config", str(bad)],
+                 ["train", "--config", str(bad), "--data", str(data_dir),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("denseil: error: ")
+        assert "%s=%d is more than" % (name, data[name]) in err
+        assert err.count("\n") == 1
+    ok = dict(data, **{name: data[name] - 1})
+    run_config_from_dict(micro_dict(data=ok, sampling=sampling))
+    assert not (tmp_path / "big").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_config_exits_1_naming_the_file(workspace, capsys):
     tmp_path, _, data_dir = workspace
     bad = tmp_path / "latin1.json"
@@ -711,22 +740,65 @@ def test_overflow_in_a_weight_gradient_exits_2_at_its_step(workspace, capsys,
     assert len(first_convs) == 2
 
 
+def test_an_overflow_in_an_eval_batchs_decoder_stage_exits_2(workspace,
+                                                             capsys,
+                                                             monkeypatch):
+    # 8 eval tracklets in batches of 4: batch 2's decoder stage runs on the
+    # worker thread, and its overflow must fail the command all the same
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    decoder_stage = model.decoder_stage
+    calls = []
+
+    def flooded(mdl, pyramid, b, training):
+        calls.append(b)
+        if len(calls) == 2:
+            pyramid = [tensor.Tensor(p.data * np.float32(3e38))
+                       for p in pyramid]
+        return decoder_stage(mdl, pyramid, b, training)
+
+    monkeypatch.setattr(harness, "decoder_stage", flooded)
+    assert main(["eval", "--checkpoint", str(run_dir / "final.dil1"),
+                 "--data", str(data_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("denseil: numeric failure: overflow "
+                            "encountered in multiply\n")
+    assert captured.out == ""
+    assert calls == [4, 4]
+
+
 def test_flops_and_eval_start_no_thread(workspace):
     tmp_path, cfg_path, data_dir = workspace
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
                  "--out", str(run_dir)]) == 0
+    # the same checkpoint, read with an eval batch that holds all 8
+    # query and gallery tracklets
+    one_batch = tmp_path / "one_batch"
+    one_batch.mkdir()
+    shutil.copy(run_dir / "final.dil1", one_batch)
+    (one_batch / "config.json").write_text(json.dumps(
+        micro_dict(epochs=1, sampling={"t_per_id": 4})))
     script = (
         "import sys, threading\n"
         "from denseil.cli import main\n"
         "from denseil import imageops\n"
         "assert main(['flops', '--config', sys.argv[1]]) == 0\n"
         "assert main(['eval', '--checkpoint', sys.argv[2],"
-        " '--data', sys.argv[3]]) == 0\n"
+        " '--data', sys.argv[4]]) == 0\n"
         "assert imageops._pool is None\n"
-        "assert threading.active_count() == 1\n")
+        "assert threading.active_count() == 1\n"
+        # two batches: the decoder stage's jobs go to the one worker
+        "assert main(['eval', '--checkpoint', sys.argv[3],"
+        " '--data', sys.argv[4]]) == 0\n"
+        "names = sorted(t.name for t in threading.enumerate())\n"
+        "assert names == ['MainThread', 'denseil-worker_0'], names\n")
     subprocess.run([sys.executable, "-c", script, str(cfg_path),
-                    str(run_dir / "final.dil1"), str(data_dir)],
+                    str(one_batch / "final.dil1"), str(run_dir / "final.dil1"),
+                    str(data_dir)],
                    env=_unpinned_env(), check=True, capture_output=True)
 
 

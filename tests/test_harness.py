@@ -2,6 +2,8 @@ import functools
 import json
 import os
 import sys
+import threading
+import time
 import weakref
 from dataclasses import replace
 
@@ -18,7 +20,8 @@ from denseil.harness import (TrainingDiverged, _with_setting, ablate,
 from denseil.imageops import RunningStatsError
 from denseil.metrics import (EvalTable, cmc_and_map, metrics_rows,
                              pairwise_distances)
-from denseil.model import build_model, forward_batch
+from denseil.model import (build_model, decoder_stage, encoder_stage,
+                           forward_batch)
 from micro import micro_corpus, micro_run_config
 
 
@@ -164,7 +167,7 @@ def test_a_query_runs_no_numpy_python_wrappers():
 
 
 class _SubmitSpy:
-    """Stands in for conv backward's worker and counts what it is given."""
+    """Stands in for the package's worker and counts what it is given."""
 
     def __init__(self, pool):
         self.pool = pool
@@ -175,20 +178,24 @@ class _SubmitSpy:
         return self.pool.submit(*args)
 
 
-def test_queries_and_evaluation_submit_nothing_to_the_conv_worker(monkeypatch):
+def test_the_worker_gets_one_job_per_eval_batch_and_none_from_a_query(
+        monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
     spy = _SubmitSpy(imageops._worker())
     monkeypatch.setattr(imageops, "_pool", spy)
     embed_tracklet(model, cfg, corpus.query[0])
-    evaluate_model(model, cfg, corpus)
     assert spy.calls == 0
-    # the spy does see a training step's conv backwards, one per conv
+    embed_tracklets(model, cfg, corpus.query[:4])  # exactly one batch
+    assert spy.calls == 0
+    evaluate_model(model, cfg, corpus)  # 10 tracklets in batches of 4
+    assert spy.calls == 3
+    # a training step's conv backwards hand it one job per conv
     clips = np.stack([tr.frames[:cfg.sampling.chunks]
                       for tr in corpus.train[:2]])
     logits, _, _ = forward_batch(build_model(cfg), clips, training=True)
     tn.backward(tn.sum_all(logits))
-    assert spy.calls == 2 * len(cfg.encoder.channels)
+    assert spy.calls == 3 + 2 * len(cfg.encoder.channels)
 
 
 @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12),
@@ -246,19 +253,94 @@ def test_embed_tracklets_matches_a_graph_building_forward_byte_for_byte(
 def test_embed_tracklets_builds_no_graph(monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
-    outputs = []
+    encoded, decoded = [], []
 
-    def keeping_forward(*args, **kwargs):
-        outputs.append(forward_batch(*args, **kwargs))
-        return outputs[-1]
+    def keeping_encoder(*args, **kwargs):
+        encoded.append(encoder_stage(*args, **kwargs))
+        return encoded[-1]
 
-    monkeypatch.setattr(harness, "forward_batch", keeping_forward)
+    def keeping_decoder(*args, **kwargs):
+        decoded.append(decoder_stage(*args, **kwargs))
+        return decoded[-1]
+
+    monkeypatch.setattr(harness, "encoder_stage", keeping_encoder)
+    monkeypatch.setattr(harness, "decoder_stage", keeping_decoder)
     embed_tracklets(model, cfg, corpus.query + corpus.gallery)
-    assert len(outputs) == 3  # 10 tracklets in batches of 4
-    for logits, normed, _ in outputs:
-        for node in (logits, normed):
-            assert node._parents == () and node._backward is None
-            assert not node.requires_grad
+    assert len(encoded) == len(decoded) == 3  # 10 tracklets in batches of 4
+    # the interaction weights are plain arrays, outside any graph
+    nodes = [node for pyramid in encoded for node in pyramid]
+    nodes += [node for out in decoded for node in out[:2]]  # logits, normed
+    assert len(nodes) == 3 * (len(cfg.encoder.channels) + 2)
+    for node in nodes:
+        assert node._parents == () and node._backward is None
+        assert not node.requires_grad
+
+
+def test_an_overflow_in_a_batchs_decoder_stage_raises_from_embed_tracklets(
+        monkeypatch):
+    cfg, model = _trained_on_odd_split("float32")
+    corpus = micro_corpus(data=ODD_DATA)
+    calls = []
+
+    def flooded(mdl, pyramid, b, training):
+        calls.append(b)
+        if len(calls) == 2:
+            pyramid = [tn.Tensor(p.data * np.float32(3e38)) for p in pyramid]
+        return decoder_stage(mdl, pyramid, b, training)
+
+    monkeypatch.setattr(harness, "decoder_stage", flooded)
+    # batch 2's job runs on the worker thread, under the caller's errstate
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            embed_tracklets(model, cfg, corpus.query + corpus.gallery)
+    assert calls == [4, 4]  # batch 3 is never handed over
+    assert tn._no_grad == []
+
+
+def test_an_error_in_the_encoder_stage_joins_the_running_job_first(
+        monkeypatch):
+    cfg, model = _trained_on_odd_split("float32")
+    corpus = micro_corpus(data=ODD_DATA)
+    failing = threading.Event()
+    job = {}
+
+    def encoder(*args, **kwargs):
+        if job:  # batch 2
+            failing.set()
+            raise RuntimeError("encoder failed")
+        job["submitted"] = True
+        return encoder_stage(*args, **kwargs)
+
+    def slow_decoder(*args, **kwargs):
+        # batch 1's job outlives the caller's failure in batch 2
+        assert failing.wait(10.0)
+        time.sleep(0.2)
+        job["no_grad"] = list(tn._no_grad)
+        out = decoder_stage(*args, **kwargs)
+        job["done"] = True
+        return out
+
+    monkeypatch.setattr(harness, "encoder_stage", encoder)
+    monkeypatch.setattr(harness, "decoder_stage", slow_decoder)
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        embed_tracklets(model, cfg, corpus.query + corpus.gallery)
+    assert job.get("done")  # joined before the error left embed_tracklets
+    assert job["no_grad"] == [True]  # the job ran under the caller's no_grad
+    assert tn._no_grad == []
+
+
+def test_a_pipelined_embed_counts_the_serial_matmuls():
+    cfg, model = _trained_on_odd_split("float32")
+    corpus = micro_corpus(data=ODD_DATA)
+    tracklets = corpus.query + corpus.gallery
+    with tn.count_matmuls() as serial, tn.no_grad():
+        for start in range(0, len(tracklets), 4):
+            clips = np.concatenate([harness.eval_clip(cfg, tr)
+                                    for tr in tracklets[start:start + 4]])
+            forward_batch(model, clips, training=False)
+    with tn.count_matmuls() as pipelined:
+        embed_tracklets(model, cfg, tracklets)
+    assert pipelined.macs == serial.macs > 0
 
 
 def test_last_training_graph_is_dropped_before_eval(monkeypatch):
