@@ -34,6 +34,8 @@ CAMERA_OFFSET = 0.05
 GLYPH_DELTA = 0.6  # glyph brightness offset against its band, per channel
 
 MAX_CORPUS_VALUES = 10 ** 9  # the most pixel values a config's corpus may hold
+# identities whose eval streams (rng.py) fit below APPEARANCE_STREAM
+EVAL_IDENTITIES = (APPEARANCE_STREAM - EVAL_STREAM) // TRACKLET_STRIDE
 
 TRACKLET_MAGIC = b"DILT"
 _HEADER = struct.Struct("<7I")
@@ -90,9 +92,7 @@ class SynthConfig:
                               % (values, MAX_CORPUS_VALUES))
         # each tracklet's eval stream is its own (rng.py)
         for name, most in (("tracklets_per_identity", TRACKLET_STRIDE),
-                           ("num_identities",
-                            (APPEARANCE_STREAM - EVAL_STREAM)
-                            // TRACKLET_STRIDE)):
+                           ("num_identities", EVAL_IDENTITIES)):
             if getattr(self, name) > most:
                 raise CorpusError("%s=%d is more than %d, so evaluation "
                                   "streams would collide"
@@ -376,5 +376,12 @@ def load_corpus(indir) -> Corpus:
                 "%s: header disagrees with manifest" % row["filename"])
         if split not in ("train", "query", "gallery"):
             raise TrackletFormatError("unknown split %r" % split)
+        if (tr.tracklet_id >= TRACKLET_STRIDE
+                or tr.identity >= EVAL_IDENTITIES):
+            raise TrackletFormatError(
+                "%s: identity %d and tracklet id %d must be below %d and %d, "
+                "or evaluation streams could collide"
+                % (path, tr.identity, tr.tracklet_id, EVAL_IDENTITIES,
+                   TRACKLET_STRIDE))
         getattr(corpus, split).append(tr)
     return corpus

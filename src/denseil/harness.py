@@ -156,9 +156,10 @@ def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
     on its batch-mates beyond float rounding.
 
     With more than one batch the two stages overlap: the worker thread runs
-    batch i's decoder stage while this thread assembles batch i+1 and runs
-    its encoder stage. At most one job is in flight and each stage makes
-    the serial calls, so the bytes are the serial ones.
+    batch i's last encoder block and decoder stage while this thread
+    assembles batch i+1 and runs its encoder blocks 1..L-1, which balances
+    the two threads' loads. At most one job is in flight and each stage
+    makes the serial calls, so the bytes are the serial ones.
     """
     size = cfg.sampling.k_ids * cfg.sampling.t_per_id
 
@@ -176,7 +177,8 @@ def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
         try:
             for start in range(0, len(tracklets), size):
                 clips = batch(start)
-                pyramid = encoder_stage(model, clips, training=False)
+                pyramid = encoder_stage(model, clips, training=False,
+                                        stop=cfg.encoder.num_blocks - 1)
                 if job is not None:
                     rows.append(job.result())
                 # the copied context carries the caller's np.errstate

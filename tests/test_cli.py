@@ -17,7 +17,8 @@ from denseil import harness, imageops, model, tensor
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
 from denseil.config import ConfigError, run_config_from_dict
-from denseil.data import read_tracklet, write_tracklet
+from denseil.data import (load_corpus, read_tracklet, write_corpus,
+                          write_tracklet)
 from micro import micro_dict
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -491,6 +492,39 @@ def test_manifest_non_integer_identity_exits_3(workspace, capsys):
     _exits_3_with_one_line(["train", "--config", str(cfg_path), "--data",
                             str(data_dir), "--out", str(tmp_path / "out")],
                            capsys)
+
+
+def test_colliding_eval_streams_exit_3_from_train_and_eval(workspace,
+                                                           capsys):
+    # query identity 0 with tracklet id 1024 would draw the frames of
+    # gallery identity 1's tracklet 0: both use stream EVAL_STREAM + 1024
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    corpus = load_corpus(data_dir)
+    query = next(tr for tr in corpus.query if tr.identity == 0)
+    gallery = next(tr for tr in corpus.gallery if tr.identity == 1)
+    train = next(tr for tr in corpus.train
+                 if (tr.identity, tr.tracklet_id) == (1, 0))
+    # swapped, so no two tracklets share a file name
+    train.tracklet_id, gallery.tracklet_id = gallery.tracklet_id, 0
+
+    def eval_argv(tracklet_id):
+        query.tracklet_id = tracklet_id
+        write_corpus(corpus, tmp_path / str(tracklet_id))
+        return ["eval", "--checkpoint", str(run_dir / "final.dil1"),
+                "--data", str(tmp_path / str(tracklet_id))]
+
+    assert main(eval_argv(1023)) == 0  # the last id below the stride
+    capsys.readouterr()
+    colliding = eval_argv(1024)
+    path = tmp_path / "1024" / ("id000_t1024_cam%d.dilt" % query.camera)
+    for argv in (colliding, ["train", "--config", str(cfg_path), "--data",
+                             colliding[-1], "--out", str(tmp_path / "again")]):
+        err = _exits_3_with_one_line(argv, capsys)
+        assert str(path) in err and "collide" in err
 
 
 def test_corpus_without_eval_split_exits_1_before_training(workspace,

@@ -388,6 +388,25 @@ def test_load_corpus_rejects_malformed_manifest(tmp_path, text):
         load_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("identity, tracklet_id, loads", [
+    (0, 1023, True), (0, 1024, False),
+    ((1 << 22) - 1, 0, True), (1 << 22, 0, False),
+])
+def test_load_corpus_keeps_eval_streams_apart(tmp_path, identity,
+                                              tracklet_id, loads):
+    # eval streams are EVAL_STREAM + identity * 1024 + tracklet id, so a
+    # larger id would reach a neighbour's stream or the appearance stream
+    frames = np.zeros((1, 3, 8, 8), np.float32)
+    write_corpus(Corpus(query=[Tracklet(frames, identity, 0, tracklet_id)],
+                        gallery=[Tracklet(frames, 1, 1, 0)]), tmp_path)
+    if loads:
+        assert load_corpus(tmp_path).query[0].tracklet_id == tracklet_id
+    else:
+        with pytest.raises(TrackletFormatError,
+                           match="evaluation streams could collide"):
+            load_corpus(tmp_path)
+
+
 # ---------------------------------------------------------------- batching
 
 def train_split():

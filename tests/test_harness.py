@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from denseil import harness, imageops
+from denseil import model as model_module
 from denseil import tensor as tn
 from denseil.checkpoint import load_checkpoint
 from denseil.config import ConfigError
@@ -253,27 +254,76 @@ def test_embed_tracklets_matches_a_graph_building_forward_byte_for_byte(
 def test_embed_tracklets_builds_no_graph(monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
-    encoded, decoded = [], []
+    encoded, pooled, decoded = [], [], []
+    stack_partitions = model_module.stack_partitions
 
     def keeping_encoder(*args, **kwargs):
         encoded.append(encoder_stage(*args, **kwargs))
         return encoded[-1]
+
+    def keeping_partitions(pyramid, *args):
+        pooled.append(pyramid)
+        return stack_partitions(pyramid, *args)
 
     def keeping_decoder(*args, **kwargs):
         decoded.append(decoder_stage(*args, **kwargs))
         return decoded[-1]
 
     monkeypatch.setattr(harness, "encoder_stage", keeping_encoder)
+    monkeypatch.setattr(model_module, "stack_partitions", keeping_partitions)
     monkeypatch.setattr(harness, "decoder_stage", keeping_decoder)
     embed_tracklets(model, cfg, corpus.query + corpus.gallery)
-    assert len(encoded) == len(decoded) == 3  # 10 tracklets in batches of 4
+    assert len(encoded) == len(pooled) == len(decoded) == 3  # batches of 4
+    L = len(cfg.encoder.channels)
+    for head, pyramid in zip(encoded, pooled):
+        # the decoder stage pools the encoder stage's maps and its own last
+        assert len(head) == L - 1 and len(pyramid) == L
+        assert all(a is b for a, b in zip(head, pyramid))
     # the interaction weights are plain arrays, outside any graph
-    nodes = [node for pyramid in encoded for node in pyramid]
+    nodes = [node for pyramid in pooled for node in pyramid]
     nodes += [node for out in decoded for node in out[:2]]  # logits, normed
-    assert len(nodes) == 3 * (len(cfg.encoder.channels) + 2)
+    assert len(nodes) == 3 * (L + 2)
     for node in nodes:
         assert node._parents == () and node._backward is None
         assert not node.requires_grad
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_the_worker_runs_the_last_encoder_block_and_the_decoder(monkeypatch,
+                                                                dtype):
+    # the desk encoder's four blocks, on small frames
+    cfg = micro_run_config(dtype=dtype, data=ODD_DATA,
+                           encoder={"channels": [16, 32, 64, 128]})
+    corpus = micro_corpus(data=ODD_DATA)
+    model = build_model(cfg)
+    clips = np.stack([tr.frames[:cfg.sampling.chunks]
+                      for tr in corpus.train[:4]]).astype(cfg.np_dtype())
+    forward_batch(model, clips, training=True)  # batch-norm statistics
+    tracklets = corpus.query + corpus.gallery  # batches of 4, 4 and 2
+    serial = []
+    for start in range(0, len(tracklets), 4):
+        clips = np.concatenate([harness.eval_clip(cfg, tr)
+                                for tr in tracklets[start:start + 4]])
+        serial.append(forward_batch(model, clips, training=False)[1].data)
+    L = len(cfg.encoder.channels)
+    block_of = {id(model.params["encoder.block%d.conv%d.w" % (l, k)]): l
+                for l in range(1, L + 1) for k in (1, 2)}
+    convs = []
+    conv2d = imageops.conv2d
+
+    def recording_conv(x, w, *args, **kwargs):
+        convs.append((block_of[id(w)], threading.current_thread().name))
+        return conv2d(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(imageops, "conv2d", recording_conv)
+    embedded = embed_tracklets(model, cfg, tracklets)
+    caller = threading.current_thread().name
+    on_caller = sorted(block for block, thread in convs if thread == caller)
+    on_worker = sorted(block for block, thread in convs
+                       if thread.startswith("denseil-worker"))
+    assert on_caller == sorted(list(range(1, L)) * 2 * 3)
+    assert on_worker == [L] * 2 * 3
+    assert embedded.tobytes() == np.concatenate(serial).tobytes()
 
 
 def test_an_overflow_in_a_batchs_decoder_stage_raises_from_embed_tracklets(
