@@ -126,8 +126,9 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
                 and done % cfg.checkpoint_interval == 0 and done < cfg.epochs):
             save_model(os.path.join(outdir, "epoch_%03d.dil1" % done), model)
 
-    # The last step's graph would otherwise live through evaluation. It is
-    # kept across steps on purpose: freeing it each step lets the allocator
+    # Backward has freed the last step's closures and inner gradients; its
+    # activations would otherwise live through evaluation. They are kept
+    # across steps on purpose: freeing them each step lets the allocator
     # trim the heap, and the next step pays to fault it back in.
     del logits, embeddings, loss, ce, tri
     metric_rows = evaluate_model(model, cfg, corpus)

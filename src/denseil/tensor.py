@@ -27,7 +27,8 @@ class NumericError(ArithmeticError):
 
 
 class GraphError(RuntimeError):
-    """Misuse of the computation graph (non-scalar loss, misshapen gradient)."""
+    """Misuse of the computation graph (non-scalar loss, misshapen gradient,
+    a graph walked back twice)."""
 
 
 class Tensor:
@@ -35,7 +36,9 @@ class Tensor:
 
     ``_backward`` maps the output gradient to one gradient per parent.
     Leaves (inputs, parameters) have no parents; inside ``no_grad`` every
-    new tensor is one.
+    new tensor is one. ``backward`` leaves a gradient on every leaf it
+    reaches and sets ``_backward`` and ``grad`` of every other node it
+    walks back to None.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -134,10 +137,15 @@ def no_grad():
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor reachable from ``loss``.
+    """Populate ``grad`` on every leaf reachable from ``loss``.
 
-    ``loss`` must be scalar-shaped (() or (1,)). Gradients accumulate into
-    existing ``grad`` arrays, so reset them to None between steps.
+    ``loss`` must be scalar-shaped (() or (1,)). Leaf gradients accumulate
+    into existing ``grad`` arrays, so reset them to None between steps.
+    Once a node's closure has handed its gradients on, the walk drops the
+    closure, and with it the buffers it saved, and the node's own gradient;
+    the node keeps its data and parents. A graph can therefore be walked
+    back once: a walk that hands a gradient to a spent node raises
+    GraphError.
 
     One rule stores each gradient a node hands a parent. It must have the
     parent's shape, else GraphError. It is added out of place to the
@@ -154,7 +162,12 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     loss.grad.flags.writeable = False
     for node in reversed(order):
-        if node._backward is None or node.grad is None:
+        if node._backward is None:
+            if node._parents and node.grad is not None:
+                raise GraphError("a tensor of shape %s was already walked back"
+                                 % (node.data.shape,))
+            continue
+        if node.grad is None:
             continue
         for parent, g in zip(node._parents, node._backward(node.grad)):
             if not parent.requires_grad or g is None:
@@ -166,6 +179,8 @@ def backward(loss: Tensor) -> None:
                 g = parent.grad + g
             parent.grad = g = np.asarray(g, dtype=parent.data.dtype)
             g.flags.writeable = False
+        node._backward = None
+        node.grad = None
 
 
 def _toposort(root: Tensor):

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from denseil import imageops as im
 from denseil import tensor as T
 from oracles import backward_ref, gradcheck
 
@@ -304,21 +308,41 @@ def _graphs():
 
 def test_backward_grads_equal_zero_then_add_and_are_read_only():
     for (name, loss), (_, again) in zip(_graphs(), _graphs()):
+        nodes = _walk(loss)
+        handed = _spy(nodes)
         T.backward(loss)
         backward_ref(again)
-        nodes = _walk(loss)
         for got, want in zip(nodes, _walk(again)):
-            assert (got.grad is None) == (want.grad is None), name
-            if got.grad is not None:
-                assert got.grad.dtype == want.grad.dtype, name
-                assert got.grad.shape == want.grad.shape, name
-                assert np.array_equal(got.grad, want.grad), name
-        # an in-place write into any grad, the loss's included, raises
-        assert loss.grad is not None
-        for n in nodes:
-            if n.grad is not None:
-                with pytest.raises(ValueError):
-                    n.grad += 1.0
+            # a leaf keeps its gradient; any other node's is the one its
+            # closure was handed, which backward has released since
+            if got._parents:
+                assert got.grad is None and got._backward is None, name
+            grad = handed.get(id(got)) if got._parents else got.grad
+            assert (grad is None) == (want.grad is None), name
+            if grad is not None:
+                assert grad.dtype == want.grad.dtype, name
+                assert grad.shape == want.grad.shape, name
+                assert np.array_equal(grad, want.grad), name
+                assert not grad.flags.writeable, name
+        # an in-place write into any leaf grad raises
+        leaves = [n for n in nodes if not n._parents and n.grad is not None]
+        assert leaves, name
+        for n in leaves:
+            with pytest.raises(ValueError):
+                n.grad += 1.0
+
+
+def _spy(nodes):
+    """Wrap the closure of each node in ``nodes`` that has one, so that the
+    returned dict maps ``id(node)`` to the gradient its closure was handed."""
+    handed = {}
+    for node in nodes:
+        if node._backward is not None:
+            def spy(g, node=node, inner=node._backward):
+                handed[id(node)] = g
+                return inner(g)
+            node._backward = spy
+    return handed
 
 
 def _walk(root):
@@ -345,8 +369,9 @@ def test_backward_adopts_an_owned_first_gradient():
 
     prod._backward = recording
     s = T.add(prod, a)
+    seen = _spy([s])
     T.backward(T.sum_all(s))
-    assert a.grad is not s.grad and d.grad is handed[1]
+    assert a.grad is not seen[id(s)] and d.grad is handed[1]
     assert np.array_equal(a.grad, [4.0, 5.0])
 
 
@@ -355,9 +380,11 @@ def test_backward_keeps_view_and_shared_first_gradients_without_a_copy():
     a, w = t(rng.normal(size=(2, 3)), rg=True), t(rng.normal(size=(3, 2)), rg=True)
     r = T.reshape(a, (3, 2))
     s = T.add(r, w)
+    handed = _spy([r, s])
     T.backward(T.sum_all(T.mul(s, s)))
-    assert np.shares_memory(a.grad, r.grad)
-    assert np.shares_memory(r.grad, s.grad) and np.shares_memory(w.grad, s.grad)
+    r_grad, s_grad = handed[id(r)], handed[id(s)]
+    assert np.shares_memory(a.grad, r_grad)
+    assert np.shares_memory(r_grad, s_grad) and np.shares_memory(w.grad, s_grad)
     assert np.array_equal(a.grad, (2 * s.data).reshape(2, 3))
 
 
@@ -367,6 +394,85 @@ def test_backward_rejects_a_wrongly_shaped_gradient():
     bad = T.Tensor(a.data.copy(), _parents=(a,), _backward=lambda g: (g[0],))
     with pytest.raises(T.GraphError):
         T.backward(T.sum_all(bad))
+
+
+def test_backward_twice_over_one_graph_raises():
+    w = t([2.0], rg=True)
+    loss = T.sum_all(T.mul(w, w))
+    T.backward(loss)
+    first = w.grad
+    with pytest.raises(T.GraphError, match="already walked back"):
+        T.backward(loss)
+    assert w.grad is first and np.array_equal(first, [4.0])
+
+
+def test_backward_into_a_walked_subgraph_raises():
+    # the new loss would hand h a gradient that h's freed closure cannot pass on
+    w = t([2.0], rg=True)
+    h = T.mul(w, w)
+    T.backward(T.sum_all(h))
+    with pytest.raises(T.GraphError, match="already walked back"):
+        T.backward(T.sum_all(T.add(h, w)))
+
+
+def _desk_graph(dtype):
+    """A micro encoder block feeding a decoder layer, as a desk step does:
+    two convs with fused BN-ReLU over a constant input, attention from
+    learned queries to the rows of two clips, a residual and layer norm.
+    No non-leaf has two consumers, so backward and ``backward_ref`` add
+    every gradient in the same order, whichever topological order each
+    walks."""
+    rng = np.random.default_rng(12)
+
+    def leaf(*shape):
+        return T.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    h = T.Tensor(rng.normal(size=(2, 4, 4, 3)).astype(dtype))
+    for cin, cout, stride in ((3, 8, 1), (8, 8, 2)):
+        h = im.conv2d(h, leaf(cout, cin, 3, 3), stride=stride)
+        h = im.batchnorm_nchw(h, leaf(cout), leaf(cout), im.BNState(cout, dtype),
+                              training=True, relu=True)
+    kv = T.matmul(T.reshape(h, (8, 8)), leaf(8, 8))
+    queries = leaf(4, 8)
+    out, _ = T.attention(T.matmul(queries, leaf(8, 8)), kv, kv, heads=2, clips=2)
+    y = T.layer_norm(T.add(out, queries), leaf(8), leaf(8))
+    return T.mean_all(T.mul(y, y))
+
+
+def _cell(fn, name):
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_releases_closures_and_inner_gradients(dtype):
+    loss, twin = _desk_graph(dtype), _desk_graph(dtype)
+    nodes = _walk(loss)
+    saved = [weakref.ref(_cell(n._backward, name)) for n in nodes if n._backward
+             for name in ("cols", "xhat", "mask", "kT")
+             if name in n._backward.__code__.co_freevars]
+    # two convs' cols, two BNs' xhat and mask, attention's kT, layer norm's xhat
+    assert len(saved) == 8
+    gc.disable()
+    try:
+        T.backward(loss)
+        # the conv worker drops its finished job before it takes the next
+        im._worker().submit(int).result()
+        assert all(ref() is None for ref in saved)
+    finally:
+        gc.enable()
+    backward_ref(twin)
+    leaves = 0
+    for got, want in zip(nodes, _walk(twin)):
+        if got._parents:
+            assert got._backward is None and got.grad is None
+            continue
+        assert (got.grad is None) == (want.grad is None)
+        if got.grad is not None:
+            leaves += 1
+            assert not got.grad.flags.writeable
+            assert got.grad.dtype == want.grad.dtype and got.grad.shape == want.grad.shape
+            assert got.grad.tobytes() == want.grad.tobytes()
+    assert leaves == 11
 
 
 # ------------------------------------------------------- gradient checking
