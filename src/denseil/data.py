@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partition import band_heights
-from .rng import (APPEARANCE_STREAM, EVAL_STREAM, TRACKLET_STRIDE,
-                  stream)
+from .rng import APPEARANCE_STREAM, EVAL_IDENTITIES, TRACKLET_STRIDE, stream
 
 CHANNELS = 3  # the renderer draws RGB frames
 NUM_BANDS = 4
@@ -34,8 +33,6 @@ CAMERA_OFFSET = 0.05
 GLYPH_DELTA = 0.6  # glyph brightness offset against its band, per channel
 
 MAX_CORPUS_VALUES = 10 ** 9  # the most pixel values a config's corpus may hold
-# identities whose eval streams (rng.py) fit below APPEARANCE_STREAM
-EVAL_IDENTITIES = (APPEARANCE_STREAM - EVAL_STREAM) // TRACKLET_STRIDE
 
 TRACKLET_MAGIC = b"DILT"
 _HEADER = struct.Struct("<7I")

@@ -69,13 +69,10 @@ def init_encoder(cfg: EncoderConfig, in_channels: int, rng: np.random.Generator,
     return params, states
 
 
-def encode_clip(frames: Tensor, cfg: EncoderConfig, params, states, training: bool,
-                stop=None):
-    """Run channels-last [I,H,W,C] frames through blocks 1..``stop``, all
-    of them by default.
+def encode_clip(frames: Tensor, cfg: EncoderConfig, params, states, training: bool):
+    """Run channels-last [I,H,W,C] frames through every block.
 
-    Returns the pyramid, one channels-last [I,H_l,W_l,C_l] map per block
-    run; ``encode_blocks`` goes on from where it stops.
+    Returns the pyramid, one channels-last [I,H_l,W_l,C_l] map per block.
     """
     if frames.data.ndim != 4:
         raise ShapeError("encode_clip expects [I,H,W,C] frames")
@@ -83,19 +80,11 @@ def encode_clip(frames: Tensor, cfg: EncoderConfig, params, states, training: bo
     div = 1 << cfg.num_downsampling()
     if h % div or w % div:
         raise ShapeError("input %dx%d not divisible by 2^%d" % (h, w, cfg.num_downsampling()))
-    stop = cfg.num_blocks if stop is None else stop
-    return encode_blocks(frames, 1, stop, cfg, params, states, training)
-
-
-def encode_blocks(x: Tensor, first: int, stop: int, cfg: EncoderConfig, params,
-                  states, training: bool):
-    """Blocks ``first``..``stop`` over ``x``, block ``first``'s input: one
-    output map per block, none if ``first`` > ``stop``."""
-    strides = cfg.block_strides()
+    x = frames
     pyramid = []
-    for l in range(first, stop + 1):
+    for l, stride in enumerate(cfg.block_strides(), start=1):
         prefix = "encoder.block%d" % l
-        for k, s in ((1, strides[l - 1]), (2, 1)):
+        for k, s in ((1, stride), (2, 1)):
             x = imageops.conv2d(x, params["%s.conv%d.w" % (prefix, k)], stride=s)
             x = imageops.batchnorm_nchw(
                 x,

@@ -1,11 +1,9 @@
 """Training loop, evaluation pipeline, ablation runner, run reports."""
 
-import contextvars
 import csv
 import json
 import os
 import time
-from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,10 +16,9 @@ from .decoder import FUSIONS
 from .flops import estimate_decoder_flops
 from .losses import total_loss
 from .metrics import EvalTable, cmc_and_map, metrics_rows, pairwise_distances
-from .model import (Model, build_model, decoder_stage, encoder_stage,
-                    forward_batch, save_model)
+from .model import Model, build_model, forward_batch, save_model
 from .optim import Adam, lr_at
-from .rng import EVAL_STREAM, SAMPLER_STREAM, TRACKLET_STRIDE, stream
+from .rng import SAMPLER_STREAM, eval_stream_id, stream
 
 
 class TrainingDiverged(ArithmeticError):
@@ -142,8 +139,8 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
 def eval_clip(cfg: RunConfig, tracklet) -> np.ndarray:
     """The tracklet's one fixed restricted sample, as a [1, I, C, H, W]
     batch in the run dtype: what evaluation embeds it from."""
-    rng = stream(cfg.seed, EVAL_STREAM
-                 + tracklet.identity * TRACKLET_STRIDE + tracklet.tracklet_id)
+    rng = stream(cfg.seed,
+                 eval_stream_id(tracklet.identity, tracklet.tracklet_id))
     clip = restricted_sample(tracklet, cfg.sampling.chunks, rng)
     return clip[None].astype(cfg.np_dtype())
 
@@ -156,48 +153,30 @@ def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
     it. Eval batch norm uses running statistics, so a row does not depend
     on its batch-mates beyond float rounding.
 
-    With more than one batch the two stages overlap: the worker thread runs
-    batch i's last encoder block and decoder stage while this thread
-    assembles batch i+1 and runs its encoder blocks 1..L-1, which balances
-    the two threads' loads. At most one job is in flight and each stage
-    makes the serial calls, so the bytes are the serial ones.
+    Batches run in pairs: the worker thread embeds the first of a pair
+    while this thread embeds the second. An odd last batch runs here
+    alone, so a one-batch evaluation or a query starts no thread. Each
+    batch makes the serial calls, so the bytes are the serial ones.
     """
     size = cfg.sampling.k_ids * cfg.sampling.t_per_id
+    starts = range(0, len(tracklets), size)
 
-    def batch(start):
-        return np.concatenate([eval_clip(cfg, tr)
-                               for tr in tracklets[start:start + size]])
+    def embed(start):
+        clips = np.concatenate([eval_clip(cfg, tr)
+                                for tr in tracklets[start:start + size]])
+        # the normed embeddings alone: a batch keeps no attention weights
+        return forward_batch(model, clips, training=False)[1].data
 
-    if len(tracklets) <= size:
-        with tn.no_grad():
-            return forward_batch(model, batch(0), training=False)[1].data
     rows = []
-    job = None
-    # no_grad stays open until the last job is joined: the worker reads it
+    # each job is joined inside no_grad: the worker reads it
     with tn.no_grad():
-        try:
-            for start in range(0, len(tracklets), size):
-                clips = batch(start)
-                pyramid = encoder_stage(model, clips, training=False,
-                                        stop=cfg.encoder.num_blocks - 1)
-                if job is not None:
-                    rows.append(job.result())
-                # the copied context carries the caller's np.errstate
-                job = imageops._worker().submit(
-                    contextvars.copy_context().run, _embedding_rows, model,
-                    pyramid, len(clips))
-                del pyramid  # held by the job alone, so freed as it ends
-            rows.append(job.result())
-        finally:
-            if job is not None:
-                wait((job,))  # an error of the caller's own is the one raised
+        for first in starts[:-1:2]:
+            with imageops.worker_job(embed, first) as job:
+                second = embed(first + size)
+            rows += [job.result(), second]
+        if len(starts) % 2:
+            rows.append(embed(starts[-1]))
     return np.concatenate(rows)
-
-
-def _embedding_rows(model: Model, pyramid, b: int) -> np.ndarray:
-    """``decoder_stage``'s normed embeddings alone: a job's result keeps
-    no attention weights alive."""
-    return decoder_stage(model, pyramid, b, training=False)[1].data
 
 
 def embed_tracklet(model: Model, cfg: RunConfig, tracklet) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -64,10 +65,8 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
 
         # dw runs on the worker thread while this one builds dx. Each makes
         # the serial code's numpy calls and writes only arrays of its own,
-        # so no byte depends on the schedule. The copied context carries
-        # the caller's np.errstate.
-        job = _worker().submit(contextvars.copy_context().run, weight_grad)
-        try:
+        # so no byte depends on the schedule.
+        with worker_job(weight_grad) as job:
             dx = None
             if x.requires_grad:
                 # col2im one tap at a time, straight into dx: output row o of
@@ -81,8 +80,6 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
                         xj, oj = _tap_range(j - pw, stride, wo, wd)
                         part = (g2 @ taps[:, i, j]).reshape(n, ho, wo, c)
                         dx[:, xi, xj] += part[:, oi, oj]
-        finally:
-            wait((job,))  # an error of the caller's own is the one raised
         dw = job.result()
         if bias is not None:
             return dx, dw, g2.sum(axis=0)
@@ -93,7 +90,8 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
 
 
 # The package's one worker thread, made on first use: conv backward's weight
-# gradients and, in a multi-batch evaluation, each batch's decoder stage.
+# gradients and, in an evaluation of two or more batches, the first batch
+# of each pair.
 _pool = None
 
 
@@ -102,6 +100,23 @@ def _worker() -> ThreadPoolExecutor:
     if _pool is None:
         _pool = ThreadPoolExecutor(1, thread_name_prefix="denseil-worker")
     return _pool
+
+
+@contextmanager
+def worker_job(fn, *args):
+    """Run ``fn(*args)`` on the worker thread while the ``with`` body runs
+    on this one; yields the job's future.
+
+    The job runs in a copy of the caller's context, so it sees the
+    caller's np.errstate. Leaving the block waits for the job, also when
+    the body raises: an error of the caller's own is the one raised, and
+    the job never outlives the scopes the caller opened around the block.
+    """
+    job = _worker().submit(contextvars.copy_context().run, fn, *args)
+    try:
+        yield job
+    finally:
+        wait((job,))
 
 
 def _drop_worker():

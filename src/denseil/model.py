@@ -12,7 +12,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import CHANNELS
 from .decoder import classify_head, decoder_forward, init_decoder, init_head
-from .encoder import encode_blocks, encode_clip, init_encoder
+from .encoder import encode_clip, init_encoder
 from .partition import stack_partitions
 from .posemb import step_emb
 from .rng import INIT_STREAM, stream
@@ -55,30 +55,21 @@ def build_model(cfg: RunConfig) -> Model:
     return Model(cfg, params, states)
 
 
-def encoder_stage(model: Model, clips: np.ndarray, training: bool, stop=None):
-    """The encoder half of ``forward_batch``: a [B, I, C, H, W] batch of
-    clips, channels-last once, through ``encode_clip``'s blocks
-    1..``stop``, all of them by default. Returns each block's
-    [B*I, H_l, W_l, C_l] map. Encoder batch norm sees the whole batch at
-    once."""
+def forward_batch(model: Model, clips: np.ndarray, training: bool):
+    """Embed a [B, I, C, H, W] batch of clips.
+
+    The frames go channels-last once and through the encoder, whose batch
+    norm sees the whole batch at once. The decoder then runs once over all
+    B clips' pooled and adapted pyramids, attention staying within each
+    clip. Returns (logits [B, num_ids], embeddings [B, d], each decoder
+    block's interaction weights, as ``decoder_forward`` gives them).
+    Embeddings are the post-norm features the metric side ranks.
+    """
     b, i = clips.shape[0], clips.shape[1]
     frames = clips.reshape((b * i,) + clips.shape[2:])
     x = Tensor(np.ascontiguousarray(frames.transpose(0, 2, 3, 1)))
-    return encode_clip(x, model.cfg.encoder, model.params, model.states,
-                       training, stop)
-
-
-def decoder_stage(model: Model, pyramid, b: int, training: bool):
-    """The decoder half of ``forward_batch``, over ``encoder_stage``'s maps
-    of ``b`` clips: the encoder blocks the pyramid still lacks, part
-    pooling and adapters, STEP-Emb, the decoder stack and the head. The
-    decoder runs once over all B clips, attention staying within each
-    clip."""
-    i = pyramid[0].shape[0] // b
-    enc = model.cfg.encoder
-    pyramid = pyramid + encode_blocks(pyramid[-1], len(pyramid) + 1,
-                                      enc.num_blocks, enc, model.params,
-                                      model.states, training)
+    pyramid = encode_clip(x, model.cfg.encoder, model.params, model.states,
+                          training)
     tokens, earlier = stack_partitions(pyramid, model.cfg.partitions,
                                        model.adapter_weights(), b)
     emb = step_emb(i, model.cfg.partitions, model.cfg.decoder.d)
@@ -87,18 +78,6 @@ def decoder_stage(model: Model, pyramid, b: int, training: bool):
     logits, normed = classify_head(embeddings, model.params,
                                    model.states["head.bn"], training)
     return logits, normed, dense_attn
-
-
-def forward_batch(model: Model, clips: np.ndarray, training: bool):
-    """Embed a [B, I, C, H, W] batch of clips: ``decoder_stage`` over
-    ``encoder_stage``.
-
-    Returns (logits [B, num_ids], embeddings [B, d], each decoder block's
-    interaction weights, as ``decoder_forward`` gives them). Embeddings are
-    the post-norm features the metric side ranks.
-    """
-    return decoder_stage(model, encoder_stage(model, clips, training),
-                         clips.shape[0], training)
 
 
 def save_model(path, model: Model):

@@ -9,6 +9,7 @@ build, so identical inputs give bit-identical outputs across runs.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from itertools import accumulate
 from types import SimpleNamespace
@@ -103,6 +104,9 @@ def array_mean(a: np.ndarray, axis, keepdims: bool = False, total=None):
 # scopes: matmul instrumentation and no_grad
 
 _counters = []  # the open count_matmuls scopes, innermost last
+# A pipelined evaluation's two threads both add to the open scopes, and
+# ``+=`` on an attribute is a read, an add and a write.
+_counters_lock = threading.Lock()
 
 
 @contextmanager
@@ -115,6 +119,13 @@ def count_matmuls():
         yield counter
     finally:
         _counters.pop()
+
+
+def _count(macs: int):
+    """Add ``macs`` to every open count_matmuls scope."""
+    with _counters_lock:
+        for counter in _counters:
+            counter.macs += macs
 
 
 _no_grad = []  # the open no_grad scopes
@@ -144,8 +155,8 @@ def backward(loss: Tensor) -> None:
     Once a node's closure has handed its gradients on, the walk drops the
     closure, and with it the buffers it saved, and the node's own gradient;
     the node keeps its data and parents. A graph can therefore be walked
-    back once: a walk that hands a gradient to a spent node raises
-    GraphError.
+    back once: a walk that reaches a spent node raises GraphError before
+    any gradient is stored.
 
     One rule stores each gradient a node hands a parent. It must have the
     parent's shape, else GraphError. It is added out of place to the
@@ -162,12 +173,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     loss.grad.flags.writeable = False
     for node in reversed(order):
-        if node._backward is None:
-            if node._parents and node.grad is not None:
-                raise GraphError("a tensor of shape %s was already walked back"
-                                 % (node.data.shape,))
-            continue
-        if node.grad is None:
+        if node._backward is None or node.grad is None:
             continue
         for parent, g in zip(node._parents, node._backward(node.grad)):
             if not parent.requires_grad or g is None:
@@ -185,7 +191,9 @@ def backward(loss: Tensor) -> None:
 
 def _toposort(root: Tensor):
     # Iterative post-order DFS. The graph is acyclic: ``_parents`` is set
-    # only in ``Tensor.__init__``, from tensors that already exist.
+    # only in ``Tensor.__init__``, from tensors that already exist. A spent
+    # node, one with parents and no closure, raises before any closure runs,
+    # so a refused walk leaves every leaf gradient as it was.
     seen = set()
     order = []
     stack = [(root, False)]
@@ -196,6 +204,9 @@ def _toposort(root: Tensor):
             continue
         if id(node) in seen:
             continue
+        if node._parents and node._backward is None:
+            raise GraphError("a tensor of shape %s was already walked back"
+                             % (node.data.shape,))
         seen.add(id(node))
         stack.append((node, True))
         if node.requires_grad:
@@ -263,8 +274,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul: inner dims disagree, %s vs %s" % (a.shape, b.shape))
     macs = math.prod(a.shape[:-1]) * a.shape[-1] * b.shape[-1]
-    for counter in _counters:
-        counter.macs += macs
+    if _counters:
+        _count(macs)
     out = a.data @ b.data
     return Tensor(out, _parents=(a, b),
                   _backward=lambda g: (g @ b.data.swapaxes(-1, -2),
@@ -408,8 +419,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     macs = 2 * qh.size * kh.shape[2]  # q kᵀ and weights v
-    for counter in _counters:
-        counter.macs += macs
+    if _counters:
+        _count(macs)
     kT = kh.transpose(0, 1, 3, 2).copy()
     attn = qh @ kT
     attn *= c

@@ -7,13 +7,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import denseil
-from denseil import harness, imageops, model, tensor
+from denseil import imageops, model, tensor
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
 from denseil.config import ConfigError, run_config_from_dict
@@ -777,24 +778,25 @@ def test_overflow_in_a_weight_gradient_exits_2_at_its_step(workspace, capsys,
 def test_an_overflow_in_an_eval_batchs_decoder_stage_exits_2(workspace,
                                                              capsys,
                                                              monkeypatch):
-    # 8 eval tracklets in batches of 4: batch 2's decoder stage runs on the
-    # worker thread, and its overflow must fail the command all the same
+    # 8 eval tracklets in batches of 4, one pair: batch 1 runs on the
+    # worker thread, and an overflow in its decoder stage must fail the
+    # command all the same
     tmp_path, cfg_path, data_dir = workspace
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
                  "--out", str(run_dir)]) == 0
     capsys.readouterr()
-    decoder_stage = model.decoder_stage
+    stack_partitions = model.stack_partitions
     calls = []
 
-    def flooded(mdl, pyramid, b, training):
+    def flooded(pyramid, partitions, weights, b):
         calls.append(b)
-        if len(calls) == 2:
+        if threading.current_thread().name.startswith("denseil-worker"):
             pyramid = [tensor.Tensor(p.data * np.float32(3e38))
                        for p in pyramid]
-        return decoder_stage(mdl, pyramid, b, training)
+        return stack_partitions(pyramid, partitions, weights, b)
 
-    monkeypatch.setattr(harness, "decoder_stage", flooded)
+    monkeypatch.setattr(model, "stack_partitions", flooded)
     assert main(["eval", "--checkpoint", str(run_dir / "final.dil1"),
                  "--data", str(data_dir)]) == 2
     captured = capsys.readouterr()
@@ -825,7 +827,7 @@ def test_flops_and_eval_start_no_thread(workspace):
         " '--data', sys.argv[4]]) == 0\n"
         "assert imageops._pool is None\n"
         "assert threading.active_count() == 1\n"
-        # two batches: the decoder stage's jobs go to the one worker
+        # two batches, one pair: the first batch goes to the one worker
         "assert main(['eval', '--checkpoint', sys.argv[3],"
         " '--data', sys.argv[4]]) == 0\n"
         "names = sorted(t.name for t in threading.enumerate())\n"

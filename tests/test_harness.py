@@ -21,8 +21,7 @@ from denseil.harness import (TrainingDiverged, _with_setting, ablate,
 from denseil.imageops import RunningStatsError
 from denseil.metrics import (EvalTable, cmc_and_map, metrics_rows,
                              pairwise_distances)
-from denseil.model import (build_model, decoder_stage, encoder_stage,
-                           forward_batch)
+from denseil.model import build_model, forward_batch
 from micro import micro_corpus, micro_run_config
 
 
@@ -179,7 +178,7 @@ class _SubmitSpy:
         return self.pool.submit(*args)
 
 
-def test_the_worker_gets_one_job_per_eval_batch_and_none_from_a_query(
+def test_the_worker_gets_one_job_per_pair_of_eval_batches_and_none_from_a_query(
         monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
@@ -190,7 +189,9 @@ def test_the_worker_gets_one_job_per_eval_batch_and_none_from_a_query(
     embed_tracklets(model, cfg, corpus.query[:4])  # exactly one batch
     assert spy.calls == 0
     evaluate_model(model, cfg, corpus)  # 10 tracklets in batches of 4
-    assert spy.calls == 3
+    assert spy.calls == 1
+    embed_tracklets(model, cfg, ((corpus.query + corpus.gallery) * 2)[:16])
+    assert spy.calls == 1 + 2  # four batches, two pairs
     # a training step's conv backwards hand it one job per conv
     clips = np.stack([tr.frames[:cfg.sampling.chunks]
                       for tr in corpus.train[:2]])
@@ -254,43 +255,38 @@ def test_embed_tracklets_matches_a_graph_building_forward_byte_for_byte(
 def test_embed_tracklets_builds_no_graph(monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
-    encoded, pooled, decoded = [], [], []
+    pooled, outputs = [], []
     stack_partitions = model_module.stack_partitions
-
-    def keeping_encoder(*args, **kwargs):
-        encoded.append(encoder_stage(*args, **kwargs))
-        return encoded[-1]
 
     def keeping_partitions(pyramid, *args):
         pooled.append(pyramid)
         return stack_partitions(pyramid, *args)
 
-    def keeping_decoder(*args, **kwargs):
-        decoded.append(decoder_stage(*args, **kwargs))
-        return decoded[-1]
+    def keeping_forward(*args, **kwargs):
+        outputs.append(forward_batch(*args, **kwargs))
+        return outputs[-1]
 
-    monkeypatch.setattr(harness, "encoder_stage", keeping_encoder)
     monkeypatch.setattr(model_module, "stack_partitions", keeping_partitions)
-    monkeypatch.setattr(harness, "decoder_stage", keeping_decoder)
+    monkeypatch.setattr(harness, "forward_batch", keeping_forward)
     embed_tracklets(model, cfg, corpus.query + corpus.gallery)
-    assert len(encoded) == len(pooled) == len(decoded) == 3  # batches of 4
+    assert len(pooled) == len(outputs) == 3  # batches of 4
     L = len(cfg.encoder.channels)
-    for head, pyramid in zip(encoded, pooled):
-        # the decoder stage pools the encoder stage's maps and its own last
-        assert len(head) == L - 1 and len(pyramid) == L
-        assert all(a is b for a, b in zip(head, pyramid))
+    assert all(len(pyramid) == L for pyramid in pooled)
     # the interaction weights are plain arrays, outside any graph
     nodes = [node for pyramid in pooled for node in pyramid]
-    nodes += [node for out in decoded for node in out[:2]]  # logits, normed
+    nodes += [node for out in outputs for node in out[:2]]  # logits, normed
     assert len(nodes) == 3 * (L + 2)
     for node in nodes:
         assert node._parents == () and node._backward is None
         assert not node.requires_grad
 
 
+def _on_worker():
+    return threading.current_thread().name.startswith("denseil-worker")
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_the_worker_runs_the_last_encoder_block_and_the_decoder(monkeypatch,
-                                                                dtype):
+def test_the_worker_runs_the_first_batch_of_each_pair(monkeypatch, dtype):
     # the desk encoder's four blocks, on small frames
     cfg = micro_run_config(dtype=dtype, data=ODD_DATA,
                            encoder={"channels": [16, 32, 64, 128]})
@@ -300,29 +296,35 @@ def test_the_worker_runs_the_last_encoder_block_and_the_decoder(monkeypatch,
                       for tr in corpus.train[:4]]).astype(cfg.np_dtype())
     forward_batch(model, clips, training=True)  # batch-norm statistics
     tracklets = corpus.query + corpus.gallery  # batches of 4, 4 and 2
-    serial = []
+    batches, serial = [], []
     for start in range(0, len(tracklets), 4):
-        clips = np.concatenate([harness.eval_clip(cfg, tr)
-                                for tr in tracklets[start:start + 4]])
-        serial.append(forward_batch(model, clips, training=False)[1].data)
+        batches.append(np.concatenate([harness.eval_clip(cfg, tr)
+                                       for tr in tracklets[start:start + 4]]))
+        serial.append(forward_batch(model, batches[-1],
+                                    training=False)[1].data)
     L = len(cfg.encoder.channels)
     block_of = {id(model.params["encoder.block%d.conv%d.w" % (l, k)]): l
                 for l in range(1, L + 1) for k in (1, 2)}
-    convs = []
+    convs, forwards = [], []
     conv2d = imageops.conv2d
 
     def recording_conv(x, w, *args, **kwargs):
-        convs.append((block_of[id(w)], threading.current_thread().name))
+        convs.append((block_of[id(w)], _on_worker()))
         return conv2d(x, w, *args, **kwargs)
 
+    def recording_forward(mdl, clips, training):
+        batch = [i for i, c in enumerate(batches) if np.array_equal(c, clips)]
+        forwards.append((batch, _on_worker()))
+        return forward_batch(mdl, clips, training)
+
     monkeypatch.setattr(imageops, "conv2d", recording_conv)
+    monkeypatch.setattr(harness, "forward_batch", recording_forward)
     embedded = embed_tracklets(model, cfg, tracklets)
-    caller = threading.current_thread().name
-    on_caller = sorted(block for block, thread in convs if thread == caller)
-    on_worker = sorted(block for block, thread in convs
-                       if thread.startswith("denseil-worker"))
-    assert on_caller == sorted(list(range(1, L)) * 2 * 3)
-    assert on_worker == [L] * 2 * 3
+    assert sorted(forwards) == [([0], True), ([1], False), ([2], False)]
+    on_caller = sorted(block for block, worker in convs if not worker)
+    on_worker = sorted(block for block, worker in convs if worker)
+    assert on_caller == sorted(list(range(1, L + 1)) * 2 * 2)
+    assert on_worker == sorted(list(range(1, L + 1)) * 2)
     assert embedded.tobytes() == np.concatenate(serial).tobytes()
 
 
@@ -331,19 +333,20 @@ def test_an_overflow_in_a_batchs_decoder_stage_raises_from_embed_tracklets(
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
     calls = []
+    stack_partitions = model_module.stack_partitions
 
-    def flooded(mdl, pyramid, b, training):
+    def flooded(pyramid, partitions, weights, b):
         calls.append(b)
-        if len(calls) == 2:
+        if _on_worker():  # batch 1, the first of the pair
             pyramid = [tn.Tensor(p.data * np.float32(3e38)) for p in pyramid]
-        return decoder_stage(mdl, pyramid, b, training)
+        return stack_partitions(pyramid, partitions, weights, b)
 
-    monkeypatch.setattr(harness, "decoder_stage", flooded)
-    # batch 2's job runs on the worker thread, under the caller's errstate
+    monkeypatch.setattr(model_module, "stack_partitions", flooded)
+    # batch 1's job runs on the worker thread, under the caller's errstate
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
             embed_tracklets(model, cfg, corpus.query + corpus.gallery)
-    assert calls == [4, 4]  # batch 3 is never handed over
+    assert calls == [4, 4]  # batch 3 never runs
     assert tn._no_grad == []
 
 
@@ -353,25 +356,26 @@ def test_an_error_in_the_encoder_stage_joins_the_running_job_first(
     corpus = micro_corpus(data=ODD_DATA)
     failing = threading.Event()
     job = {}
+    encode_clip = model_module.encode_clip
+    decoder_forward = model_module.decoder_forward
 
     def encoder(*args, **kwargs):
-        if job:  # batch 2
+        if not _on_worker():  # batch 2, the caller's
             failing.set()
             raise RuntimeError("encoder failed")
-        job["submitted"] = True
-        return encoder_stage(*args, **kwargs)
+        return encode_clip(*args, **kwargs)
 
     def slow_decoder(*args, **kwargs):
         # batch 1's job outlives the caller's failure in batch 2
         assert failing.wait(10.0)
         time.sleep(0.2)
         job["no_grad"] = list(tn._no_grad)
-        out = decoder_stage(*args, **kwargs)
+        out = decoder_forward(*args, **kwargs)
         job["done"] = True
         return out
 
-    monkeypatch.setattr(harness, "encoder_stage", encoder)
-    monkeypatch.setattr(harness, "decoder_stage", slow_decoder)
+    monkeypatch.setattr(model_module, "encode_clip", encoder)
+    monkeypatch.setattr(model_module, "decoder_forward", slow_decoder)
     with pytest.raises(RuntimeError, match="encoder failed"):
         embed_tracklets(model, cfg, corpus.query + corpus.gallery)
     assert job.get("done")  # joined before the error left embed_tracklets

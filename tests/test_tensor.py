@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -415,6 +417,17 @@ def test_backward_into_a_walked_subgraph_raises():
         T.backward(T.sum_all(T.add(h, w)))
 
 
+def test_a_refused_walk_stores_no_gradient():
+    # add's closure would hand w its gradient before the walk reached h
+    w = t([2.0], rg=True)
+    h = T.mul(w, w)
+    T.backward(T.sum_all(h))
+    assert np.array_equal(w.grad, [4.0])
+    with pytest.raises(T.GraphError, match="already walked back"):
+        T.backward(T.sum_all(T.add(h, w)))
+    assert np.array_equal(w.grad, [4.0])
+
+
 def _desk_graph(dtype):
     """A micro encoder block feeding a decoder layer, as a desk step does:
     two convs with fused BN-ReLU over a constant input, attention from
@@ -603,6 +616,27 @@ def test_matmul_counter_nests():
             T.matmul(a, a)
     assert inner.macs == 8
     assert outer.macs == 16
+
+
+def test_matmul_counter_loses_no_count_to_other_threads():
+    # a pipelined evaluation's threads both count into the caller's scopes
+    a = t(np.ones((1, 1)))
+    threads, calls = 4, 2000
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with T.count_matmuls() as outer, T.count_matmuls() as inner:
+            workers = [threading.Thread(
+                target=lambda: [T.matmul(a, a) for _ in range(calls)])
+                for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(60.0)
+            assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(switch)
+    assert inner.macs == outer.macs == threads * calls
 
 
 def test_no_grad_ops_make_leaves_even_from_parameters():
