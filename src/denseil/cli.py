@@ -156,11 +156,9 @@ def cmd_flops(args):
     from .config import load_run_config
     from .harness import decoder_flops
     cfg = load_run_config(args.config)
-    est = decoder_flops(cfg)
     print("component,multiply_adds")
-    for key in ("total", "per_block", "self_attention", "dense", "ffn",
-                "adapters"):
-        print("%s,%d" % (key, est[key]))
+    for key, macs in decoder_flops(cfg).items():
+        print("%s,%d" % (key, macs))
     return 0
 
 

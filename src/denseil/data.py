@@ -310,6 +310,11 @@ def read_tracklet(path) -> Tracklet:
     if len(blob) < 4 + _HEADER.size:
         raise TrackletFormatError("%s: truncated header" % path)
     identity, camera, tracklet_id, t, c, h, w = _HEADER.unpack_from(blob, 4)
+    if tracklet_id >= TRACKLET_STRIDE or identity >= EVAL_IDENTITIES:
+        raise TrackletFormatError(
+            "%s: identity %d and tracklet id %d must be below %d and %d, "
+            "or evaluation streams could collide"
+            % (path, identity, tracklet_id, EVAL_IDENTITIES, TRACKLET_STRIDE))
     body = blob[4 + _HEADER.size:]
     want = t * c * h * w * 4
     if len(body) != want:
@@ -373,12 +378,5 @@ def load_corpus(indir) -> Corpus:
                 "%s: header disagrees with manifest" % row["filename"])
         if split not in ("train", "query", "gallery"):
             raise TrackletFormatError("unknown split %r" % split)
-        if (tr.tracklet_id >= TRACKLET_STRIDE
-                or tr.identity >= EVAL_IDENTITIES):
-            raise TrackletFormatError(
-                "%s: identity %d and tracklet id %d must be below %d and %d, "
-                "or evaluation streams could collide"
-                % (path, tr.identity, tr.tracklet_id, EVAL_IDENTITIES,
-                   TRACKLET_STRIDE))
         getattr(corpus, split).append(tr)
     return corpus

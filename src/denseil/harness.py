@@ -168,7 +168,6 @@ def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
         return forward_batch(model, clips, training=False)[1].data
 
     rows = []
-    # each job is joined inside no_grad: the worker reads it
     with tn.no_grad():
         for first in starts[:-1:2]:
             with imageops.worker_job(embed, first) as job:

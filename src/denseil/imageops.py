@@ -107,10 +107,10 @@ def worker_job(fn, *args):
     """Run ``fn(*args)`` on the worker thread while the ``with`` body runs
     on this one; yields the job's future.
 
-    The job runs in a copy of the caller's context, so it sees the
-    caller's np.errstate. Leaving the block waits for the job, also when
-    the body raises: an error of the caller's own is the one raised, and
-    the job never outlives the scopes the caller opened around the block.
+    The job runs in a copy of the caller's context, so it sees the scopes
+    open where it was submitted, np.errstate and ``tn.no_grad`` among them;
+    MAC totals count every thread. Leaving the block waits for the job, also
+    when the body raises, and an error of the caller's own is the one raised.
     """
     job = _worker().submit(contextvars.copy_context().run, fn, *args)
     try:

@@ -8,6 +8,7 @@ build, so identical inputs give bit-identical outputs across runs.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from contextlib import contextmanager
@@ -49,7 +50,7 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
-        if _no_grad:
+        if _no_grad.get():
             _parents, _backward = (), None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
@@ -103,44 +104,43 @@ def array_mean(a: np.ndarray, axis, keepdims: bool = False, total=None):
 # ---------------------------------------------------------------------------
 # scopes: matmul instrumentation and no_grad
 
-_counters = []  # the open count_matmuls scopes, innermost last
-# A pipelined evaluation's two threads both add to the open scopes, and
-# ``+=`` on an attribute is a read, an add and a write.
-_counters_lock = threading.Lock()
+_macs = 0  # the multiply-adds of every forward matmul so far, on any thread
+_macs_lock = threading.Lock()  # ``+=`` is a read, an add and a write
 
 
 @contextmanager
 def count_matmuls():
-    """Context manager yielding a counter whose ``macs`` accumulates the
-    multiply-adds of every forward matmul in scope; scopes nest."""
+    """Context manager yielding a counter whose ``macs``, set when the scope
+    closes, holds the multiply-adds of every forward matmul that ran on any
+    thread while it was open; scopes nest."""
     counter = SimpleNamespace(macs=0)
-    _counters.append(counter)
+    start = _macs
     try:
         yield counter
     finally:
-        _counters.pop()
+        counter.macs = _macs - start
 
 
 def _count(macs: int):
-    """Add ``macs`` to every open count_matmuls scope."""
-    with _counters_lock:
-        for counter in _counters:
-            counter.macs += macs
+    global _macs
+    with _macs_lock:
+        _macs += macs
 
 
-_no_grad = []  # the open no_grad scopes
+_no_grad = contextvars.ContextVar("no_grad", default=False)
 
 
 @contextmanager
 def no_grad():
     """Context manager in which ops build no graph: each result keeps no
     parents and no backward closure, so it needs no gradient unless made
-    with ``requires_grad=True``. The arithmetic is unchanged; scopes nest."""
-    _no_grad.append(True)
+    with ``requires_grad=True``. The arithmetic is unchanged. Scopes nest
+    and hold in this context only: this thread and its ``worker_job``s."""
+    token = _no_grad.set(True)
     try:
         yield
     finally:
-        _no_grad.pop()
+        _no_grad.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +273,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                          "got %s and %s" % (a.shape, b.shape))
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul: inner dims disagree, %s vs %s" % (a.shape, b.shape))
-    macs = math.prod(a.shape[:-1]) * a.shape[-1] * b.shape[-1]
-    if _counters:
-        _count(macs)
+    _count(math.prod(a.shape[:-1]) * a.shape[-1] * b.shape[-1])
     out = a.data @ b.data
     return Tensor(out, _parents=(a, b),
                   _backward=lambda g: (g @ b.data.swapaxes(-1, -2),
@@ -418,9 +416,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
         return g.transpose(2, 0, 3, 1, 4).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    macs = 2 * qh.size * kh.shape[2]  # q kᵀ and weights v
-    if _counters:
-        _count(macs)
+    _count(2 * qh.size * kh.shape[2])  # q kᵀ and weights v
     kT = kh.transpose(0, 1, 3, 2).copy()
     attn = qh @ kT
     attn *= c

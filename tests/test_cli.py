@@ -702,6 +702,27 @@ def test_non_finite_tracklet_exits_3_from_train_and_dump_attn(workspace,
     assert not out_csv.exists()
 
 
+def test_dump_attn_rejects_a_tracklet_whose_eval_stream_collides(workspace,
+                                                                 capsys):
+    # read_tracklet applies load_corpus's eval-stream check to every file
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    tracklet = read_tracklet(data_dir / "id000_t02_cam2.dilt")
+    out_csv = tmp_path / "attn.csv"
+    for identity, tracklet_id in ((0, 5000), (1 << 23, 2)):
+        tracklet.identity, tracklet.tracklet_id = identity, tracklet_id
+        path = tmp_path / ("id%d_t%d.dilt" % (identity, tracklet_id))
+        write_tracklet(path, tracklet)
+        err = _exits_3_with_one_line(
+            ["dump-attn", "--checkpoint", str(run_dir / "final.dil1"),
+             "--tracklet", str(path), "--out", str(out_csv)], capsys)
+        assert str(path) in err and "collide" in err
+        assert not out_csv.exists()
+
+
 def _unpinned_env():
     """This environment without the BLAS thread settings, with the package
     on the path."""

@@ -347,7 +347,7 @@ def test_an_overflow_in_a_batchs_decoder_stage_raises_from_embed_tracklets(
         with pytest.raises(FloatingPointError, match="overflow"):
             embed_tracklets(model, cfg, corpus.query + corpus.gallery)
     assert calls == [4, 4]  # batch 3 never runs
-    assert tn._no_grad == []
+    assert not tn._no_grad.get()
 
 
 def test_an_error_in_the_encoder_stage_joins_the_running_job_first(
@@ -369,7 +369,7 @@ def test_an_error_in_the_encoder_stage_joins_the_running_job_first(
         # batch 1's job outlives the caller's failure in batch 2
         assert failing.wait(10.0)
         time.sleep(0.2)
-        job["no_grad"] = list(tn._no_grad)
+        job["no_grad"] = tn._no_grad.get()
         out = decoder_forward(*args, **kwargs)
         job["done"] = True
         return out
@@ -379,8 +379,8 @@ def test_an_error_in_the_encoder_stage_joins_the_running_job_first(
     with pytest.raises(RuntimeError, match="encoder failed"):
         embed_tracklets(model, cfg, corpus.query + corpus.gallery)
     assert job.get("done")  # joined before the error left embed_tracklets
-    assert job["no_grad"] == [True]  # the job ran under the caller's no_grad
-    assert tn._no_grad == []
+    assert job["no_grad"] is True  # the job ran under the caller's no_grad
+    assert not tn._no_grad.get()
 
 
 def test_a_pipelined_embed_counts_the_serial_matmuls():

@@ -639,6 +639,30 @@ def test_matmul_counter_loses_no_count_to_other_threads():
     assert inner.macs == outer.macs == threads * calls
 
 
+def test_matmul_counters_closed_out_of_order_on_two_threads_keep_apart():
+    # each scope reads the matmuls run while it was open, on any thread
+    a = t(np.ones((1, 1)))
+    opened, closed = threading.Event(), threading.Event()
+    macs = {}
+
+    def other():
+        with T.count_matmuls() as inner:
+            opened.set()
+            assert closed.wait(10.0)  # outlives the first scope
+            T.matmul(a, a)
+        macs["inner"] = inner.macs
+
+    worker = threading.Thread(target=other)
+    with T.count_matmuls() as outer:
+        worker.start()
+        assert opened.wait(10.0)
+    macs["outer"] = outer.macs
+    closed.set()
+    worker.join(10.0)
+    assert not worker.is_alive()
+    assert macs == {"outer": 0, "inner": 1}
+
+
 def test_no_grad_ops_make_leaves_even_from_parameters():
     rng = np.random.default_rng(22)
     x = t(rng.normal(size=(4, 6)))
@@ -661,6 +685,27 @@ def test_no_grad_scopes_nest():
             assert T.matmul(a, a)._parents == ()
         assert T.matmul(a, a)._parents == ()  # the outer scope is still open
     assert T.matmul(a, a)._parents == (a, a)
+
+
+def test_no_grad_holds_on_its_own_thread_only():
+    a = t(np.ones((2, 2)), rg=True)
+    opened, built = threading.Event(), threading.Event()
+
+    def hold():
+        with T.no_grad():
+            opened.set()
+            built.wait(10.0)
+
+    other = threading.Thread(target=hold)
+    other.start()
+    try:
+        assert opened.wait(10.0)
+        out = T.matmul(a, a)  # built while the other thread holds no_grad
+    finally:
+        built.set()
+        other.join(10.0)
+    assert not other.is_alive()
+    assert out._parents == (a, a) and out.requires_grad
 
 
 def test_no_grad_closes_on_an_exception():
