@@ -333,15 +333,21 @@ def read_tracklet(path) -> Tracklet:
 def write_corpus(corpus: Corpus, outdir):
     """Write every tracklet plus a manifest.csv (filename, identity,
     camera, split) whose rows keep the corpus order, so a loaded corpus
-    enumerates tracklets exactly like a fresh one."""
-    os.makedirs(outdir, exist_ok=True)
-    rows = []
+    enumerates tracklets exactly like a fresh one. Two tracklets that
+    would share a file name raise TrackletFormatError before any write."""
+    files, rows = {}, []
     for split, tracklets in corpus.splits():
         for tr in tracklets:
             name = "id%03d_t%02d_cam%d.dilt" % (tr.identity, tr.tracklet_id,
                                                 tr.camera)
-            write_tracklet(os.path.join(outdir, name), tr)
+            if name in files:
+                raise TrackletFormatError(
+                    "%s: two tracklets share identity, tracklet id and camera" % name)
+            files[name] = tr
             rows.append((name, tr.identity, tr.camera, split))
+    os.makedirs(outdir, exist_ok=True)
+    for name, tr in files.items():
+        write_tracklet(os.path.join(outdir, name), tr)
     with open(os.path.join(outdir, "manifest.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("filename", "identity", "camera", "split"))

@@ -45,12 +45,21 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
     if bias is not None and (bias.data.ndim != 1 or bias.shape[0] != cout):
         raise ShapeError("conv2d: bias must have shape (%d,)" % cout)
 
-    padded = (n, h + 2 * ph, wd + 2 * pw, c)
-    xp = np.zeros(padded, dtype=x.data.dtype)
-    xp[:, ph:ph + h, pw:pw + wd] = x.data
-    cols = _windows(xp, ho, wo, kh, kw, stride).reshape(n * ho * wo, kh * kw * c)
+    def buffers():
+        # the zeroed padded input and the columns, made on the calling thread
+        # so that they come from its heap arena, not the worker's
+        return (np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=x.data.dtype),
+                np.empty((n * ho * wo, kh * kw * c), dtype=x.data.dtype))
+
+    def im2col(xp, cols):
+        xp[:, ph:ph + h, pw:pw + wd] = x.data
+        cols.reshape(n, ho, wo, kh, kw * c)[...] = _windows(xp, ho, wo, kh, kw, stride)
+        return cols
+
+    # the columns are kh*kw copies of x, so backward rebuilds them from
+    # x.data rather than keep them from here to there
     wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * c)
-    out = cols @ wmat.T
+    out = im2col(*buffers()) @ wmat.T
     if bias is not None:
         out = out + bias.data
     out = out.reshape(n, ho, wo, cout)
@@ -58,15 +67,15 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
     def back(g):
         g2 = g.reshape(-1, cout)
 
-        def weight_grad():
+        def weight_grad(xp, cols):
             # contiguous, so Adam's elementwise passes over it are not strided
             return np.ascontiguousarray(
-                (g2.T @ cols).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2))
+                (g2.T @ im2col(xp, cols)).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2))
 
-        # dw runs on the worker thread while this one builds dx. Each makes
-        # the serial code's numpy calls and writes only arrays of its own,
-        # so no byte depends on the schedule.
-        with worker_job(weight_grad) as job:
+        # dw, the columns' rebuild included, runs on the worker thread while
+        # this one builds dx. Each makes the serial code's numpy calls and
+        # writes only arrays of its own, so no byte depends on the schedule.
+        with worker_job(weight_grad, *buffers()) as job:
             dx = None
             if x.requires_grad:
                 # col2im one tap at a time, straight into dx: output row o of

@@ -371,6 +371,17 @@ def test_corpus_roundtrip_keeps_generation_order_past_100_tracklets(
                 == [(tr.identity, tr.tracklet_id) for tr in want])
 
 
+def test_write_corpus_refuses_two_tracklets_with_one_file_name(tmp_path):
+    # the gallery's ones would overwrite the query's zeros, and the loaded
+    # corpus would hold the ones twice
+    zeros = np.zeros((1, 3, 8, 8), np.float32)
+    corpus = Corpus(query=[Tracklet(zeros, 2, 1, 5)],
+                    gallery=[Tracklet(zeros + 1, 2, 1, 5)])
+    with pytest.raises(TrackletFormatError, match="id002_t05_cam1.dilt"):
+        write_corpus(corpus, tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_load_corpus_requires_manifest(tmp_path):
     with pytest.raises(TrackletFormatError):
         load_corpus(tmp_path)

@@ -1,6 +1,8 @@
+import gc
 import os
 import signal
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -242,6 +244,60 @@ def test_first_conv_backward_without_dx_matches_padded_col2im_byte_for_byte():
         assert dx is None
         assert dw.dtype == want.dtype and dw.flags.c_contiguous
         assert np.array_equal(_bytes(dw), _bytes(want)), dtype.__name__
+
+
+def _held_arrays(fn):
+    """Every array that closure ``fn`` reaches through its cells: a cell's
+    array, its base, a tensor's data and, recursively, a nested closure's."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, T.Tensor):
+            value = value.data
+        if callable(value) and hasattr(value, "__closure__"):
+            yield from _held_arrays(value)
+        while isinstance(value, np.ndarray):
+            yield value
+            value = value.base
+
+
+def test_conv2d_forward_keeps_no_columns():
+    # the columns have one row per output pixel; backward rebuilds them
+    for shape, cout, stride in DESK_CONVS:
+        x = T.Tensor(np.zeros(shape, np.float32), requires_grad=True)
+        w = T.Tensor(np.zeros((cout, shape[3], 3, 3), np.float32), requires_grad=True)
+        out = im.conv2d(x, w, stride=stride)
+        rows = out.shape[0] * out.shape[1] * out.shape[2]
+        held = list(_held_arrays(out._backward))
+        assert any(a is x.data for a in held), shape
+        assert all(a.ndim == 0 or a.shape[0] != rows for a in held), shape
+
+
+def test_conv2d_backward_drops_its_rebuilt_columns(monkeypatch):
+    # the caller makes the padded input and the columns and hands them to
+    # the job, which only fills them; none outlives the backward
+    pool, made = im._worker(), []
+
+    class Spy:
+        def submit(self, fn, *args):
+            made.extend(weakref.ref(a) for a in args if isinstance(a, np.ndarray))
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(im, "_pool", Spy())
+    rng = np.random.default_rng(46)
+    shape, cout, stride = DESK_CONVS[1]
+    out = im.conv2d(T.Tensor(rng.normal(size=shape), requires_grad=True),
+                    T.Tensor(rng.normal(size=(cout, shape[3], 3, 3)), requires_grad=True),
+                    stride=stride)
+    g = rng.normal(size=out.shape)
+    gc.disable()
+    try:
+        out._backward(g)
+        # the worker drops its finished job before it takes the next
+        im._worker().submit(int).result()
+        assert [ref().shape for ref in made if ref() is not None] == []
+        assert len(made) == 2
+    finally:
+        gc.enable()
 
 
 def test_conv2d_backward_raises_an_overflow_in_dw_under_the_callers_errstate():
