@@ -184,19 +184,15 @@ def main(argv=None) -> int:
 
     import numpy as np
 
-    from .harness import TrainingDiverged
-    from .imageops import RunningStatsError
-    from .tensor import NumericError
-
     try:
         # overflow and invalid operations fail the command; subnormal
         # results are ordinary in attention, so underflow stays quiet
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](args)
-    except (TrainingDiverged, NumericError, FloatingPointError) as err:
+    except ArithmeticError as err:
         print("denseil: numeric failure: %s" % err, file=sys.stderr)
         return 2
-    except (ValueError, RunningStatsError) as err:
+    except ValueError as err:
         print("denseil: error: %s" % err, file=sys.stderr)
         return 1
     except OSError as err:

@@ -196,7 +196,8 @@ def load_run_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as err:  # nested past the stack
             raise ConfigError("%s: %s" % (path, err))
     return run_config_from_dict(obj)
 

@@ -369,7 +369,7 @@ def load_corpus(indir) -> Corpus:
     for column in ("filename", "identity", "camera", "split"):
         if column not in (reader.fieldnames or ()):
             raise TrackletFormatError("%s: no %s column" % (manifest, column))
-    corpus = Corpus()
+    corpus, seen = Corpus(), set()
     for number, row in enumerate(rows, start=1):
         try:
             path = os.path.join(indir, row["filename"])
@@ -384,5 +384,11 @@ def load_corpus(indir) -> Corpus:
                 "%s: header disagrees with manifest" % row["filename"])
         if split not in ("train", "query", "gallery"):
             raise TrackletFormatError("unknown split %r" % split)
+        key = tr.identity, tr.tracklet_id, tr.camera
+        if key in seen:  # the rule write_corpus keeps by file name
+            raise TrackletFormatError(
+                "%s, row %d: a second tracklet with identity %d, tracklet "
+                "id %d and camera %d" % ((manifest, number) + key))
+        seen.add(key)
         getattr(corpus, split).append(tr)
     return corpus

@@ -204,75 +204,62 @@ def evaluate_model(model: Model, cfg: RunConfig, corpus: Corpus):
 # ---------------------------------------------------------------------------
 # ablation
 
-ABLATION_AXES = ("fusion", "variant", "dense_sources", "R", "d", "P")
-
-
-def _axis_values(axis: str, cfg: RunConfig):
-    L = cfg.encoder.num_blocks
-    if axis == "fusion":
-        return list(FUSIONS)
-    if axis == "variant":
-        return ["TransEnc", "TransDec", "DenseIL"]
-    if axis == "dense_sources":
-        values = [(L,), (L - 1, L), tuple(range(2, L + 1))]
-        return sorted(set(values), key=lambda v: (len(v), v))
-    if axis == "R":
-        return [0, 1, 2]
-    if axis == "d":
-        return [32, 64, 128]
-    if axis == "P":
-        return [1, 2, 4]
-    raise ValueError("unknown ablation axis %r, expected one of %s"
-                     % (axis, ", ".join(ABLATION_AXES)))
-
-
-def _with_setting(cfg: RunConfig, axis: str, value):
-    if axis == "P":
-        return replace(cfg, partitions=value)
-    change = {axis: value}
-    if axis == "variant":  # the paper's decoders, by the blocks they read
-        change = {"dense_sources": {
-            "TransEnc": (), "TransDec": (cfg.encoder.num_blocks,),
-            "DenseIL": None}[value]}
+def _decoder(cfg: RunConfig, **change):
     return replace(cfg, decoder=replace(cfg.decoder, **change))
 
 
-def _value_label(value):
-    if isinstance(value, tuple):
-        return "+".join(str(v) for v in value)
-    return str(value)
+def _dense_source_sets(L: int):
+    """The last block, the last two, and blocks 2..L, without repeats."""
+    return sorted({(L,), (L - 1, L), tuple(range(2, L + 1))},
+                  key=lambda v: (len(v), v))
+
+
+# Each axis's (label, config) settings, in sweep order, built from the base
+# config. ``variant`` sweeps the paper's decoders by the blocks they read.
+ABLATIONS = {
+    "fusion": lambda cfg: [(f, _decoder(cfg, fusion=f)) for f in FUSIONS],
+    "variant": lambda cfg: [
+        ("TransEnc", _decoder(cfg, dense_sources=())),
+        ("TransDec", _decoder(cfg, dense_sources=(cfg.encoder.num_blocks,))),
+        ("DenseIL", _decoder(cfg, dense_sources=None))],
+    "dense_sources": lambda cfg: [
+        ("+".join(map(str, s)), _decoder(cfg, dense_sources=s))
+        for s in _dense_source_sets(cfg.encoder.num_blocks)],
+    "R": lambda cfg: [(str(r), _decoder(cfg, R=r)) for r in (0, 1, 2)],
+    "d": lambda cfg: [(str(d), _decoder(cfg, d=d)) for d in (32, 64, 128)],
+    "P": lambda cfg: [(str(p), replace(cfg, partitions=p)) for p in (1, 2, 4)],
+}
+ABLATION_METRICS = ("mAP", "R-1", "R-5", "R-10", "R-20")
 
 
 def ablate(cfg: RunConfig, axis: str, corpus: Corpus, outdir=None, log=None):
-    """Train/evaluate one run per axis value, same seed and corpus.
+    """Train/evaluate one run per ``ABLATIONS[axis]`` setting, same seed
+    and corpus.
 
-    Returns comparison rows (setting, mAP, R-1, R-5, R-10, R-20, decoder
-    FLOPs); with an outdir, each run keeps its own artifacts in a
-    subdirectory and the comparison lands in ablation_<axis>.csv.
+    Returns comparison rows (setting, *ABLATION_METRICS, decoder FLOPs);
+    with an outdir, each run keeps its own artifacts in a subdirectory and
+    the comparison lands in ablation_<axis>.csv.
     """
-    # every setting's config is checked before the first one trains
-    settings = [(_value_label(value), _with_setting(cfg, axis, value))
-                for value in _axis_values(axis, cfg)]
+    if axis not in ABLATIONS:
+        raise ValueError("unknown ablation axis %r, expected one of %s"
+                         % (axis, ", ".join(ABLATIONS)))
     rows = []
-    for label, run_cfg in settings:
+    # every setting's config is checked before the first one trains
+    for label, run_cfg in ABLATIONS[axis](cfg):
         sub = os.path.join(outdir, "%s_%s" % (axis, label)) if outdir else None
         if log:
             log("== %s = %s" % (axis, label))
         _, report = train_run(run_cfg, corpus, outdir=sub, log=log)
-        rows.append((label,
-                     report.metric("mAP"), report.metric("R-1"),
-                     report.metric("R-5"), report.metric("R-10"),
-                     report.metric("R-20"), report.flops["total"]))
+        rows.append((label,) + tuple(map(report.metric, ABLATION_METRICS))
+                    + (report.flops["total"],))
     if outdir:
         path = os.path.join(outdir, "ablation_%s.csv" % axis)
         with open(path, "w", newline="") as f:
             out = csv.writer(f)
-            out.writerow((axis, "mAP", "R-1", "R-5", "R-10", "R-20",
-                          "decoder_flops"))
-            for row in rows:
-                out.writerow((row[0],) + tuple(repr(float(v))
-                                               for v in row[1:6])
-                             + (row[6],))
+            out.writerow((axis,) + ABLATION_METRICS + ("decoder_flops",))
+            for label, *metrics, flops in rows:
+                out.writerow([label] + [repr(float(v)) for v in metrics]
+                             + [flops])
     return rows
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .tensor import EPS, ShapeError, Tensor, array_mean
 
 
-class RunningStatsError(RuntimeError):
+class RunningStatsError(ValueError):
     """Eval-mode batch norm was asked for statistics it never accumulated."""
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import denseil
-from denseil import imageops, model, tensor
+from denseil import imageops, model, optim, tensor
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
 from denseil.config import ConfigError, run_config_from_dict
@@ -433,6 +433,20 @@ def test_non_utf8_config_exits_1_naming_the_file(workspace, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_deeply_nested_config_exits_1_naming_the_file(workspace, capsys):
+    tmp_path, _, data_dir = workspace
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)  # json recurses once per bracket
+    for argv in (["flops", "--config", str(deep)],
+                 ["train", "--config", str(deep), "--data", str(data_dir),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("denseil: error: ") and str(deep) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_disagreeing_with_corpus_exits_1(workspace, capsys):
     tmp_path, _, data_dir = workspace
     tall = tmp_path / "tall.json"
@@ -526,6 +540,22 @@ def test_colliding_eval_streams_exit_3_from_train_and_eval(workspace,
                              colliding[-1], "--out", str(tmp_path / "again")]):
         err = _exits_3_with_one_line(argv, capsys)
         assert str(path) in err and "collide" in err
+
+
+def test_eval_of_a_manifest_listing_a_tracklet_twice_exits_3(workspace,
+                                                            capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    lines = (data_dir / "manifest.csv").read_text().splitlines()
+    assert lines[-1].endswith(",gallery")
+    _rewrite_manifest(data_dir, lambda lines: lines + lines[-1:])
+    err = _exits_3_with_one_line(["eval", "--checkpoint",
+                                  str(run_dir / "final.dil1"),
+                                  "--data", str(data_dir)], capsys)
+    assert "manifest.csv, row %d: a second tracklet" % len(lines) in err
 
 
 def test_corpus_without_eval_split_exits_1_before_training(workspace,
@@ -767,6 +797,21 @@ def test_divergence_exits_2(workspace, capsys):
                      "--out", str(tmp_path / "divout")])
     assert code == 2
     assert "diverged" in capsys.readouterr().err
+
+
+def test_learning_rate_overflow_exits_2(workspace, capsys, monkeypatch):
+    # lr_at divides by 10.0 ** (epoch // DECAY_INTERVAL); at this interval
+    # epoch 1 asks for 10.0 ** 399, which Python floats raise
+    # OverflowError on
+    tmp_path, _, data_dir = workspace
+    monkeypatch.setattr(optim, "DECAY_INTERVAL", 0.0025)
+    cfg_path = tmp_path / "two.json"
+    cfg_path.write_text(json.dumps(micro_dict(epochs=2)))
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("denseil: numeric failure: ")
+    assert err.count("\n") == 1
 
 
 def test_overflow_in_a_weight_gradient_exits_2_at_its_step(workspace, capsys,

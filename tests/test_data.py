@@ -399,6 +399,18 @@ def test_load_corpus_rejects_malformed_manifest(tmp_path, text):
         load_corpus(tmp_path)
 
 
+def test_load_corpus_rejects_a_tracklet_listed_twice(tmp_path):
+    # the repeated gallery row would give evaluation one entry twice
+    write_corpus(generate_dataset(SMALL), tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + lines[-1:]) + "\n")
+    with pytest.raises(TrackletFormatError,
+                       match=r"manifest.csv, row %d: a second tracklet"
+                       % len(lines)):
+        load_corpus(tmp_path)
+
+
 @pytest.mark.parametrize("identity, tracklet_id, loads", [
     (0, 1023, True), (0, 1024, False),
     ((1 << 22) - 1, 0, True), (1 << 22, 0, False),

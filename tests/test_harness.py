@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -15,7 +16,7 @@ from denseil import model as model_module
 from denseil import tensor as tn
 from denseil.checkpoint import load_checkpoint
 from denseil.config import ConfigError
-from denseil.harness import (TrainingDiverged, _with_setting, ablate,
+from denseil.harness import (ABLATIONS, TrainingDiverged, ablate,
                              embed_tracklet, embed_tracklets, evaluate_model,
                              train_run)
 from denseil.imageops import RunningStatsError
@@ -524,29 +525,62 @@ def test_ablate_over_variant(tmp_path):
 
 def test_ablate_over_d_sets_each_width():
     cfg = micro_run_config()
-    assert [_with_setting(cfg, "d", value).decoder.d
-            for value in harness._axis_values("d", cfg)] == [32, 64, 128]
+    assert [run.decoder.d for _, run in ABLATIONS["d"](cfg)] == [32, 64, 128]
 
 
-def test_with_setting_changes_one_knob():
+def test_each_ablation_setting_changes_one_knob():
     cfg = micro_run_config(decoder={"dense_sources": []})
-    for axis, value in (("d", 32), ("R", 0), ("dense_sources", (1, 2)),
-                        ("fusion", "summation")):
-        run = _with_setting(cfg, axis, value)
-        assert getattr(run.decoder, axis) == value
-        assert replace(run.decoder, **{axis: getattr(cfg.decoder, axis)}) \
-            == cfg.decoder
-        assert replace(run, decoder=cfg.decoder) == cfg
-    run = _with_setting(cfg, "P", 1)
-    assert run.partitions == 1 and run.decoder == cfg.decoder
+    for axis, settings in ABLATIONS.items():
+        for label, run in settings(cfg):
+            if axis == "P":
+                assert run.partitions == int(label)
+                assert replace(run, partitions=cfg.partitions) == cfg
+                continue
+            knob = "dense_sources" if axis == "variant" else axis
+            value = getattr(run.decoder, knob)
+            if axis != "variant":  # the label names the value it sets
+                assert label == ("+".join(map(str, value))
+                                 if isinstance(value, tuple) else str(value))
+            assert replace(run.decoder, **{knob: getattr(cfg.decoder, knob)}) \
+                == cfg.decoder
+            assert replace(run, decoder=cfg.decoder) == cfg
 
 
-def test_with_setting_maps_variant_names_to_dense_sources():
+def test_variant_settings_map_names_to_dense_sources():
     for base in (None, [1]):
         cfg = micro_run_config(decoder={"dense_sources": base})
-        got = [_with_setting(cfg, "variant", name).decoder.dense_sources
-               for name in ("TransEnc", "TransDec", "DenseIL")]
-        assert got == [(), (2,), None]  # DenseIL reads blocks 2..L
+        got = [(label, run.decoder.dense_sources)
+               for label, run in ABLATIONS["variant"](cfg)]
+        # DenseIL reads blocks 2..L
+        assert got == [("TransEnc", ()), ("TransDec", (2,)), ("DenseIL", None)]
+
+
+@pytest.mark.parametrize("channels, sources", [
+    ([6, 12], ["2", "1+2"]),
+    ([4, 6, 8], ["3", "2+3"]),
+    ([4, 6, 8, 10], ["4", "3+4", "2+3+4"]),
+], ids=["L2", "L3", "L4"])
+def test_ablation_labels_at_each_depth(channels, sources):
+    # 32 rows leave four blocks a final map 4 rows tall, room for P=4
+    cfg = micro_run_config(encoder={"channels": channels},
+                           data={"height": 32})
+    labels = [(axis, [label for label, _ in settings(cfg)])
+              for axis, settings in ABLATIONS.items()]
+    assert labels == [("fusion", ["attention", "summation", "concatenation"]),
+                      ("variant", ["TransEnc", "TransDec", "DenseIL"]),
+                      ("dense_sources", sources),
+                      ("R", ["0", "1", "2"]),
+                      ("d", ["32", "64", "128"]),
+                      ("P", ["1", "2", "4"])]
+
+
+def test_readme_ablate_row_names_the_table_axes_in_order():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(path, encoding="utf-8") as f:
+        row = next(line for line in f if line.startswith("| `ablate` |"))
+    listed = row.split("(", 1)[1].split(")", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == list(ABLATIONS)
 
 
 def test_ablate_unknown_axis():
