@@ -16,6 +16,7 @@ import numpy as np
 from .data import CHANNELS, SynthConfig
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
+from .optim import lr_at
 
 MAX_PARAMS = 10 ** 9  # the most parameters a loadable config's model may have
 
@@ -97,6 +98,11 @@ class RunConfig:
             if self.loss.triplet_weight > 0 and getattr(self.sampling, name) < 2:
                 raise ConfigError("sampling.%s must be at least 2 while "
                                   "loss.triplet_weight > 0" % name)
+        try:
+            lr_at(self.epochs - 1, self.optimizer.lr)
+        except OverflowError:
+            raise ConfigError("epochs=%d: the last epoch's learning-rate decay "
+                              "overflows a float" % self.epochs) from None
         params = self.num_params()
         if params > MAX_PARAMS:
             raise ConfigError("the model would have %d parameters, more than "

@@ -99,14 +99,16 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
                               for tr in batch]).astype(dtype)
             labels = np.array([tr.identity for tr in batch])
             try:
-                logits, embeddings, _ = forward_batch(model, clips,
-                                                      training=True)
+                # the attention weights and, once Adam has read them, the
+                # gradients are dropped before the next forward
+                logits, embeddings = forward_batch(model, clips,
+                                                   training=True)[:2]
                 loss, ce, tri = total_loss(
                     logits, embeddings, labels,
                     triplet_weight=cfg.loss.triplet_weight)
-                opt.zero_grad()
                 tn.backward(loss)
                 opt.step(lr)
+                opt.zero_grad()
             except (tn.NumericError, FloatingPointError) as err:
                 raise TrainingDiverged(
                     "diverged at epoch %d step %d: %s" % (epoch, step, err))

@@ -56,10 +56,13 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
         cols.reshape(n, ho, wo, kh, kw * c)[...] = _windows(xp, ho, wo, kh, kw, stride)
         return cols
 
-    # the columns are kh*kw copies of x, so backward rebuilds them from
-    # x.data rather than keep them from here to there
-    wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * c)
-    out = im2col(*buffers()) @ wmat.T
+    def weight_matrix():  # [cout, kh*kw*C], a copy of w
+        return w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * c)
+
+    # the columns are kh*kw copies of x and the weight matrix a copy of w,
+    # so backward rebuilds both rather than keep them from here to there;
+    # w.data is as here until the optimizer steps after backward
+    out = im2col(*buffers()) @ weight_matrix().T
     if bias is not None:
         out = out + bias.data
     out = out.reshape(n, ho, wo, cout)
@@ -81,7 +84,7 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
                 # col2im one tap at a time, straight into dx: output row o of
                 # tap (i, j) reads input row o*stride + i - ph, so each += is
                 # a single strided add over the outputs whose input lies in x
-                taps = wmat.reshape(cout, kh, kw, c)
+                taps = weight_matrix().reshape(cout, kh, kw, c)
                 dx = np.zeros(x.shape, dtype=g.dtype)
                 for i in range(kh):
                     xi, oi = _tap_range(i - ph, stride, ho, h)
@@ -246,14 +249,13 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     xhat = xc
     out = xhat * _tile(gamma.data, k)
     out += _tile(beta.data, k)
-    mask = None
     if relu:
         # out * mask, not np.where: a non-finite value stays non-finite for
         # the Tensor check below. += 0.0 turns the -0.0 of a masked negative
-        # into the +0.0 np.where gives.
-        mask = out > 0
+        # into the +0.0 np.where gives, so the finite output that backward
+        # reads is > 0 exactly where the mask is set.
         with np.errstate(invalid="ignore"):
-            out *= mask
+            out *= out > 0
         out += 0.0
 
     def back(g):
@@ -262,7 +264,7 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         dx = np.empty(x.shape, dtype=g.dtype)
         gw = dx.reshape(xhat.shape)
         if relu:
-            np.multiply(g.reshape(xhat.shape), mask, out=gw)
+            np.multiply(g.reshape(xhat.shape), out > 0, out=gw)
             gw += 0.0
         else:
             np.add(g.reshape(xhat.shape), 0.0, out=gw)

@@ -295,10 +295,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # subgradient at 0 is 0, by the strict > mask
-    mask = a.data > 0
-    return Tensor(np.where(mask, a.data, 0.0), _parents=(a,),
-                  _backward=lambda g: (g * mask,))
+    # subgradient at 0 is 0, by the strict > mask; backward reads the mask
+    # off the output, which is > 0 exactly where the input is
+    out = np.where(a.data > 0, a.data, 0.0)
+    return Tensor(out, _parents=(a,), _backward=lambda g: (g * (out > 0),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -429,15 +429,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
     out = (attn @ vh).transpose(0, 2, 1, 3).copy().reshape(clips * n, d)
 
     def back(g):
+        # the head splits and kᵀ are copies of the parents' data, which
+        # nothing writes before backward: rebuilt here, not held from above
         gh = g.reshape(clips, n, heads, dh).transpose(0, 2, 1, 3)
-        da = gh @ vh.swapaxes(-1, -2)
+        da = gh @ split(v.data).swapaxes(-1, -2)
         dv = attn.swapaxes(-1, -2) @ gh
         # ds = attn * (da - sum(da * attn)) * c, built in da's own buffer
         da -= np.add.reduce(da * attn, axis=-1, keepdims=True)
         da *= attn
         da *= c
-        dq = da @ kT.swapaxes(-1, -2)
-        dkT = qh.swapaxes(-1, -2) @ da
+        dq = da @ split(k.data).transpose(0, 1, 3, 2).copy().swapaxes(-1, -2)
+        dkT = split(q.data).swapaxes(-1, -2) @ da
         return unsplit(dq), unsplit(dkT.transpose(0, 1, 3, 2)), unsplit(dv)
 
     return Tensor(out, _parents=(q, k, v), _backward=back), attn

@@ -799,19 +799,22 @@ def test_divergence_exits_2(workspace, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
-def test_learning_rate_overflow_exits_2(workspace, capsys, monkeypatch):
-    # lr_at divides by 10.0 ** (epoch // DECAY_INTERVAL); at this interval
-    # epoch 1 asks for 10.0 ** 399, which Python floats raise
-    # OverflowError on
+def test_learning_rate_overflow_exits_1_from_flops_and_train(workspace, capsys):
+    # lr_at divides by 10.0 ** (epoch // DECAY_INTERVAL); epoch 6180 would
+    # ask for 10.0 ** 309, which Python floats raise OverflowError on, so
+    # load refuses the config before any epoch trains
     tmp_path, _, data_dir = workspace
-    monkeypatch.setattr(optim, "DECAY_INTERVAL", 0.0025)
-    cfg_path = tmp_path / "two.json"
-    cfg_path.write_text(json.dumps(micro_dict(epochs=2)))
-    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
-                 "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("denseil: numeric failure: ")
-    assert err.count("\n") == 1
+    cfg_path = tmp_path / "long.json"
+    cfg_path.write_text(json.dumps(micro_dict(
+        epochs=309 * optim.DECAY_INTERVAL + 1)))
+    for argv in (["flops", "--config", str(cfg_path)],
+                 ["train", "--config", str(cfg_path), "--data", str(data_dir),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("denseil: error: ")
+        assert "epochs=6181" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflow_in_a_weight_gradient_exits_2_at_its_step(workspace, capsys,

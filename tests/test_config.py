@@ -55,6 +55,14 @@ def test_bad_values_rejected():
         run_config_from_dict({"sampling": {"chunks": 0}})
 
 
+def test_epochs_stop_where_the_learning_rate_decay_would_overflow():
+    # the last epoch's rate is lr / 10.0 ** ((epochs - 1) // 20), and
+    # 10.0 ** 309 overflows a float
+    assert run_config_from_dict({"epochs": 6180}).epochs == 6180
+    with pytest.raises(ConfigError, match="epochs=6181: .* overflows a float"):
+        run_config_from_dict({"epochs": 6181})
+
+
 @pytest.mark.parametrize("obj", [
     {}, {"decoder": {"R": 0}}, {"decoder": {"R": 3, "d": 32}},
     {"decoder": {"dense_sources": []}}, {"decoder": {"dense_sources": [4]}},

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import os
 import re
@@ -426,6 +427,35 @@ def test_last_training_graph_is_dropped_before_eval(monkeypatch):
     # step pays to fault the pages back in.
     assert len(alive_at_next_step) == len(steps) - 1 > 0
     assert all(alive_at_next_step)
+
+
+def test_train_run_frees_each_steps_weights_and_gradients_before_the_next_forward(
+        monkeypatch):
+    cfg = micro_run_config(epochs=2)
+    forward = harness.forward_batch
+    weights = []  # weakrefs to the last training step's attention weights
+    entries = []  # per forward after the first: (grads all None, weights dead)
+
+    def spy(model, clips, training):
+        if weights or entries:
+            entries.append((all(p.grad is None for p in model.params.values()),
+                            all(ref() is None for ref in weights)))
+        out = forward(model, clips, training)
+        if training:
+            weights[:] = [weakref.ref(w) for w in out[2] if w is not None]
+            assert weights
+        return out
+
+    monkeypatch.setattr(harness, "forward_batch", spy)
+    # without the collector, an array lives exactly as long as its references
+    gc.disable()
+    try:
+        train_run(cfg, micro_corpus())
+    finally:
+        gc.enable()
+    assert len(entries) > 2
+    assert all(grads for grads, _ in entries), "a gradient lived into the next forward"
+    assert all(dead for _, dead in entries), "weights lived into the next forward"
 
 
 def test_untrained_model_scores_well_below_the_trained_bar():

@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import types
 import weakref
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 
 from denseil import imageops as im
 from denseil import tensor as T
+from denseil.losses import total_loss
+from denseil.model import build_model, forward_batch
+from micro import micro_run_config
 from oracles import backward_ref, gradcheck
 
 
@@ -452,20 +456,89 @@ def _desk_graph(dtype):
     return T.mean_all(T.mul(y, y))
 
 
-def _cell(fn, name):
-    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+# The arrays a backward closure may keep besides the graph's own data: what
+# it derives in the forward and cannot rebuild by copying node data.
+DERIVED = {("_batchnorm.<locals>.back", "xhat"), ("_batchnorm.<locals>.back", "inv"),
+           ("layer_norm.<locals>.back", "xhat"), ("layer_norm.<locals>.back", "inv"),
+           ("attention.<locals>.back", "attn")}
+
+
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _closure_arrays(fn):
+    """(closure name, cell name, array) for every ndarray in ``fn``'s cells,
+    in the closures among them and in their tuples and lists too."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        f = todo.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for name, cell in zip(f.__code__.co_freevars, f.__closure__ or ()):
+            values = [cell.cell_contents]
+            while values:
+                v = values.pop()
+                if isinstance(v, np.ndarray):
+                    found.append((f.__qualname__, name, v))
+                elif isinstance(v, (tuple, list)):
+                    values.extend(v)
+                elif isinstance(v, types.FunctionType):
+                    todo.append(v)
+    return found
+
+
+def _audit(loss):
+    """(derived arrays, offenders) over the closures of ``loss``'s graph. A
+    closure array must share its buffer with some node's data or be one of
+    ``DERIVED``; integer arrays are indices (``pick``'s rows and columns),
+    not data, and pass."""
+    nodes = _walk(loss)
+    roots = {id(_root(n.data)) for n in nodes}
+    derived, offenders = [], []
+    for node in nodes:
+        if node._backward is None:
+            continue
+        for where, name, a in _closure_arrays(node._backward):
+            if (where, name) in DERIVED:
+                derived.append((where, name, a))
+            elif a.dtype.kind not in "iu" and id(_root(a)) not in roots:
+                offenders.append("%s keeps %s, %s %s" % (where, name, a.dtype, a.shape))
+    return derived, offenders
+
+
+def _micro_step_loss(dtype):
+    """The loss of one DenseIL micro training step, graph and all."""
+    cfg = micro_run_config(dtype=np.dtype(dtype).name)
+    b, i = cfg.sampling.k_ids * cfg.sampling.t_per_id, cfg.sampling.chunks
+    clips = np.random.default_rng(5).normal(
+        size=(b, i, 3, cfg.data.height, cfg.data.width)).astype(dtype)
+    logits, embeddings, _ = forward_batch(build_model(cfg), clips, training=True)
+    return total_loss(logits, embeddings, np.arange(b) // cfg.sampling.t_per_id)[0]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_backward_releases_closures_and_inner_gradients(dtype):
+def test_closures_keep_no_copies_of_graph_data(dtype):
+    # attention's q/v splits and kᵀ, conv's weight matrix and the ReLU
+    # masks are copies of, or comparisons against, node data: backward
+    # rebuilds them. A training step's graph holds every kind of closure
+    # the model makes, the triplet distances' ReLU among them.
+    derived, offenders = _audit(_micro_step_loss(dtype))
+    assert offenders == []
+    assert {(where, name) for where, name, _ in derived} == DERIVED
+
     loss, twin = _desk_graph(dtype), _desk_graph(dtype)
     nodes = _walk(loss)
-    saved = [weakref.ref(_cell(n._backward, name)) for n in nodes if n._backward
-             for name in ("cols", "xhat", "mask", "kT")
-             if name in n._backward.__code__.co_freevars]
-    # two BNs' xhat and mask, attention's kT, layer norm's xhat; a conv
-    # keeps no cols, its backward rebuilds them
-    assert len(saved) == 6
+    derived, offenders = _audit(loss)
+    assert offenders == []
+    # two BNs' and layer norm's xhat and inv, attention's weights
+    assert {(where, name) for where, name, _ in derived} == DERIVED
+    assert len(derived) == 7
+    saved = [weakref.ref(a) for _, _, a in derived]
+    del derived
     gc.disable()
     try:
         T.backward(loss)
