@@ -13,9 +13,10 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .data import CHANNELS, SynthConfig
+from .data import CHANNELS, MAX_CORPUS_VALUES, SynthConfig
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
+from .model import count_params, param_table
 from .optim import lr_at
 
 MAX_PARAMS = 10 ** 9  # the most parameters a loadable config's model may have
@@ -94,6 +95,12 @@ class RunConfig:
                 raise ConfigError("sampling.%s=%d exceeds data.%s=%d" % (
                     want, getattr(self.sampling, want), have,
                     getattr(self.data, have)))
+        batch = math.prod((self.sampling.k_ids, self.sampling.t_per_id,
+                           self.sampling.chunks, CHANNELS, self.data.height,
+                           self.data.width))
+        if batch > MAX_CORPUS_VALUES:
+            raise ConfigError("a training batch would hold %d frame values, more"
+                              " than the limit of %d" % (batch, MAX_CORPUS_VALUES))
         for name in ("k_ids", "t_per_id"):  # triplet mining needs both >= 2
             if self.loss.triplet_weight > 0 and getattr(self.sampling, name) < 2:
                 raise ConfigError("sampling.%s must be at least 2 while "
@@ -111,21 +118,7 @@ class RunConfig:
     def num_params(self) -> int:
         """The parameter count of ``model.build_model(self)``, from the
         shapes alone, so that a config too large to build fails at load."""
-        dec = self.decoder
-        d, L = dec.d, self.encoder.num_blocks
-        total, cin = 0, CHANNELS
-        for c in self.encoder.channels:  # two 3x3 convs, each with a norm
-            total += 9 * c * (cin + c) + 4 * c
-            cin = c
-        total += d * sum(self.encoder.channels[l - 1]
-                         for l in dec.read_blocks(L))  # adapters
-        S = len(dec.sources_for(L))
-        attn = 4 * d * d + 2 * d  # q, k, v and output maps plus a norm
-        dense = {"attention": attn, "summation": 0,
-                 "concatenation": (S + 1) * d * d}[dec.fusion] if S else 0
-        ffn = 2 * d * d + 4 * d
-        total += dec.R * (attn + dense + ffn) + (2 * d if dec.R else 0)
-        return total + d * self.data.num_identities + 2 * d  # the head
+        return count_params(param_table(self))
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64

@@ -87,13 +87,17 @@ class SynthConfig:
             raise CorpusError("the corpus would hold %d pixel values, more "
                               "than the limit of %d"
                               % (values, MAX_CORPUS_VALUES))
-        # each tracklet's eval stream is its own (rng.py)
-        for name, most in (("tracklets_per_identity", TRACKLET_STRIDE),
-                           ("num_identities", EVAL_IDENTITIES)):
+        collide = "evaluation streams would collide"  # each its own, rng.py
+        for name, most, why in (
+                ("tracklets_per_identity", TRACKLET_STRIDE, collide),
+                ("num_identities", EVAL_IDENTITIES, collide),
+                ("cameras", MAX_CORPUS_VALUES // (2 * CHANNELS),
+                 "its gain and offset tables pass the corpus limit"),
+                ("jitter", 2 ** 63 - self.height,  # rows - shift, in int64
+                 "a frame's shifted rows overflow int64")):
             if getattr(self, name) > most:
-                raise CorpusError("%s=%d is more than %d, so evaluation "
-                                  "streams would collide"
-                                  % (name, getattr(self, name), most))
+                raise CorpusError("%s=%d is more than %d, so %s"
+                                  % (name, getattr(self, name), most, why))
 
 
 @dataclass

@@ -191,58 +191,6 @@ def classify_head(embeddings: Tensor, params, bn_state: BNState, training: bool)
 
 
 # ---------------------------------------------------------------------------
-# parameter construction
-
-
-def init_decoder(cfg: DecoderConfig, num_encoder_blocks: int, rng, dtype=np.float64):
-    """Normal-init decoder params keyed by hierarchical names."""
-    d = cfg.d
-    params = {}
-
-    def par(name, arr):
-        params[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
-
-    def attn_params(prefix, attends=True):
-        # drawn even when unread, so no other initial weight depends on
-        # the fusion
-        ws = [rng.normal(0.0, d ** -0.5, (d, d)) for _ in range(4)]
-        if attends:
-            for w, arr in zip(("wq", "wk", "wv", "wo"), ws):
-                par("%s.%s" % (prefix, w), arr)
-            par(prefix + ".ln.gamma", np.ones(d))
-            par(prefix + ".ln.beta", np.zeros(d))
-
-    S = len(cfg.sources_for(num_encoder_blocks))
-    for r in range(1, cfg.R + 1):
-        prefix = "decoder.block%d" % r
-        attn_params(prefix + ".selfattn")
-        if S:
-            attn_params(prefix + ".dense", cfg.fusion == "attention")
-            if cfg.fusion == "concatenation":
-                width = (S + 1) * d
-                par(prefix + ".dense.wcat",
-                    rng.normal(0.0, width ** -0.5, (width, d)))
-        par(prefix + ".ffn.w1", rng.normal(0.0, np.sqrt(2.0 / d), (d, d)))
-        par(prefix + ".ffn.b1", np.zeros(d))
-        par(prefix + ".ffn.w2", rng.normal(0.0, d ** -0.5, (d, d)))
-        par(prefix + ".ffn.b2", np.zeros(d))
-        par(prefix + ".ffn.ln.gamma", np.ones(d))
-        par(prefix + ".ffn.ln.beta", np.zeros(d))
-    if cfg.R >= 1:
-        par("decoder.final_ln.gamma", np.ones(d))
-        par("decoder.final_ln.beta", np.zeros(d))
-    return params
-
-
-def init_head(d: int, num_ids: int, rng, dtype=np.float64):
-    w = rng.normal(0.0, d ** -0.5, (d, num_ids)).astype(dtype)
-    params = {"head.bn.gamma": Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-              "head.bn.beta": Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
-              "head.cls.w": Tensor(w, requires_grad=True)}
-    return params, BNState(d, dtype=dtype)
-
-
-# ---------------------------------------------------------------------------
 # attention dump
 
 

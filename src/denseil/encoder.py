@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import imageops
 from .tensor import ShapeError, Tensor
 
@@ -41,32 +39,6 @@ class EncoderConfig:
 
     def block_strides(self):
         return [2] * (self.num_blocks - 1) + [1]
-
-
-def init_encoder(cfg: EncoderConfig, in_channels: int, rng: np.random.Generator,
-                 dtype=np.float64):
-    """He-initialized conv weights plus unit-gain batch norms.
-
-    ``in_channels`` is the frame channel count. Returns (params dict,
-    bn-state dict), both keyed by hierarchical names.
-    """
-    params = {}
-    states = {}
-    cin = in_channels
-    for l, cout in enumerate(cfg.channels, start=1):
-        for k, c_from in ((1, cin), (2, cout)):
-            fan_in = c_from * 9
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, c_from, 3, 3))
-            prefix = "encoder.block%d" % l
-            params["%s.conv%d.w" % (prefix, k)] = Tensor(
-                w.astype(dtype), requires_grad=True)
-            params["%s.bn%d.gamma" % (prefix, k)] = Tensor(
-                np.ones(cout, dtype=dtype), requires_grad=True)
-            params["%s.bn%d.beta" % (prefix, k)] = Tensor(
-                np.zeros(cout, dtype=dtype), requires_grad=True)
-            states["%s.bn%d" % (prefix, k)] = imageops.BNState(cout, dtype=dtype)
-        cin = cout
-    return params, states
 
 
 def encode_clip(frames: Tensor, cfg: EncoderConfig, params, states, training: bool):

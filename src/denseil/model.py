@@ -1,27 +1,37 @@
 """Full model assembly: encoder, width adapters, decoder stack, classifier.
 
-Parameter construction order is fixed (encoder, adapters, decoder, head) so
-a given seed always produces the same initial weights.
+``param_table`` lists every weight as (name, shape, init) in draw order
+(encoder, adapters, decoder, head), so a given seed always produces the
+same initial weights; ``build_model`` draws it and ``RunConfig.num_params``
+counts it. The table is a list of (repeat, entries) sections, "{}" in a
+name standing for the 1-based repetition, so the decoder's R blocks are
+listed once. An entry named None is drawn but not built, so no other
+initial weight depends on which blocks the decoder reads or on the fusion.
 """
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import RunConfig
 from .data import CHANNELS
-from .decoder import classify_head, decoder_forward, init_decoder, init_head
-from .encoder import encode_clip, init_encoder
+from .decoder import DecoderConfig, classify_head, decoder_forward
+from .encoder import encode_clip
+from .imageops import BNState
 from .partition import stack_partitions
 from .posemb import step_emb
 from .rng import INIT_STREAM, stream
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .config import RunConfig
+
 
 @dataclass
 class Model:
-    cfg: RunConfig
+    cfg: "RunConfig"
     params: dict
     states: dict
 
@@ -33,26 +43,97 @@ class Model:
                 for l in range(1, L + 1)]
 
 
-def build_model(cfg: RunConfig) -> Model:
-    rng = stream(cfg.seed, INIT_STREAM)
-    dtype = cfg.np_dtype()
-    d = cfg.decoder.d
+NORMS = ("layernorm", "batchnorm")  # entries that build a gamma and a beta
 
-    params, states = init_encoder(cfg.encoder, CHANNELS, rng, dtype=dtype)
-    read = cfg.decoder.read_blocks(cfg.encoder.num_blocks)
-    for l, c in enumerate(cfg.encoder.channels, start=1):
-        # drawn for every block, so no other initial weight depends on
-        # which blocks the decoder reads
-        w = rng.normal(0.0, c ** -0.5, (c, d)).astype(dtype)
-        if l in read:
-            params["adapter.block%d.w" % l] = Tensor(w, requires_grad=True)
-    params.update(init_decoder(cfg.decoder, cfg.encoder.num_blocks, rng,
-                               dtype=dtype))
-    head_params, head_state = init_head(d, cfg.data.num_identities, rng,
-                                        dtype=dtype)
-    params.update(head_params)
-    states["head.bn"] = head_state
-    return Model(cfg, params, states)
+
+def encoder_table(channels, in_channels=CHANNELS):
+    """Two 3x3 convs per block, each followed by a batch norm."""
+    entries = []
+    for l, (cin, cout) in enumerate(zip((in_channels,) + channels, channels),
+                                    start=1):
+        for k, c_from in ((1, cin), (2, cout)):
+            entries += [("encoder.block%d.conv%d.w" % (l, k),
+                         (cout, c_from, 3, 3), "he"),
+                        ("encoder.block%d.bn%d" % (l, k), (cout,), "batchnorm")]
+    return [(1, entries)]
+
+
+def _attention(prefix, d: int):
+    """q, k, v and output maps, then the norm of the sub-layer's input."""
+    maps = [(prefix + w, (d, d), "scaled") for w in ("wq", "wk", "wv", "wo")]
+    return maps + [(prefix + "ln", (d,), "layernorm")]
+
+
+def decoder_table(cfg: DecoderConfig, num_encoder_blocks: int):
+    d, S = cfg.d, len(cfg.sources_for(num_encoder_blocks))
+    block = _attention("decoder.block{}.selfattn.", d)
+    if S:  # the maps are drawn under every fusion, built under attention's
+        block += (_attention("decoder.block{}.dense.", d)
+                  if cfg.fusion == "attention"
+                  else [(None, (d, d), "scaled")] * 4)
+        if cfg.fusion == "concatenation":
+            block += [("decoder.block{}.dense.wcat", ((S + 1) * d, d), "scaled")]
+    f = "decoder.block{}.ffn."
+    block += [(f + "w1", (d, d), "he"), (f + "b1", (d,), "zeros"),
+              (f + "w2", (d, d), "scaled"), (f + "b2", (d,), "zeros"),
+              (f + "ln", (d,), "layernorm")]
+    return [(cfg.R, block),
+            (min(cfg.R, 1), [("decoder.final_ln", (d,), "layernorm")])]
+
+
+def head_table(d: int, num_ids: int):
+    return [(1, [("head.bn", (d,), "batchnorm"),
+                 ("head.cls.w", (d, num_ids), "scaled")])]
+
+
+def param_table(cfg: "RunConfig"):
+    channels, d = cfg.encoder.channels, cfg.decoder.d
+    read = cfg.decoder.read_blocks(len(channels))
+    adapters = [("adapter.block%d.w" % l if l in read else None, (c, d),
+                 "scaled") for l, c in enumerate(channels, start=1)]
+    return (encoder_table(channels) + [(1, adapters)]
+            + decoder_table(cfg.decoder, len(channels))
+            + head_table(d, cfg.data.num_identities))
+
+
+def count_params(table) -> int:
+    return sum(repeat * math.prod(shape) * (2 if init in NORMS else 1)
+               for repeat, entries in table
+               for name, shape, init in entries if name is not None)
+
+
+def draw_params(table, rng, dtype=np.float64):
+    """(params, batch-norm states) keyed by name, drawn in table order.
+
+    "he" draws N(0, sqrt(2 / fan_in)), "scaled" N(0, fan_in ** -0.5); fan_in
+    is an [in, out] matrix's first dim or an [out, in, kh, kw] kernel's
+    in * kh * kw. A norm is a unit ``.gamma`` and a zero ``.beta``.
+    """
+    params, states = {}, {}
+    for repeat, entries in table:
+        for r in range(1, repeat + 1):
+            for name, shape, init in entries:
+                name = name and name.format(r)
+                if init in NORMS:
+                    arrays = {".gamma": np.ones(shape), ".beta": np.zeros(shape)}
+                    if init == "batchnorm":
+                        states[name] = BNState(shape[0], dtype=dtype)
+                elif init == "zeros":
+                    arrays = {"": np.zeros(shape)}
+                else:
+                    fan = shape[0] if len(shape) == 2 else math.prod(shape[1:])
+                    w = rng.normal(0.0, np.sqrt(2.0 / fan) if init == "he"
+                                   else fan ** -0.5, shape)
+                    arrays = {"": w} if name else {}
+                for suffix, arr in arrays.items():
+                    params[name + suffix] = Tensor(arr.astype(dtype),
+                                                   requires_grad=True)
+    return params, states
+
+
+def build_model(cfg: "RunConfig") -> Model:
+    rng = stream(cfg.seed, INIT_STREAM)
+    return Model(cfg, *draw_params(param_table(cfg), rng, cfg.np_dtype()))
 
 
 def forward_batch(model: Model, clips: np.ndarray, training: bool):
@@ -107,7 +188,7 @@ def _take(records, path, key, shape):
     return arr
 
 
-def load_model(path, cfg: RunConfig) -> Model:
+def load_model(path, cfg: "RunConfig") -> Model:
     """Rebuild the architecture from cfg and fill it from the checkpoint."""
     model = build_model(cfg)
     records = load_checkpoint(path)

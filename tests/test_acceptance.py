@@ -23,7 +23,8 @@ from denseil import tensor as T
 from denseil.config import run_config_from_dict
 from denseil.harness import train_run
 from denseil.imageops import BNState, batchnorm_nchw, batchnorm_rows, conv2d
-from denseil.model import build_model, load_model, save_model
+from denseil.model import (build_model, decoder_table, draw_params, load_model,
+                           save_model)
 from denseil.partition import ppool, stack_partitions
 from micro import micro_corpus, micro_run_config
 from oracles import (batch_hard_triplet_ref, cmc_map_ref, dense_attention_ref,
@@ -126,7 +127,7 @@ def _stack_case(rng):
     """Full one-block DenseIL forward: pooled pyramid in, CE + triplet out."""
     cfg = dec.DecoderConfig(R=1, d=6, heads=2)
     L, I, P = 2, 2, 2
-    params = dec.init_decoder(cfg, L, rng)
+    params, _ = draw_params(decoder_table(cfg, L), rng)
     emb = posemb.step_emb(I, P, cfg.d)
     blocks = [nhwc(rng.normal(size=(I, 3, 4, 2))), nhwc(rng.normal(size=(I, 4, 2, 1)))]
 
@@ -205,7 +206,7 @@ def _decoder_instance(seed):
     cfg = dec.DecoderConfig(R=2, d=16, heads=2)
     L, I, P = 3, 4, 2
     rng = np.random.default_rng(seed)
-    params = dec.init_decoder(cfg, L, rng)
+    params, _ = draw_params(decoder_table(cfg, L), rng)
     tokens = rng.normal(size=(I * P, cfg.d))
     pyr = [rng.normal(size=(I * P, cfg.d)) for _ in range(L - 1)]
     return cfg, I, P, params, tokens, pyr
@@ -363,7 +364,7 @@ def test_criterion_07_flop_counter():
         I = int(rng.integers(1, 9))
         P = int(rng.integers(1, 16 // I + 1))
         want = flops.estimate_decoder_flops(cfg, I, P, (8,) * L)["total"]
-        params = dec.init_decoder(cfg, L, rng)
+        params, _ = draw_params(decoder_table(cfg, L), rng)
         tokens = t64(rng.normal(size=(1, I * P, d)))
         pyr = [t64(rng.normal(size=(1, I * P, d))) for _ in range(L - 1)]
         emb = posemb.step_emb(I, P, d)

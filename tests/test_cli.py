@@ -284,6 +284,9 @@ def test_malformed_config_exits_1_from_flops_and_train(workspace, capsys,
     {"data": {"frames_per_tracklet": 10 ** 12}},
     {"data": {"height": 2 ** 16, "width": 2 ** 16}},
     {"data": {"tracklets_per_identity": 10 ** 7}},
+    {"decoder": {"R": 2 ** 62}},  # counted once per block kind, not per block
+    {"encoder": {"channels": [8, 10 ** 308]}},  # no init std is computed
+    {"sampling": {"t_per_id": 10 ** 12}},  # the training batch trips
 ], ids=json.dumps)
 def test_config_over_the_parameter_limit_exits_1_before_allocating(
         workspace, capsys, override):
@@ -396,10 +399,14 @@ def test_unrenderable_height_exits_1_from_gen_data_flops_and_train(
     # one frame of 8x2 keeps the corpus under its size limit
     ({"num_identities": (1 << 22) + 1, "tracklets_per_identity": 3,
       "frames_per_tracklet": 1, "height": 8, "width": 2}, {"chunks": 1}),
-], ids=["tracklets_per_identity", "num_identities"])
+    ({"cameras": 10 ** 9 // 6 + 1}, {}),
+    ({"jitter": 2 ** 63 - 16 + 1}, {}),  # the micro corpus is 16 rows tall
+], ids=["tracklets_per_identity", "num_identities", "cameras", "jitter"])
 def test_colliding_eval_streams_exit_1_from_gen_data_flops_and_train(
         workspace, capsys, data, sampling):
-    # evaluation seeds tracklet j of identity i by i * 1024 + j
+    # evaluation seeds tracklet j of identity i by i * 1024 + j; the two
+    # per-camera color tables count against the corpus limit, and a jitter
+    # shift must leave the frame rows' arithmetic inside int64
     tmp_path, _, data_dir = workspace
     bad = tmp_path / "collide.json"
     bad.write_text(json.dumps(micro_dict(data=data, sampling=sampling)))

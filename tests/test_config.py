@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -63,17 +64,46 @@ def test_epochs_stop_where_the_learning_rate_decay_would_overflow():
         run_config_from_dict({"epochs": 6181})
 
 
-@pytest.mark.parametrize("obj", [
-    {}, {"decoder": {"R": 0}}, {"decoder": {"R": 3, "d": 32}},
-    {"decoder": {"dense_sources": []}}, {"decoder": {"dense_sources": [4]}},
-    {"decoder": {"fusion": "summation"}},
-    {"decoder": {"fusion": "concatenation", "dense_sources": [1, 3]}},
-    {"encoder": {"channels": [4, 8, 16]}, "data": {"num_identities": 40}},
-], ids=json.dumps)
-def test_num_params_counts_what_build_model_builds(obj):
+def weights_sha256(model):
+    """sha256 over the parameters and batch-norm states, by sorted name:
+    each array's name, dtype and shape, then its bytes."""
+    arrays = {name: p.data for name, p in model.params.items()}
+    for name, st in model.states.items():
+        arrays[name + ".running_mean"] = st.running_mean
+        arrays[name + ".running_var"] = st.running_var
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        a = arrays[name]
+        h.update(("%s %s %s\n" % (name, a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("obj, sha", [pytest.param(obj, sha, id=json.dumps(obj))
+                                      for obj, sha in [
+    ({}, "1f6243c7a4b5ca41ca27ff687f95873fe39321749bbb3badcb609f2acd4825e8"),
+    ({"decoder": {"R": 0}},
+     "fd923d05abf38e75643b673b49659adcdf9b813e4b467203d00b3a35f3e882f7"),
+    ({"decoder": {"R": 3, "d": 32}},
+     "f8c6a659d9dffa156ac7ff33234bf928759d4ff7207bb6a63da2e24cf44e806e"),
+    ({"decoder": {"dense_sources": []}},
+     "31a3ce02f763f5acbf51558d9dffd7a60ae464b702400f04f0c455ad280d22c5"),
+    ({"decoder": {"dense_sources": [4]}},
+     "97456a338bf9b16612f2cf1b8ea297faa87b93617c6fcd93ab54ba8d81da8dce"),
+    ({"decoder": {"fusion": "summation"}},
+     "13a6bc3df0f7657db411670d463a03f3cd459809fb499cca0d42a8d417186543"),
+    ({"decoder": {"fusion": "concatenation", "dense_sources": [1, 3]}},
+     "aeaef7d5fce5976d5eae0d1a4e65970bbfa6f91c8712af79a4f0feb08bd29ad7"),
+    ({"encoder": {"channels": [4, 8, 16]}, "data": {"num_identities": 40}},
+     "1da6197ccd3a894f911e0a74d0fdb00c3f9a5fc8625aac10e146a9bee2946d2e"),
+    ({"dtype": "float64", "seed": 7, "decoder": {"fusion": "concatenation"}},
+     "53c176de479e5254a30a88b4db4708335a9977f10942764f7e72cd938e42c42d"),
+]])
+def test_num_params_counts_what_build_model_builds(obj, sha):
     cfg = run_config_from_dict(obj)
     built = build_model(cfg)
     assert cfg.num_params() == sum(p.data.size for p in built.params.values())
+    assert weights_sha256(built) == sha  # the initial weights, draw for draw
 
 
 def test_parameter_limit_is_inclusive(monkeypatch):

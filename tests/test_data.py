@@ -12,7 +12,8 @@ from denseil.data import (NUM_BANDS, Corpus, CorpusError, SynthConfig,
                           _render_tracklet, generate_dataset, load_corpus,
                           pk_batches, read_tracklet, restricted_sample,
                           write_corpus, write_tracklet)
-from denseil.encoder import EncoderConfig, encode_clip, init_encoder
+from denseil.encoder import EncoderConfig, encode_clip
+from denseil.model import draw_params, encoder_table
 from denseil.partition import band_heights, ppool
 from denseil.rng import stream
 from oracles import nhwc, render_tracklet_ref
@@ -265,7 +266,7 @@ def test_lower_similarity_spreads_the_difference():
 def test_coarse_pooling_hides_the_confusable_pair():
     a, b = clean_pair()
     cfg = EncoderConfig(channels=(8, 16))
-    params, states = init_encoder(cfg, 3, stream(0, 999))
+    params, states = draw_params(encoder_table(cfg.channels), stream(0, 999))
     tokens = {}
     for name, tr in (("a", a), ("b", b)):
         clip = tn.Tensor(nhwc(tr.frames.astype(np.float64)))

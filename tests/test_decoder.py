@@ -6,6 +6,7 @@ import pytest
 from denseil import decoder as dec
 from denseil import flops, posemb, tensor as T
 from denseil.imageops import BNState, RunningStatsError
+from denseil.model import decoder_table, draw_params, head_table
 from oracles import (dense_attention_ref, gradcheck, multihead_attention_ref,
                      self_attention_block_ref)
 
@@ -31,9 +32,15 @@ def as_ref_dict(params, prefix):
             if name.startswith(prefix + ".")}
 
 
+def head(d, num_ids, rng):
+    """The classifier's params and its batch-norm state, drawn from rng."""
+    params, states = draw_params(head_table(d, num_ids), rng)
+    return params, states["head.bn"]
+
+
 def build_stack(cfg, L, I, P, seed=0, clips=1):
     rng = np.random.default_rng(seed)
-    params = dec.init_decoder(cfg, L, rng)
+    params, _ = draw_params(decoder_table(cfg, L), rng)
     tokens = t(rng.normal(size=(clips, I * P, cfg.d)))
     pyr = [t(rng.normal(size=(clips, I * P, cfg.d))) for _ in range(L - 1)]
     return params, tokens, pyr
@@ -241,9 +248,9 @@ def test_dense_sources_wiring():
         with pytest.raises(T.ShapeError, match="out of range 1..3"):
             dec.DecoderConfig(dense_sources=bad).sources_for(enc_blocks)
     for fusion in dec.FUSIONS:
-        params = dec.init_decoder(
+        params, _ = draw_params(decoder_table(
             dec.DecoderConfig(R=1, d=4, heads=1, fusion=fusion,
-                              dense_sources=()), enc_blocks, rng)
+                              dense_sources=()), enc_blocks), rng)
         assert not any(".dense." in k for k in params)
 
 
@@ -320,7 +327,7 @@ def test_forward_clips_do_not_interact():
 
 def test_classify_head_zero_weights_zero_logits():
     rng = np.random.default_rng(80)
-    params, bn_state = dec.init_head(4, 3, rng)
+    params, bn_state = head(4, 3, rng)
     params["head.cls.w"].data = np.zeros((4, 3))
     logits, _ = dec.classify_head(t(rng.normal(size=(5, 4))), params, bn_state,
                                   training=True)
@@ -329,7 +336,7 @@ def test_classify_head_zero_weights_zero_logits():
 
 def test_classify_head_deterministic_for_equal_inputs():
     rng = np.random.default_rng(81)
-    params, bn_state = dec.init_head(4, 3, rng)
+    params, bn_state = head(4, 3, rng)
     x = rng.normal(size=(1, 4))
     batch = t(np.vstack([x, x, rng.normal(size=(2, 4))]))
     logits, _ = dec.classify_head(batch, params, bn_state, training=True)
@@ -339,7 +346,7 @@ def test_classify_head_deterministic_for_equal_inputs():
 def test_classify_head_hand_case_antipodal_columns():
     rng = np.random.default_rng(82)
     d = 4
-    params, bn_state = dec.init_head(d, 2, rng)
+    params, bn_state = head(d, 2, rng)
     u = rng.normal(size=d)
     params["head.cls.w"].data = np.stack([u, -u], axis=1)
     bn_state.running_mean = rng.normal(size=d)
@@ -353,7 +360,7 @@ def test_classify_head_hand_case_antipodal_columns():
 
 
 def test_classify_head_eval_before_train_errors():
-    params, bn_state = dec.init_head(4, 2, np.random.default_rng(83))
+    params, bn_state = head(4, 2, np.random.default_rng(83))
     with pytest.raises(RunningStatsError):
         dec.classify_head(t(np.zeros((2, 4))), params, bn_state, training=False)
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from denseil import encoder as enc
+from denseil.model import draw_params, encoder_table
 from denseil import tensor as T
 from oracles import encoder_nchw_ref, gradcheck, nhwc
 
 
 def make(cfg, seed=0, in_channels=3):
-    return enc.init_encoder(cfg, in_channels, np.random.default_rng(seed))
+    return draw_params(encoder_table(cfg.channels, in_channels),
+                       np.random.default_rng(seed))
 
 
 def test_four_block_shapes_keep_last_resolution():
