@@ -4,7 +4,9 @@ Layout: magic ``DIL1``, then one record per entry, each record being
 [u32 name-length][UTF-8 name][u32 rank][u64 extents, one per axis]
 [raw 32-bit little-endian floats]. Integers little-endian. Record order is
 whatever the caller's dict iteration yields, so writers with a fixed
-parameter order round-trip byte-identically.
+parameter order round-trip byte-identically. The magic names the model
+definition: a change to what a record computes bumps it (``DIL2``), and
+the bad-magic error then refuses older files.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
-        raise CheckpointError("%s: bad magic %r" % (path, blob[:4]))
+        raise CheckpointError("%s: bad magic %r, expected %r"
+                              % (path, blob[:4], MAGIC))
     records = {}
     off = 4
 

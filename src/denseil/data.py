@@ -377,6 +377,8 @@ def load_corpus(indir) -> Corpus:
     for number, row in enumerate(rows, start=1):
         try:
             path = os.path.join(indir, row["filename"])
+            if "\0" in row["filename"]:  # open() would raise ValueError
+                raise ValueError("filename holds a NUL byte")
             identity, camera = int(row["identity"]), int(row["camera"])
             split = row["split"]
         except (TypeError, ValueError) as err:

@@ -2,11 +2,12 @@
 
 ``param_table`` lists every weight as (name, shape, init) in draw order
 (encoder, adapters, decoder, head), so a given seed always produces the
-same initial weights; ``build_model`` draws it and ``RunConfig.num_params``
-counts it. The table is a list of (repeat, entries) sections, "{}" in a
-name standing for the 1-based repetition, so the decoder's R blocks are
-listed once. An entry named None is drawn but not built, so no other
-initial weight depends on which blocks the decoder reads or on the fusion.
+same initial weights; ``build_model`` draws it, ``load_model`` fills it from
+a checkpoint and ``RunConfig.num_params`` counts it. The table is a list
+of (repeat, entries) sections, "{}" in a name standing for the 1-based
+repetition, so the decoder's R blocks are listed once. An entry named None
+is drawn but not built, so no other initial weight depends on which blocks
+the decoder reads or on the fusion.
 """
 
 import math
@@ -107,7 +108,8 @@ def draw_params(table, rng, dtype=np.float64):
 
     "he" draws N(0, sqrt(2 / fan_in)), "scaled" N(0, fan_in ** -0.5); fan_in
     is an [in, out] matrix's first dim or an [out, in, kh, kw] kernel's
-    in * kh * kw. A norm is a unit ``.gamma`` and a zero ``.beta``.
+    in * kh * kw. A norm is a unit ``.gamma`` and a zero ``.beta``. With
+    ``rng`` None every weight is zero and nothing is drawn.
     """
     params, states = {}, {}
     for repeat, entries in table:
@@ -118,8 +120,8 @@ def draw_params(table, rng, dtype=np.float64):
                     arrays = {".gamma": np.ones(shape), ".beta": np.zeros(shape)}
                     if init == "batchnorm":
                         states[name] = BNState(shape[0], dtype=dtype)
-                elif init == "zeros":
-                    arrays = {"": np.zeros(shape)}
+                elif init == "zeros" or rng is None:
+                    arrays = {"": np.zeros(shape)} if name else {}
                 else:
                     fan = shape[0] if len(shape) == 2 else math.prod(shape[1:])
                     w = rng.normal(0.0, np.sqrt(2.0 / fan) if init == "he"
@@ -189,10 +191,10 @@ def _take(records, path, key, shape):
 
 
 def load_model(path, cfg: "RunConfig") -> Model:
-    """Rebuild the architecture from cfg and fill it from the checkpoint."""
-    model = build_model(cfg)
-    records = load_checkpoint(path)
+    """Fill cfg's parameter table from the checkpoint, drawing nothing."""
     dtype = cfg.np_dtype()
+    model = Model(cfg, *draw_params(param_table(cfg), None, dtype))
+    records = load_checkpoint(path)
     for name, param in model.params.items():
         param.data = _take(records, path, name, param.shape).astype(dtype)
     for name, st in model.states.items():

@@ -44,7 +44,8 @@ def test_magic_bytes(tmp_path):
     ck.save_checkpoint(path, {})
     assert path.read_bytes()[:4] == b"DIL1"
     path.write_bytes(b"NOPE" + path.read_bytes()[4:])
-    with pytest.raises(ck.CheckpointError):
+    with pytest.raises(ck.CheckpointError,
+                       match=r"bad magic b'NOPE', expected b'DIL1'$"):
         ck.load_checkpoint(path)
 
 

@@ -502,18 +502,24 @@ def test_manifest_without_identity_column_exits_3(workspace, capsys):
                            capsys)
 
 
-def test_manifest_non_integer_identity_exits_3(workspace, capsys):
+@pytest.mark.parametrize("column, value", [
+    ("identity", "x"),
+    # open() raises ValueError on a NUL byte, which would exit 1
+    ("filename", "id000\x00.dilt"),
+], ids=["identity-not-integer", "filename-with-nul"])
+def test_manifest_malformed_field_exits_3(workspace, capsys, column, value):
     tmp_path, cfg_path, data_dir = workspace
 
-    def bad_identity(lines):
+    def bad_field(lines):
         first = lines[1].split(",")
-        first[1] = "x"
+        first[lines[0].split(",").index(column)] = value
         return [lines[0], ",".join(first)] + lines[2:]
 
-    _rewrite_manifest(data_dir, bad_identity)
-    _exits_3_with_one_line(["train", "--config", str(cfg_path), "--data",
-                            str(data_dir), "--out", str(tmp_path / "out")],
-                           capsys)
+    _rewrite_manifest(data_dir, bad_field)
+    err = _exits_3_with_one_line(["train", "--config", str(cfg_path), "--data",
+                                  str(data_dir), "--out", str(tmp_path / "out")],
+                                 capsys)
+    assert "manifest.csv, row 1: missing or malformed field: " in err
 
 
 def test_colliding_eval_streams_exit_3_from_train_and_eval(workspace,
