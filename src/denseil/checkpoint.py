@@ -11,6 +11,7 @@ the bad-magic error then refuses older files.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -23,18 +24,26 @@ class CheckpointError(IOError):
 
 
 def save_checkpoint(path, records) -> None:
-    """Write name -> array records; values are cast to float32."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for name, value in records.items():
-            arr = np.asarray(value, dtype="<f4")  # tobytes() handles layout; keeps 0-d rank
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<Q", extent))
-            fh.write(arr.tobytes())
+    """Write name -> array records; values are cast to float32. The file is
+    written beside ``path`` and renamed over it, so ``path`` holds either
+    the whole new file or, when the write fails, what it held before."""
+    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            for name, value in records.items():
+                arr = np.asarray(value, dtype="<f4")  # tobytes() handles layout; keeps 0-d rank
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<Q", extent))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

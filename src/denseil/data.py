@@ -119,14 +119,6 @@ class Corpus:
                 ("gallery", self.gallery))
 
 
-@dataclass(frozen=True)
-class _Appearance:
-    band_colors: np.ndarray  # [NUM_BANDS, CHANNELS]
-    glyph_band: int
-    glyph_row: int  # offset inside the band
-    glyph_col: int  # offset inside the body
-
-
 def _glyph_size(cfg):
     return max(1, cfg.height // 16), max(1, cfg.width // 8)
 
@@ -139,12 +131,14 @@ def _body_box(cfg):
     return top, bot, left, right
 
 
-def _draw_appearances(cfg):
-    """Camera color shifts plus one appearance per identity.
+def _draw_figures(cfg):
+    """Camera color shifts plus one static [3, H, W] figure per identity,
+    float64 in [0, 1].
 
     Confusable pairing: identities (2k, 2k+1) share band colors up to a
     perturbation scaled by (1 - similarity); their glyphs always sit on
-    different bands.
+    different bands. Each figure is painted once its glyph is placed, and
+    painting draws nothing, so identity i's draws follow those of 0..i-1.
     """
     rng = stream(cfg.seed, APPEARANCE_STREAM)
     gains = rng.uniform(CAMERA_GAIN_LO, CAMERA_GAIN_HI, (cfg.cameras, CHANNELS))
@@ -152,10 +146,10 @@ def _draw_appearances(cfg):
 
     top, bot, left, right = _body_box(cfg)
     heights = band_heights(bot - top, NUM_BANDS)
+    band_tops = top + np.cumsum(heights) - heights
     gh, gw = _glyph_size(cfg)
-    body_w = right - left
 
-    appearances = []
+    figures = []
     for pair in range((cfg.num_identities + 1) // 2):
         colors = rng.uniform(0.2, 0.9, (NUM_BANDS, CHANNELS))
         pert = rng.uniform(-0.3, 0.3, (NUM_BANDS, CHANNELS))
@@ -163,33 +157,19 @@ def _draw_appearances(cfg):
         band_a = int(rng.integers(NUM_BANDS))
         band_b = (band_a + 1 + int(rng.integers(NUM_BANDS - 1))) % NUM_BANDS
         for colors_m, band in ((colors, band_a), (twin, band_b)):
-            if len(appearances) == cfg.num_identities:
+            if len(figures) == cfg.num_identities:
                 break
-            row = int(rng.integers(heights[band] - gh + 1))
-            col = int(rng.integers(body_w - gw + 1))
-            appearances.append(_Appearance(colors_m, band, row, col))
-    return gains, offsets, appearances
-
-
-def _render_base(cfg, app):
-    """Static [3, H, W] figure for one identity, float64 in [0, 1]."""
-    img = np.full((CHANNELS, cfg.height, cfg.width), BACKGROUND)
-    top, bot, left, right = _body_box(cfg)
-    heights = band_heights(bot - top, NUM_BANDS)
-    gh, gw = _glyph_size(cfg)
-    row = top
-    for b, h in enumerate(heights):
-        img[:, row:row + h, left:right] = app.band_colors[b][:, None, None]
-        if b == app.glyph_band:
-            r0 = row + app.glyph_row
-            c0 = left + app.glyph_col
-            base = app.band_colors[b]
-            glyph_color = np.clip(
+            r0 = band_tops[band] + int(rng.integers(heights[band] - gh + 1))
+            c0 = left + int(rng.integers(right - left - gw + 1))
+            img = np.full((CHANNELS, cfg.height, cfg.width), BACKGROUND)
+            img[:, top:bot, left:right] = np.repeat(
+                colors_m.T, heights, axis=1)[:, :, None]
+            base = colors_m[band]
+            img[:, r0:r0 + gh, c0:c0 + gw] = np.clip(
                 np.where(base < 0.5, base + GLYPH_DELTA, base - GLYPH_DELTA),
-                0.0, 1.0)
-            img[:, r0:r0 + gh, c0:c0 + gw] = glyph_color[:, None, None]
-        row += h
-    return img
+                0.0, 1.0)[:, None, None]
+            figures.append(img)
+    return gains, offsets, figures
 
 
 def _render_tracklet(cfg, base, gain, offset, rng):
@@ -229,11 +209,10 @@ def generate_dataset(cfg: SynthConfig) -> Corpus:
     tracklet j shot by camera (identity + j) % cameras so each query's true
     gallery match sits on a different camera.
     """
-    gains, offsets, appearances = _draw_appearances(cfg)
+    gains, offsets, figures = _draw_figures(cfg)
     corpus = Corpus()
     t = cfg.tracklets_per_identity
-    for identity in range(cfg.num_identities):
-        base = _render_base(cfg, appearances[identity])
+    for identity, base in enumerate(figures):
         for j in range(t):
             cam = (identity + j) % cfg.cameras
             rng = stream(cfg.seed, identity * t + j)
@@ -255,12 +234,9 @@ def restricted_sample(tracklet: Tracklet, chunks: int, rng) -> np.ndarray:
     if t_full < chunks:
         raise CorpusError(
             "tracklet has %d frames, cannot cut %d chunks" % (t_full, chunks))
-    picks = []
-    start = 0
-    for h in band_heights(t_full, chunks):
-        picks.append(start + int(rng.integers(h)))
-        start += h
-    return tracklet.frames[picks]
+    heights = band_heights(t_full, chunks)
+    starts = np.cumsum(heights) - heights
+    return tracklet.frames[starts + rng.integers(heights)]
 
 
 def pk_batches(tracklets, k_ids: int, t_per_id: int, rng):

@@ -50,11 +50,14 @@ class DecoderConfig:
             raise ShapeError("width %d not divisible by %d heads" % (self.d, self.heads))
 
     def sources_for(self, num_encoder_blocks: int):
-        """The dense-source block indices, or the default 2..L; range-checked."""
+        """The dense-source block indices, or the default 2..L; each in
+        range and named once."""
         L = num_encoder_blocks
         src = self.dense_sources if self.dense_sources is not None else tuple(range(2, L + 1))
         if any(l < 1 or l > L for l in src):
             raise ShapeError("dense source indices %s out of range 1..%d" % (src, L))
+        if len(set(src)) != len(src):
+            raise ShapeError("dense source indices %s name a block twice" % (src,))
         return src
 
     def read_blocks(self, num_encoder_blocks: int):

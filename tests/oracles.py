@@ -364,3 +364,16 @@ def render_tracklet_ref(cfg, base, gain, offset, rng):
             img[:, bar_top:bar_top + bar, :] = gray
         frames[i] = np.clip(img, 0.0, 1.0)
     return frames
+
+
+def restricted_sample_ref(tracklet, chunks, rng):
+    """Restricted random sampling chunk by chunk: one scalar draw per
+    contiguous chunk, the extra frames going to the first chunks."""
+    t_full = tracklet.frames.shape[0]
+    base, rem = divmod(t_full, chunks)
+    picks = []
+    start = 0
+    for h in [base + 1] * rem + [base] * (chunks - rem):
+        picks.append(start + int(rng.integers(h)))
+        start += h
+    return tracklet.frames[picks]

@@ -39,6 +39,17 @@ def test_float64_input_is_cast(tmp_path):
     assert out[0] == np.float32(1.0 / 3.0)
 
 
+def test_failed_save_leaves_the_previous_file_whole(tmp_path):
+    path = tmp_path / "final.dil1"
+    ck.save_checkpoint(path, {"w": np.ones(4, np.float32)})
+    good = path.read_bytes()
+    with pytest.raises(ValueError):
+        ck.save_checkpoint(path, {"w": np.zeros(4, np.float32),
+                                  "x": "not a number"})
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final.dil1"]
+
+
 def test_magic_bytes(tmp_path):
     path = tmp_path / "d.ckpt"
     ck.save_checkpoint(path, {})

@@ -54,6 +54,8 @@ def test_bad_values_rejected():
         run_config_from_dict({"data": {"occlusion_prob": 2.0}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"sampling": {"chunks": 0}})
+    with pytest.raises(ConfigError, match=r"\(1, 1, 2\) name a block twice"):
+        run_config_from_dict({"decoder": {"dense_sources": [1, 1, 2]}})
 
 
 def test_epochs_stop_where_the_learning_rate_decay_would_overflow():

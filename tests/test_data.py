@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import sys
@@ -8,7 +9,7 @@ import pytest
 from denseil import tensor as tn
 from denseil.data import (NUM_BANDS, Corpus, CorpusError, SynthConfig,
                           Tracklet, TrackletFormatError, _body_box,
-                          _draw_appearances, _glyph_size, _render_base,
+                          _draw_figures, _glyph_size,
                           _render_tracklet, generate_dataset, load_corpus,
                           pk_batches, read_tracklet, restricted_sample,
                           write_corpus, write_tracklet)
@@ -16,7 +17,7 @@ from denseil.encoder import EncoderConfig, encode_clip
 from denseil.model import draw_params, encoder_table
 from denseil.partition import band_heights, ppool
 from denseil.rng import stream
-from oracles import nhwc, render_tracklet_ref
+from oracles import nhwc, render_tracklet_ref, restricted_sample_ref
 
 
 def index_tracklet(t_full):
@@ -62,6 +63,20 @@ def test_restricted_sample_uneven_chunks_stay_inside():
         for (lo, hi), i in zip(bounds, picks):
             assert lo <= i < hi
         assert np.all(np.diff(picks) > 0)
+
+
+@pytest.mark.parametrize("t_full, chunks", [(7, 3), (33, 8), (1000, 17)])
+def test_restricted_sample_reads_its_stream_as_the_per_chunk_loop(t_full,
+                                                                  chunks):
+    tr = index_tracklet(t_full)
+    for seed in range(20):
+        got_rng, want_rng = stream(seed, 0), stream(seed, 0)
+        got = restricted_sample(tr, chunks, got_rng)
+        want = restricted_sample_ref(tr, chunks, want_rng)
+        assert got.tobytes() == want.tobytes()
+        # the next 32-bit and 64-bit draws: the stream is left as it was
+        assert got_rng.integers(2 ** 32) == want_rng.integers(2 ** 32)
+        assert got_rng.random() == want_rng.random()
 
 
 def test_restricted_sample_too_few_frames():
@@ -126,7 +141,7 @@ RENDER_CASES = {
                          ids=list(RENDER_CASES))
 def test_rendered_tracklets_match_the_frame_by_frame_oracle(overrides):
     cfg = SynthConfig(**overrides)
-    gains, offsets, appearances = _draw_appearances(cfg)
+    gains, offsets, figures = _draw_figures(cfg)
     corpus = generate_dataset(cfg)
     count = 0
     for _, tracklets in corpus.splits():
@@ -134,7 +149,7 @@ def test_rendered_tracklets_match_the_frame_by_frame_oracle(overrides):
             rng = stream(cfg.seed, tr.identity * cfg.tracklets_per_identity
                          + tr.tracklet_id)
             want = render_tracklet_ref(
-                cfg, _render_base(cfg, appearances[tr.identity]),
+                cfg, figures[tr.identity],
                 gains[tr.camera], offsets[tr.camera], rng)
             assert tr.frames.dtype == np.float32
             assert tr.frames.flags.c_contiguous
@@ -142,6 +157,59 @@ def test_rendered_tracklets_match_the_frame_by_frame_oracle(overrides):
             assert tr.frames.tobytes() == want.tobytes()
             count += 1
     assert count == cfg.num_identities * cfg.tracklets_per_identity
+
+
+CORPUS_SHA256 = {
+    "desk defaults":
+        "f97bffcd3818b6ac0333e3bb3086a171393b845ee5a4520f7ce7ee38dc17c0c7",
+    "retrieval shape":
+        "527dbf32049fa1d3aeb33e0205df5d0d76d12d825f980b7579db6ac8248aab58",
+    "no jitter":
+        "d4bf0983a8dc785c9bffd46fb4a49f213e2044a70b094514a7b981e000915fdc",
+    "jitter wraps the height":
+        "1a17df33b8300bffb6199c5a29fb65c4506dbc762618648dfe0cc59517a6c698",
+    "never occluded":
+        "f4dc98701992e9089d763a504f27351eb183850fa782b55c4ff688de5ec59c2c",
+    "always occluded":
+        "651878cf4da0de7726d2805b796dcf38a10541834b6ad0992158bf9b463730a2",
+    "half similar":
+        "89288e8a98080abd7f9a2610d232bb44a0d808954f8f2ec3cd47b7907e1c084e",
+    "odd height and width":
+        "79b8ae68d7a5c9612e96f6a053ee82c0c0c3440a7e84942f4215a677bda95103",
+}
+
+
+def corpus_sha256(corpus):
+    """sha256 over every tracklet in corpus order: its identity, camera
+    and tracklet id as little-endian u32s, then its frame bytes."""
+    h = hashlib.sha256()
+    for _, tracklets in corpus.splits():
+        for tr in tracklets:
+            h.update(struct.pack("<3I", tr.identity, tr.camera,
+                                 tr.tracklet_id))
+            h.update(tr.frames.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(RENDER_CASES))
+def test_rendered_corpus_bytes_are_pinned(name):
+    corpus = generate_dataset(SynthConfig(**RENDER_CASES[name]))
+    assert corpus_sha256(corpus) == CORPUS_SHA256[name]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_rendering_is_prefix_stable_in_the_identity_count(seed):
+    # the open split renders 16 + N identities and trains on the first 16
+    def first(keep, n):
+        corpus = generate_dataset(SynthConfig(num_identities=n, seed=seed))
+        return [(split, tr.identity, tr.camera, tr.tracklet_id,
+                 tr.frames.tobytes())
+                for split, tracklets in corpus.splits()
+                for tr in tracklets if tr.identity < keep]
+
+    for n in (15, 17, 64):
+        keep = min(n, 16)
+        assert first(keep, n) == first(keep, 16), n
 
 
 def test_rendering_lights_each_tracklet_once_and_never_rolls(monkeypatch):

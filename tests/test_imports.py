@@ -1,11 +1,18 @@
-"""Static check: every module-level import in the package is used."""
+"""Static checks: every module-level import in the package is used, and
+every module-level definition is named somewhere in the package or the
+benchmark."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "denseil"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "denseil"
+BENCH = ROOT / "perfbench"
+# criterion 1's reducer: the acceptance gradchecks sum every op's output
+# with it, though no package code calls it
+KEPT = {("tensor.py", "sum_all")}
 
 
 def unused_imports(source: str):
@@ -36,3 +43,65 @@ def test_the_check_finds_an_unused_import():
               "from .data import CHANNELS, SynthConfig\n\n"
               "def f():\n    return np.zeros(CHANNELS)\n")
     assert unused_imports(source) == [(1, "os"), (3, "tn"), (4, "SynthConfig")]
+
+
+def defined(tree):
+    """Names bound by the module's top-level functions, classes and
+    assignments, dunders (module metadata) aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name) and not n.id.startswith("__"):
+                        yield n.id
+
+
+def named(tree):
+    """Every name the code reads: a variable, an attribute, an imported
+    name, or a string (a patch point named to setattr)."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.split(".")[-1]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def dead_definitions(sources, readers):
+    """(module, name) of each top-level definition in ``sources`` that no
+    module of ``sources`` or ``readers`` names; both map module to text."""
+    trees = {path: ast.parse(text) for path, text in
+             list(sources.items()) + list(readers.items())}
+    read = {name for tree in trees.values() for name in named(tree)}
+    return sorted((path, name) for path in sources
+                  for name in defined(trees[path]) if name not in read)
+
+
+def _texts(directory, prefix):
+    return {prefix + p.name: p.read_text(encoding="utf-8")
+            for p in sorted(directory.glob("*.py"))}
+
+
+def test_every_definition_is_named_somewhere():
+    dead = set(dead_definitions(_texts(SRC, ""),
+                                _texts(BENCH, "perfbench/"))) - KEPT
+    assert not dead, "definitions nothing names: %s" % sorted(dead)
+
+
+def test_the_check_finds_a_dead_definition():
+    sources = {"a.py": ("LIMIT = 3\nUNUSED = 4\n\nclass Box:\n    pass\n\n"
+                        "def helper():\n    return LIMIT\n\n"
+                        "def orphan():\n    return Box()\n"),
+               "b.py": "from .a import helper\n"}
+    readers = {"bench.py": "import a\na.setattr(a, 'orphan', None)\n"}
+    assert dead_definitions(sources, readers) == [("a.py", "UNUSED")]
+    assert dead_definitions(sources, {}) == [("a.py", "UNUSED"),
+                                             ("a.py", "orphan")]
