@@ -314,7 +314,9 @@ def write_corpus(corpus: Corpus, outdir):
     """Write every tracklet plus a manifest.csv (filename, identity,
     camera, split) whose rows keep the corpus order, so a loaded corpus
     enumerates tracklets exactly like a fresh one. Two tracklets that
-    would share a file name raise TrackletFormatError before any write."""
+    would share a file name raise TrackletFormatError before any write.
+    The manifest is written last, beside its path, and renamed over it, so
+    a write that fails leaves what the directory held before."""
     files, rows = {}, []
     for split, tracklets in corpus.splits():
         for tr in tracklets:
@@ -328,10 +330,17 @@ def write_corpus(corpus: Corpus, outdir):
     os.makedirs(outdir, exist_ok=True)
     for name, tr in files.items():
         write_tracklet(os.path.join(outdir, name), tr)
-    with open(os.path.join(outdir, "manifest.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("filename", "identity", "camera", "split"))
-        w.writerows(rows)
+    manifest = os.path.join(outdir, "manifest.csv")
+    tmp = "%s.%d.tmp" % (manifest, os.getpid())
+    try:
+        with open(tmp, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(("filename", "identity", "camera", "split"))
+            w.writerows(rows)
+        os.replace(tmp, manifest)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_corpus(indir) -> Corpus:

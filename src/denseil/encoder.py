@@ -57,12 +57,12 @@ def encode_clip(frames: Tensor, cfg: EncoderConfig, params, states, training: bo
     for l, stride in enumerate(cfg.block_strides(), start=1):
         prefix = "encoder.block%d" % l
         for k, s in ((1, stride), (2, 1)):
-            x = imageops.conv2d(x, params["%s.conv%d.w" % (prefix, k)], stride=s)
-            x = imageops.batchnorm_nchw(
+            x = imageops.conv_bn_relu(
                 x,
+                params["%s.conv%d.w" % (prefix, k)],
                 params["%s.bn%d.gamma" % (prefix, k)],
                 params["%s.bn%d.beta" % (prefix, k)],
                 states["%s.bn%d" % (prefix, k)],
-                training=training, relu=True)
+                training, s)
         pyramid.append(x)
     return pyramid

@@ -1,4 +1,5 @@
-"""Image-shaped fused ops: 2-D convolution and batch normalization.
+"""Image-shaped fused ops: 2-D convolution, batch normalization, and the
+encoder's conv, batch norm and ReLU as one node.
 
 These are single graph nodes with hand-written backwards rather than
 compositions of tensor primitives; an im2col convolution composed from
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .tensor import EPS, ShapeError, Tensor, array_mean
+from .tensor import EPS, ShapeError, Tensor, array_mean, check_finite
 
 
 class RunningStatsError(ValueError):
@@ -25,11 +26,50 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
     """Same-padded convolution of [N,H,W,C] by [Cout,C,kh,kw], via im2col.
 
     Channels-last in and out: returns [N,Ho,Wo,Cout]. Padding is (k-1)//2
-    per side, so stride 1 preserves H,W and stride 2 halves even dims. The
-    columns are ordered (kh, kw, C), so each window row is one contiguous
-    kw*C run of the padded input.
+    per side, so stride 1 preserves H,W and stride 2 halves even dims.
     """
-    if x.data.ndim != 4 or w.data.ndim != 4:
+    out, conv_back = _conv(x.data, w.data, stride, x.requires_grad)
+    if bias is None:
+        return Tensor(out, _parents=(x, w), _backward=conv_back)
+    cout = out.shape[3]
+    if bias.data.ndim != 1 or bias.shape[0] != cout:
+        raise ShapeError("conv2d: bias must have shape (%d,)" % cout)
+
+    def back(g):
+        return conv_back(g) + (g.reshape(-1, cout).sum(axis=0),)
+
+    return Tensor(out + bias.data, _parents=(x, w, bias), _backward=back)
+
+
+def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
+                 state: BNState, training: bool, stride: int) -> Tensor:
+    """``batchnorm_nchw(conv2d(x, w, stride=stride), gamma, beta, state,
+    training, relu=True)`` as one graph node, bit for bit.
+
+    Batch norm centres the conv's GEMM output in place, so that buffer is
+    the ``xhat`` its backward keeps, and no node keeps the conv output.
+    Backward hands batch norm's input gradient to the conv's backward.
+    """
+    pre, conv_back = _conv(x.data, w.data, stride, x.requires_grad)
+    check_finite(pre)  # as the conv node would, before the statistics move
+    out, bn_back = _bn(pre, gamma.data, beta.data, state, training, relu=True)
+
+    def back(g):
+        dpre, dgamma, dbeta = bn_back(g)
+        return conv_back(dpre) + (dgamma, dbeta)
+
+    return Tensor(out, _parents=(x, w, gamma, beta), _backward=back)
+
+
+def _conv(x: np.ndarray, w: np.ndarray, stride: int, need_dx: bool):
+    """The convolution of ``conv2d`` on arrays: its [N,Ho,Wo,Cout] output,
+    a view of the GEMM's own buffer, and ``back(g)`` -> (dx, dw), dx None
+    unless ``need_dx``.
+
+    The columns are ordered (kh, kw, C), so each window row is one
+    contiguous kw*C run of the padded input.
+    """
+    if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weights")
     n, h, wd, c = x.shape
     cout, cin, kh, kw = w.shape
@@ -42,30 +82,25 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
     wo = (wd + 2 * pw - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError("conv2d: output would be empty")
-    if bias is not None and (bias.data.ndim != 1 or bias.shape[0] != cout):
-        raise ShapeError("conv2d: bias must have shape (%d,)" % cout)
 
     def buffers():
         # the zeroed padded input and the columns, made on the calling thread
         # so that they come from its heap arena, not the worker's
-        return (np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=x.data.dtype),
-                np.empty((n * ho * wo, kh * kw * c), dtype=x.data.dtype))
+        return (np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=x.dtype),
+                np.empty((n * ho * wo, kh * kw * c), dtype=x.dtype))
 
     def im2col(xp, cols):
-        xp[:, ph:ph + h, pw:pw + wd] = x.data
+        xp[:, ph:ph + h, pw:pw + wd] = x
         cols.reshape(n, ho, wo, kh, kw * c)[...] = _windows(xp, ho, wo, kh, kw, stride)
         return cols
 
     def weight_matrix():  # [cout, kh*kw*C], a copy of w
-        return w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * c)
+        return w.transpose(0, 2, 3, 1).reshape(cout, kh * kw * c)
 
     # the columns are kh*kw copies of x and the weight matrix a copy of w,
     # so backward rebuilds both rather than keep them from here to there;
-    # w.data is as here until the optimizer steps after backward
+    # w is as here until the optimizer steps after backward
     out = im2col(*buffers()) @ weight_matrix().T
-    if bias is not None:
-        out = out + bias.data
-    out = out.reshape(n, ho, wo, cout)
 
     def back(g):
         g2 = g.reshape(-1, cout)
@@ -80,7 +115,7 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
         # writes only arrays of its own, so no byte depends on the schedule.
         with worker_job(weight_grad, *buffers()) as job:
             dx = None
-            if x.requires_grad:
+            if need_dx:
                 # col2im one tap at a time, straight into dx: output row o of
                 # tap (i, j) reads input row o*stride + i - ph, so each += is
                 # a single strided add over the outputs whose input lies in x
@@ -92,13 +127,9 @@ def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
                         xj, oj = _tap_range(j - pw, stride, wo, wd)
                         part = (g2 @ taps[:, i, j]).reshape(n, ho, wo, c)
                         dx[:, xi, xj] += part[:, oi, oj]
-        dw = job.result()
-        if bias is not None:
-            return dx, dw, g2.sum(axis=0)
-        return dx, dw
+        return dx, job.result()
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return Tensor(out, _parents=parents, _backward=back)
+    return out.reshape(n, ho, wo, cout), back
 
 
 # The package's one worker thread, made on first use: conv backward's weight
@@ -221,21 +252,28 @@ def _tile(v: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-               training: bool, relu: bool) -> Tensor:
-    # Channels are the last axis; statistics run over every other axis. The
-    # reductions run on [rows, C] views in numpy's axis-0 order and every
-    # elementwise pass on a wide view: each value rounds exactly as it does
-    # in np.mean / np.var and the unfused composition with tensor.relu.
-    c = gamma.shape[0]
-    n = x.data.size // c
-    stat_axes = tuple(range(x.data.ndim - 1))  # every axis but the channels
-    xw, k = _widen(x.data, c)
+def _bn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, state: BNState,
+        training: bool, relu: bool):
+    """Batch norm of ``x`` over every axis but the last, the channels; with
+    ``relu``, max(0, .) of it too. Returns the output, shaped as ``x``, and
+    ``back(g)`` -> (dx, dgamma, dbeta).
+
+    ``x`` is centred in place: its buffer becomes the ``xhat`` that backward
+    keeps. The reductions run on [rows, C] views in numpy's axis-0 order and
+    every elementwise pass on a wide view: each value rounds exactly as it
+    does in np.mean / np.var and the unfused composition with tensor.relu.
+    """
+    shape, c = x.shape, x.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError("batch norm: gamma/beta must match channel count")
+    rows = x.reshape(-1, c)  # [rows, C], a view of x
+    n = rows.shape[0]
+    xw, k = _widen(x, c)
     if training:
-        mu = array_mean(x.data, stat_axes, total=_colsum(x.data, c))
-        xc = xw - _tile(mu, k)
-        sq = np.square(xc)
-        var = array_mean(x.data, stat_axes, total=_colsum(sq, c))
+        mu = array_mean(rows, 0, total=_colsum(rows, c))
+        xw -= _tile(mu, k)
+        sq = np.square(xw)
+        var = array_mean(rows, 0, total=_colsum(sq, c))
         del sq
         state.update(mu, var)
     else:
@@ -243,17 +281,17 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
             raise RunningStatsError(
                 "batch norm eval requested before any training pass accumulated statistics")
         mu, var = state.running_mean, state.running_var
-        xc = xw - _tile(mu, k)
+        xw -= _tile(mu, k)
     inv = 1.0 / np.sqrt(var + EPS)
-    xc *= _tile(inv, k)
-    xhat = xc
-    out = xhat * _tile(gamma.data, k)
-    out += _tile(beta.data, k)
+    xw *= _tile(inv, k)
+    xhat = xw
+    out = xhat * _tile(gamma, k)
+    out += _tile(beta, k)
     if relu:
         # out * mask, not np.where: a non-finite value stays non-finite for
-        # the Tensor check below. += 0.0 turns the -0.0 of a masked negative
-        # into the +0.0 np.where gives, so the finite output that backward
-        # reads is > 0 exactly where the mask is set.
+        # the Tensor check. += 0.0 turns the -0.0 of a masked negative into
+        # the +0.0 np.where gives, so the finite output that backward reads
+        # is > 0 exactly where the mask is set.
         with np.errstate(invalid="ignore"):
             out *= out > 0
         out += 0.0
@@ -261,7 +299,7 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     def back(g):
         # dx is written through a wide view of a buffer it owns; + 0.0 turns a
         # -0.0 in g into the +0.0 the unfused reference's zeroed buffers give.
-        dx = np.empty(x.shape, dtype=g.dtype)
+        dx = np.empty(shape, dtype=g.dtype)
         gw = dx.reshape(xhat.shape)
         if relu:
             np.multiply(g.reshape(xhat.shape), out > 0, out=gw)
@@ -274,14 +312,14 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
         if training:
             # batch statistics depend on x, so the mean terms flow back too:
             # dx = scale * (g - mean(g) - xhat * dgamma / n)
-            gw -= _tile(array_mean(x.data, stat_axes, total=dbeta), k)
+            gw -= _tile(array_mean(dx.reshape(-1, c), 0, total=dbeta), k)
             np.multiply(xhat, _tile(dgamma, k), out=prod)
             prod /= n
             gw -= prod
-        gw *= _tile(gamma.data * inv, k)
+        gw *= _tile(gamma * inv, k)
         return dx, dgamma, dbeta
 
-    return Tensor(out.reshape(x.shape), _parents=(x, gamma, beta), _backward=back)
+    return out.reshape(shape), back
 
 
 def batchnorm_nchw(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
@@ -295,9 +333,7 @@ def batchnorm_nchw(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     """
     if x.data.ndim != 4:
         raise ShapeError("batchnorm_nchw expects a 4-D tensor")
-    if gamma.shape != (x.shape[3],) or beta.shape != (x.shape[3],):
-        raise ShapeError("batchnorm_nchw: gamma/beta must match channel count")
-    return _batchnorm(x, gamma, beta, state, training, relu)
+    return _bn_node(x, gamma, beta, state, training, relu)
 
 
 def batchnorm_rows(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
@@ -305,6 +341,10 @@ def batchnorm_rows(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     """Per-feature batch norm over [B,d]; stats over the batch axis."""
     if x.data.ndim != 2:
         raise ShapeError("batchnorm_rows expects a 2-D tensor")
-    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
-        raise ShapeError("batchnorm_rows: gamma/beta must match feature count")
-    return _batchnorm(x, gamma, beta, state, training, False)
+    return _bn_node(x, gamma, beta, state, training, False)
+
+
+def _bn_node(x, gamma, beta, state, training, relu):
+    # _bn centres what it is handed, and node data is never written
+    out, back = _bn(x.data.copy(), gamma.data, beta.data, state, training, relu)
+    return Tensor(out, _parents=(x, gamma, beta), _backward=back)

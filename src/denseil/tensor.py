@@ -56,8 +56,7 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        if not _all_finite(arr):
-            raise NumericError("non-finite values in tensor of shape %s" % (arr.shape,))
+        check_finite(arr)
 
     @property
     def shape(self):
@@ -84,6 +83,13 @@ class Tensor:
 def _all_finite(a: np.ndarray) -> bool:
     """``np.all(np.isfinite(a))``."""
     return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
+def check_finite(a: np.ndarray) -> None:
+    """Raise NumericError, as a new tensor of ``a`` would, unless every
+    value of ``a`` is finite."""
+    if not _all_finite(a):
+        raise NumericError("non-finite values in tensor of shape %s" % (a.shape,))
 
 
 def array_mean(a: np.ndarray, axis, keepdims: bool = False, total=None):

@@ -22,7 +22,7 @@ from denseil import rng as drng
 from denseil import tensor as T
 from denseil.config import run_config_from_dict
 from denseil.harness import train_run
-from denseil.imageops import BNState, batchnorm_nchw, batchnorm_rows, conv2d
+from denseil.imageops import BNState, batchnorm_nchw, batchnorm_rows, conv2d, conv_bn_relu
 from denseil.model import (build_model, decoder_table, draw_params, load_model,
                            save_model)
 from denseil.partition import ppool, stack_partitions
@@ -112,6 +112,8 @@ def _op_cases(rng):
         ("conv2d", (img, ker), lambda x, w: T.sum_all(T.mul(conv2d(x, w, stride=2), conv2d(x, w, stride=2)))),
         ("batchnorm_nchw", (img, g2, b2),
          lambda x, g, c: T.sum_all(T.mul(*[batchnorm_nchw(x, g, c, BNState(2), True)] * 2))),
+        ("conv_bn_relu", (img, ker, g2, b2),
+         lambda x, w, g, c: T.sum_all(T.mul(*[conv_bn_relu(x, w, g, c, BNState(2), True, 1)] * 2))),
         ("batchnorm_rows", (a, gamma, beta),
          lambda x, g, c: T.sum_all(T.mul(*[batchnorm_rows(x, g, c, BNState(3), True)] * 2))),
         ("ppool", (img,), lambda x: T.sum_all(T.mul(ppool(x, 2), ppool(x, 2)))),

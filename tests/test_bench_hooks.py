@@ -8,6 +8,8 @@ behind the benchmark's ``flops.matmul_macs_unexplained``: every forward
 matmul of a step is an adapter, the decoder stack, the classifier or the
 triplet loss's Gram matrix, both directly and through perfbench/run.py's
 ``layer_summary``, which reads config keys of its own under ``--trace 1``.
+It checks that the encoder's fused conv nodes are counted and charged to
+the encoder's span, which the tracer times by name.
 It also loads each workload's config from perfbench/workloads.py, so
 deleting a config key that a workload sets fails here too.
 """
@@ -32,8 +34,8 @@ import workloads  # noqa: E402
 
 
 def traced_step(cfg):
-    """A Tracer that recorded one training step of a fresh model, and the
-    step's batch size."""
+    """A Tracer that recorded one training step of a fresh model, the
+    step's batch size and its loss."""
     corpus = micro_corpus()
     model = build_model(cfg)
     opt = optim.Adam(model.params)
@@ -57,14 +59,14 @@ def traced_step(cfg):
         opt.step(cfg.optimizer.lr)
         tracer.stop()
         harness.embed_tracklet(model, cfg, corpus.query[0])  # patched too
-    return tracer, len(batch)
+    return tracer, len(batch), loss
 
 
 def test_traced_step_matmul_macs_match_flops():
     for decoder in ({}, {"dense_sources": [1, 2]}, {"dense_sources": [2]},
                     {"R": 0}):
         cfg = micro_run_config(decoder=decoder)
-        tracer, b = traced_step(cfg)
+        tracer, b, _ = traced_step(cfg)
         est = harness.decoder_flops(cfg)
         d, ids = cfg.decoder.d, cfg.data.num_identities
         expected = b * (est["total"] + est["adapters"]) + b * d * ids + b * d * b
@@ -83,6 +85,29 @@ def test_traced_step_matmul_macs_match_flops():
                             cfg=cfg, clips_per_op=b)
         layers, _ = bench_run.layer_summary(run)
         assert layers["flops.matmul_macs_unexplained"] == 0, decoder
+
+
+def test_traced_step_counts_the_fused_encoder_nodes():
+    # each encoder conv, its batch norm and its ReLU are one graph node
+    # made inside the encoder's span, so the encoder's forward and
+    # backward are charged there
+    cfg = micro_run_config()
+    tracer, _, loss = traced_step(cfg)
+    nodes, todo = {id(loss): loss}, [loss]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in nodes:
+                nodes[id(parent)] = parent
+                todo.append(parent)
+    # the conv weights are the graph's only 4-D leaves that need a gradient
+    encoder = [n for n in nodes.values()
+               if any(p.data.ndim == 4 and p.requires_grad and not p._parents
+                      for p in n._parents)]
+    assert len(encoder) == 2 * len(cfg.encoder.channels)
+    assert all(len(n._parents) == 4 for n in encoder)
+    layers = tracer.layer_metrics(1)
+    assert layers["tensor.nodes_per_step"] == len(nodes)
+    assert layers["encoder.fwd_ms"] > 0 and layers["encoder.bwd_ms"] > 0
 
 
 def test_workload_configs_load():

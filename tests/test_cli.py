@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import json
 import os
@@ -522,6 +523,42 @@ def test_manifest_malformed_field_exits_3(workspace, capsys, column, value):
     assert "manifest.csv, row 1: missing or malformed field: " in err
 
 
+def test_a_manifest_write_that_fails_leaves_the_directory_as_it_was(
+        workspace, capsys, monkeypatch):
+    # a manifest cut at a row boundary would load as a smaller corpus, so a
+    # write that stops after three rows must leave no manifest behind
+    tmp_path, cfg_path, data_dir = workspace
+    corpus = load_corpus(data_dir)
+    before = sorted(os.listdir(data_dir))
+    good = (data_dir / "manifest.csv").read_bytes()
+    real = csv.writer
+
+    class FailingWriter:
+        def __init__(self, f):
+            self.rows = real(f)
+
+        def writerow(self, row):
+            self.rows.writerow(row)
+
+        def writerows(self, rows):
+            self.rows.writerows(rows[:3])
+            raise OSError("no space left on device")
+
+    fresh = tmp_path / "fresh"
+    with monkeypatch.context() as m:
+        m.setattr(csv, "writer", FailingWriter)
+        for outdir in (fresh, data_dir):
+            with pytest.raises(OSError, match="no space"):
+                write_corpus(corpus, outdir)
+    assert not (fresh / "manifest.csv").exists()
+    assert len(os.listdir(fresh)) == len(before) - 1  # the tracklets alone
+    _exits_3_with_one_line(["train", "--config", str(cfg_path), "--data",
+                            str(fresh), "--out", str(tmp_path / "out")],
+                           capsys)
+    assert sorted(os.listdir(data_dir)) == before
+    assert (data_dir / "manifest.csv").read_bytes() == good
+
+
 def test_colliding_eval_streams_exit_3_from_train_and_eval(workspace,
                                                            capsys):
     # query identity 0 with tracklet id 1024 would draw the frames of
@@ -832,24 +869,24 @@ def test_learning_rate_overflow_exits_1_from_flops_and_train(workspace, capsys):
 
 def test_overflow_in_a_weight_gradient_exits_2_at_its_step(workspace, capsys,
                                                            monkeypatch):
-    # From the second training step on, the first conv is handed an output
-    # gradient of 3e38 everywhere. Its float32 dw, a sum over nonnegative
-    # pixels made on the conv worker thread, overflows in that step.
+    # From the second training step on, the conv stage of the first fused
+    # conv node is handed an output gradient of 3e38 everywhere. Its
+    # float32 dw, a sum over nonnegative pixels made on the conv worker
+    # thread, overflows in that step.
     tmp_path, cfg_path, data_dir = workspace
-    conv = imageops.conv2d
+    conv = imageops._conv
     first_convs = []
 
-    def flooded(x, w, bias=None, stride=1):
-        out = conv(x, w, bias, stride)
+    def flooded(x, w, stride, need_dx):
+        out, back = conv(x, w, stride, need_dx)
         if x.shape[3] != 3:
-            return out
+            return out, back
         first_convs.append(out)
         if len(first_convs) < 2:
-            return out
-        return tensor.Tensor(out.data, _parents=(out,),
-                             _backward=lambda g: (np.full_like(g, 3e38),))
+            return out, back
+        return out, lambda g: back(np.full_like(g, 3e38))
 
-    monkeypatch.setattr(imageops, "conv2d", flooded)
+    monkeypatch.setattr(imageops, "_conv", flooded)
     assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
                  "--out", str(tmp_path / "flood")]) == 2
     err = capsys.readouterr().err

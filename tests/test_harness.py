@@ -308,18 +308,18 @@ def test_the_worker_runs_the_first_batch_of_each_pair(monkeypatch, dtype):
     block_of = {id(model.params["encoder.block%d.conv%d.w" % (l, k)]): l
                 for l in range(1, L + 1) for k in (1, 2)}
     convs, forwards = [], []
-    conv2d = imageops.conv2d
+    conv_bn_relu = imageops.conv_bn_relu
 
     def recording_conv(x, w, *args, **kwargs):
         convs.append((block_of[id(w)], _on_worker()))
-        return conv2d(x, w, *args, **kwargs)
+        return conv_bn_relu(x, w, *args, **kwargs)
 
     def recording_forward(mdl, clips, training):
         batch = [i for i, c in enumerate(batches) if np.array_equal(c, clips)]
         forwards.append((batch, _on_worker()))
         return forward_batch(mdl, clips, training)
 
-    monkeypatch.setattr(imageops, "conv2d", recording_conv)
+    monkeypatch.setattr(imageops, "conv_bn_relu", recording_conv)
     monkeypatch.setattr(harness, "forward_batch", recording_forward)
     embedded = embed_tracklets(model, cfg, tracklets)
     assert sorted(forwards) == [([0], True), ([1], False), ([2], False)]

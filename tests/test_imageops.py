@@ -2,6 +2,7 @@ import gc
 import os
 import signal
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -441,6 +442,115 @@ def test_fused_batchnorm_relu_rejects_non_finite_pre_activations():
             x.data[0, 0, 0, 0] = np.nan
         with pytest.raises(T.NumericError):
             im.batchnorm_nchw(x, g, b, im.BNState(2), training=True, relu=True)
+
+
+def test_conv_bn_relu_matches_conv2d_then_batchnorm_byte_for_byte():
+    # the desk encoder's eight convs, the first on frames that need no
+    # gradient, against the two nodes the fused one replaces
+    rng = np.random.default_rng(47)
+    for dtype in (np.float32, np.float64):
+        for layer, (shape, cout, stride) in enumerate(DESK_CONVS):
+            for training in (True, False):
+                x = rng.normal(size=shape).astype(dtype)
+                w = (rng.normal(size=(cout, shape[3], 3, 3)) * 0.3).astype(dtype)
+                gamma = rng.uniform(0.5, 1.5, cout).astype(dtype)
+                beta = rng.uniform(-0.5, 0.5, cout).astype(dtype)
+                g = rng.normal(size=shape[:1] + (
+                    shape[1] // stride, shape[2] // stride, cout)).astype(dtype)
+                running = (rng.normal(size=cout).astype(dtype),
+                           rng.uniform(0.5, 2.0, cout).astype(dtype))
+                states = []
+                for _ in range(2):
+                    states.append(im.BNState(cout, dtype=dtype))
+                    if not training:
+                        states[-1].update(*running)
+
+                def leaves():
+                    return (T.Tensor(x, requires_grad=layer > 0),
+                            T.Tensor(w, requires_grad=True),
+                            T.Tensor(gamma, requires_grad=True),
+                            T.Tensor(beta, requires_grad=True))
+
+                xt, wt, gt, bt = leaves()
+                ref = im.batchnorm_nchw(im.conv2d(xt, wt, stride=stride), gt, bt,
+                                        states[0], training, relu=True)
+                dconv, dgamma, dbeta = ref._backward(g.copy())
+                want = (ref.data,) + ref._parents[0]._backward(dconv) + (dgamma, dbeta)
+                fused = im.conv_bn_relu(*leaves(), states[1], training, stride)
+                got = (fused.data,) + fused._backward(g.copy())
+                case = (dtype.__name__, layer, training)
+                assert (got[1] is None) == (want[1] is None) == (layer == 0), case
+                for name, a, b in zip(("out", "dx", "dw", "dgamma", "dbeta"),
+                                      got, want):
+                    if b is not None:
+                        assert a.dtype == b.dtype and a.shape == b.shape, (name, case)
+                        assert np.array_equal(_bytes(a), _bytes(b)), (name, case)
+                assert states[1].num_batches == states[0].num_batches, case
+                for name in ("running_mean", "running_var"):
+                    a, b = getattr(states[1], name), getattr(states[0], name)
+                    assert a.dtype == b.dtype, (name, case)
+                    assert np.array_equal(_bytes(a), _bytes(b)), (name, case)
+
+
+def _cell(fn, name):
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def test_conv_bn_relu_keeps_its_gemm_buffer_as_xhat(monkeypatch):
+    # batch norm centres the conv's GEMM output in place; the node keeps
+    # that buffer, as xhat, and its output, and no third activation
+    conv, gemm = im._conv, []
+
+    def recording(*args):
+        pre, back = conv(*args)
+        gemm.append(pre)
+        return pre, back
+
+    monkeypatch.setattr(im, "_conv", recording)
+    rng = np.random.default_rng(48)
+    shape, cout, stride = DESK_CONVS[2]
+    x = T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(cout, shape[3], 3, 3)).astype(np.float32),
+                 requires_grad=True)
+    gamma = T.Tensor(np.ones(cout, np.float32), requires_grad=True)
+    beta = T.Tensor(np.zeros(cout, np.float32), requires_grad=True)
+    state = im.BNState(cout, np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = im.conv_bn_relu(x, w, gamma, beta, state, True, stride)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    (pre,) = gemm
+    assert pre.shape == out.shape
+    xhat = _cell(_cell(out._backward, "bn_back"), "xhat")
+    assert np.shares_memory(xhat, pre) and xhat.size == pre.size
+    activations = [a for a in _held_arrays(out._backward)
+                   if a.dtype.kind == "f" and a.size == out.data.size]
+    assert activations
+    assert all(np.shares_memory(a, pre) or np.shares_memory(a, out.data)
+               for a in activations)
+    assert 2 * out.data.nbytes <= held < 3 * out.data.nbytes
+
+
+def test_conv_bn_relu_raises_on_a_non_finite_conv_output_before_the_statistics_move():
+    # 1e30 * 1e30 overflows float32 in the GEMM, as it would in conv2d
+    x = T.Tensor(np.full((2, 4, 4, 3), 1e30, np.float32))
+    w = T.Tensor(np.full((4, 3, 3, 3), 1e30, np.float32), requires_grad=True)
+    gamma = T.Tensor(np.ones(4, np.float32), requires_grad=True)
+    beta = T.Tensor(np.zeros(4, np.float32), requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(T.NumericError) as unfused:
+        im.conv2d(x, w)
+    for training in (True, False):
+        state = im.BNState(4, np.float32)
+        if not training:
+            state.update(np.zeros(4, np.float32), np.ones(4, np.float32))
+        mean, count = state.running_mean, state.num_batches
+        with np.errstate(over="ignore"), pytest.raises(T.NumericError) as fused:
+            im.conv_bn_relu(x, w, gamma, beta, state, training, 1)
+        assert str(fused.value) == str(unfused.value)
+        assert state.num_batches == count and state.running_mean is mean
 
 
 # numpy calls without wrappers: each stand-in against the call it replaces

@@ -458,7 +458,7 @@ def _desk_graph(dtype):
 
 # The arrays a backward closure may keep besides the graph's own data: what
 # it derives in the forward and cannot rebuild by copying node data.
-DERIVED = {("_batchnorm.<locals>.back", "xhat"), ("_batchnorm.<locals>.back", "inv"),
+DERIVED = {("_bn.<locals>.back", "xhat"), ("_bn.<locals>.back", "inv"),
            ("layer_norm.<locals>.back", "xhat"), ("layer_norm.<locals>.back", "inv"),
            ("attention.<locals>.back", "attn")}
 
