@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,27 +24,38 @@ class CheckpointError(IOError):
     """Corrupt, truncated, or otherwise unreadable checkpoint file."""
 
 
+@contextmanager
+def replacing(paths):
+    """Yield one temporary path beside each of ``paths``. When the block
+    ends without error each is renamed over its path, in order, so each
+    path holds what it held before or its new file whole; temporaries a
+    failure leaves are removed."""
+    tmps = ["%s.%d.tmp" % (os.fspath(path), os.getpid()) for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
 def save_checkpoint(path, records) -> None:
     """Write name -> array records; values are cast to float32. The file is
     written beside ``path`` and renamed over it, so ``path`` holds either
     the whole new file or, when the write fails, what it held before."""
-    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            for name, value in records.items():
-                arr = np.asarray(value, dtype="<f4")  # tobytes() handles layout; keeps 0-d rank
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                for extent in arr.shape:
-                    fh.write(struct.pack("<Q", extent))
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing([path]) as (tmp,), open(tmp, "wb") as fh:
+        fh.write(MAGIC)
+        for name, value in records.items():
+            arr = np.asarray(value, dtype="<f4")  # tobytes() handles layout; keeps 0-d rank
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            for extent in arr.shape:
+                fh.write(struct.pack("<Q", extent))
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import replacing
 from .partition import band_heights
 from .rng import APPEARANCE_STREAM, EVAL_IDENTITIES, TRACKLET_STRIDE, stream
 
@@ -315,8 +316,9 @@ def write_corpus(corpus: Corpus, outdir):
     camera, split) whose rows keep the corpus order, so a loaded corpus
     enumerates tracklets exactly like a fresh one. Two tracklets that
     would share a file name raise TrackletFormatError before any write.
-    The manifest is written last, beside its path, and renamed over it, so
-    a write that fails leaves what the directory held before."""
+    Every file is written beside its path and renamed into place once all
+    are written, the manifest last, so a write that fails before the
+    renames leaves the directory's previous corpus whole."""
     files, rows = {}, []
     for split, tracklets in corpus.splits():
         for tr in tracklets:
@@ -328,19 +330,14 @@ def write_corpus(corpus: Corpus, outdir):
             files[name] = tr
             rows.append((name, tr.identity, tr.camera, split))
     os.makedirs(outdir, exist_ok=True)
-    for name, tr in files.items():
-        write_tracklet(os.path.join(outdir, name), tr)
-    manifest = os.path.join(outdir, "manifest.csv")
-    tmp = "%s.%d.tmp" % (manifest, os.getpid())
-    try:
-        with open(tmp, "w", newline="") as f:
+    paths = [os.path.join(outdir, name) for name in [*files, "manifest.csv"]]
+    with replacing(paths) as tmps:
+        for tmp, tr in zip(tmps, files.values()):
+            write_tracklet(tmp, tr)
+        with open(tmps[-1], "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(("filename", "identity", "camera", "split"))
             w.writerows(rows)
-        os.replace(tmp, manifest)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def load_corpus(indir) -> Corpus:

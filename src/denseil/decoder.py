@@ -136,29 +136,29 @@ def _ffn_block(H: Tensor, params, prefix: str):
     return tn.add(H, out)
 
 
-def decoder_forward(tokens: Tensor, pyramid_tokens, emb, cfg: DecoderConfig, params):
+def decoder_forward(levels, emb, cfg: DecoderConfig, params):
     """Run the stack over a batch; returns (embeddings [B, d], the
     interaction weights of each block).
 
-    ``tokens`` is [B, n, d], the last encoder block's pooled tokens (also the
-    decoder input); ``pyramid_tokens`` lists blocks 1..L-1's, same shape,
-    or None for a block outside ``cfg.read_blocks``.
-    ``emb`` is the [n, d] ``step_emb`` table, added to every clip's tokens.
-    Inside the stack rows are [B*n, d]; only attention looks across a clip's
-    rows. A block's weights are [B, heads, n, (S+1)*n], or None when it has
-    no attention-fused interaction sub-layer. With R=0 each embedding is
-    exactly the mean of its clip's input rows: no final norm applies.
+    ``levels`` is ``stack_partitions``' list: per encoder block 1..L, the
+    B clips' pooled tokens as [B*n, d] rows, clip-major, or None for a
+    block outside ``cfg.read_blocks``. The last is the decoder input, and
+    the dense sources are read from the list as they are.
+    ``emb`` is the [n, d] ``step_emb`` table, added to every clip's rows.
+    Only attention looks across a clip's rows. A block's weights are
+    [B, heads, n, (S+1)*n], or None when it has no attention-fused
+    interaction sub-layer. With R=0 each embedding is exactly the mean of
+    its clip's input rows: no final norm applies.
     """
-    clips, n, d = tokens.shape
-    if emb.shape[0] != n:
+    tokens, n = levels[-1], emb.shape[0]
+    clips, rest = divmod(tokens.shape[0], n)
+    if rest:
         raise ShapeError("positional table has %d rows, tokens %d"
-                         % (emb.shape[0], n))
-    levels = list(pyramid_tokens) + [tokens]
-    sources = [tn.reshape(levels[l - 1], (clips * n, d))
-               for l in cfg.sources_for(len(levels))] if cfg.R else []
-
-    x = tn.add(tokens, Tensor(emb.astype(tokens.dtype)))
-    x = tn.reshape(x, (clips * n, d))
+                         % (n, tokens.shape[0]))
+    sources = ([levels[l - 1] for l in cfg.sources_for(len(levels))]
+               if cfg.R else [])
+    x = tn.add(tokens, Tensor(np.concatenate([emb] * clips,
+                                             dtype=tokens.dtype)))
 
     dense_attn = []
     for r in range(1, cfg.R + 1):
@@ -175,7 +175,7 @@ def decoder_forward(tokens: Tensor, pyramid_tokens, emb, cfg: DecoderConfig, par
     if cfg.R >= 1:
         x = tn.layer_norm(x, params["decoder.final_ln.gamma"],
                           params["decoder.final_ln.beta"])
-    return tn.mean_rows(tn.reshape(x, (clips, n, d))), dense_attn
+    return tn.mean_rows(tn.reshape(x, (clips, n, -1))), dense_attn
 
 
 def classify_head(embeddings: Tensor, params, bn_state: BNState, training: bool):

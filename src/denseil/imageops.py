@@ -22,29 +22,20 @@ class RunningStatsError(ValueError):
     """Eval-mode batch norm was asked for statistics it never accumulated."""
 
 
-def conv2d(x: Tensor, w: Tensor, bias=None, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     """Same-padded convolution of [N,H,W,C] by [Cout,C,kh,kw], via im2col.
 
     Channels-last in and out: returns [N,Ho,Wo,Cout]. Padding is (k-1)//2
     per side, so stride 1 preserves H,W and stride 2 halves even dims.
     """
-    out, conv_back = _conv(x.data, w.data, stride, x.requires_grad)
-    if bias is None:
-        return Tensor(out, _parents=(x, w), _backward=conv_back)
-    cout = out.shape[3]
-    if bias.data.ndim != 1 or bias.shape[0] != cout:
-        raise ShapeError("conv2d: bias must have shape (%d,)" % cout)
-
-    def back(g):
-        return conv_back(g) + (g.reshape(-1, cout).sum(axis=0),)
-
-    return Tensor(out + bias.data, _parents=(x, w, bias), _backward=back)
+    out, back = _conv(x.data, w.data, stride, x.requires_grad)
+    return Tensor(out, _parents=(x, w), _backward=back)
 
 
 def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
                  state: BNState, training: bool, stride: int) -> Tensor:
-    """``batchnorm_nchw(conv2d(x, w, stride=stride), gamma, beta, state,
-    training, relu=True)`` as one graph node, bit for bit.
+    """``tn.relu(batchnorm_nchw(conv2d(x, w, stride), gamma, beta, state,
+    training))`` as one graph node, bit for bit: the encoder's layer.
 
     Batch norm centres the conv's GEMM output in place, so that buffer is
     the ``xhat`` its backward keeps, and no node keeps the conv output.
@@ -253,7 +244,7 @@ def _tile(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def _bn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, state: BNState,
-        training: bool, relu: bool):
+        training: bool, relu: bool = False):
     """Batch norm of ``x`` over every axis but the last, the channels; with
     ``relu``, max(0, .) of it too. Returns the output, shaped as ``x``, and
     ``back(g)`` -> (dx, dgamma, dbeta).
@@ -323,17 +314,15 @@ def _bn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, state: BNState,
 
 
 def batchnorm_nchw(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
-                   training: bool, relu: bool = False) -> Tensor:
+                   training: bool) -> Tensor:
     """Per-channel batch norm over channels-last [N,H,W,C]; stats over (N,H,W).
 
-    With ``relu`` the node also applies max(0, .) to its output, bit for bit
-    as a separate ``tensor.relu`` would, as one graph node. The name
-    predates the channels-last layout and is kept for callers that refer
-    to it.
+    The name predates the channels-last layout and is kept for callers that
+    refer to it.
     """
     if x.data.ndim != 4:
         raise ShapeError("batchnorm_nchw expects a 4-D tensor")
-    return _bn_node(x, gamma, beta, state, training, relu)
+    return _bn_node(x, gamma, beta, state, training)
 
 
 def batchnorm_rows(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
@@ -341,10 +330,10 @@ def batchnorm_rows(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
     """Per-feature batch norm over [B,d]; stats over the batch axis."""
     if x.data.ndim != 2:
         raise ShapeError("batchnorm_rows expects a 2-D tensor")
-    return _bn_node(x, gamma, beta, state, training, False)
+    return _bn_node(x, gamma, beta, state, training)
 
 
-def _bn_node(x, gamma, beta, state, training, relu):
+def _bn_node(x, gamma, beta, state, training):
     # _bn centres what it is handed, and node data is never written
-    out, back = _bn(x.data.copy(), gamma.data, beta.data, state, training, relu)
+    out, back = _bn(x.data.copy(), gamma.data, beta.data, state, training)
     return Tensor(out, _parents=(x, gamma, beta), _backward=back)

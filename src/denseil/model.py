@@ -153,11 +153,11 @@ def forward_batch(model: Model, clips: np.ndarray, training: bool):
     x = Tensor(np.ascontiguousarray(frames.transpose(0, 2, 3, 1)))
     pyramid = encode_clip(x, model.cfg.encoder, model.params, model.states,
                           training)
-    tokens, earlier = stack_partitions(pyramid, model.cfg.partitions,
-                                       model.adapter_weights(), b)
+    levels = stack_partitions(pyramid, model.cfg.partitions,
+                              model.adapter_weights())
     emb = step_emb(i, model.cfg.partitions, model.cfg.decoder.d)
-    embeddings, dense_attn = decoder_forward(tokens, earlier, emb,
-                                             model.cfg.decoder, model.params)
+    embeddings, dense_attn = decoder_forward(levels, emb, model.cfg.decoder,
+                                             model.params)
     logits, normed = classify_head(embeddings, model.params,
                                    model.states["head.bn"], training)
     return logits, normed, dense_attn

@@ -11,7 +11,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, array_mean, matmul, reshape
+from .tensor import ShapeError, Tensor, array_mean, matmul
 
 
 def band_heights(H: int, P: int):
@@ -52,19 +52,16 @@ def ppool(block: Tensor, P: int) -> Tensor:
     return Tensor(out, _parents=(block,), _backward=back)
 
 
-def stack_partitions(pyramid, P: int, adapters, clips: int):
+def stack_partitions(pyramid, P: int, adapters):
     """Pool the pyramid blocks and map each to the decoder width.
 
-    Each block holds ``clips`` clips of equal length, frames clip-major.
     ``adapters`` is one bias-free [C_l, d] weight per block, or None for a
-    block that is neither pooled nor mapped. Returns [clips, frames * P, d]
-    token tensors: the last block's (the decoder input) and the earlier
-    blocks' in depth order, None where the adapter is.
+    block that is neither pooled nor mapped. Returns one [frames * P, d]
+    row matrix per block, frame-major like ``ppool``'s rows, in depth
+    order: the last is the decoder input, and None stands where the
+    adapter does.
     """
     if len(adapters) != len(pyramid):
         raise ShapeError("need one adapter slot per encoder block")
-    mapped = [None if adapter is None else
-              reshape(matmul(ppool(block, P), adapter),
-                      (clips, -1, adapter.shape[1]))
-              for block, adapter in zip(pyramid, adapters)]
-    return mapped[-1], mapped[:-1]
+    return [None if adapter is None else matmul(ppool(block, P), adapter)
+            for block, adapter in zip(pyramid, adapters)]

@@ -74,7 +74,7 @@ def conv2d_backward_ref(x, w, g, stride):
     obvious way: im2col columns ordered (kh, kw, C), ``dw`` from one GEMM
     against them, then each tap's ``g @ w`` added into a zeroed padded
     buffer whose interior is copied out as ``dx``. ``g`` is the gradient
-    arriving at the [N,Ho,Wo,Cout] output. Returns (dx, dw, dbias).
+    arriving at the [N,Ho,Wo,Cout] output. Returns (dx, dw).
     """
     n, h, wd, c = x.shape
     cout, _, kh, kw = w.shape
@@ -98,7 +98,7 @@ def conv2d_backward_ref(x, w, g, stride):
             dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
                 (g2 @ taps[:, i, j]).reshape(n, ho, wo, c))
     dx = np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd])
-    return dx, dw, g2.sum(axis=0)
+    return dx, dw
 
 
 def encoder_nchw_ref(x, strides, params, eps=1e-5):

@@ -136,8 +136,8 @@ def _stack_case(rng):
     def run(b1, b2, aw1, aw2, hw, *flat):
         for p, f in zip(sorted(params), flat):
             params[p] = f
-        tokens, pyr = stack_partitions([b1, b2], P, [aw1, aw2], 1)
-        e, _ = dec.decoder_forward(tokens, pyr, emb, cfg, params)
+        levels = stack_partitions([b1, b2], P, [aw1, aw2])
+        e, _ = dec.decoder_forward(levels, emb, cfg, params)
         row = T.reshape(e, (1, cfg.d))
         logits = T.matmul(row, hw)
         return T.add(losses.cross_entropy(logits, np.array([1])),
@@ -215,7 +215,7 @@ def _decoder_instance(seed):
 
 
 def _embed(cfg, I, P, params, tokens, pyr, emb):
-    e, _ = dec.decoder_forward(t64(tokens[None]), [t64(x[None]) for x in pyr],
+    e, _ = dec.decoder_forward([t64(x) for x in pyr] + [t64(tokens)],
                                emb, cfg, params)
     return e.data[0]
 
@@ -367,11 +367,11 @@ def test_criterion_07_flop_counter():
         P = int(rng.integers(1, 16 // I + 1))
         want = flops.estimate_decoder_flops(cfg, I, P, (8,) * L)["total"]
         params, _ = draw_params(decoder_table(cfg, L), rng)
-        tokens = t64(rng.normal(size=(1, I * P, d)))
-        pyr = [t64(rng.normal(size=(1, I * P, d))) for _ in range(L - 1)]
+        tokens = t64(rng.normal(size=(I * P, d)))
+        pyr = [t64(rng.normal(size=(I * P, d))) for _ in range(L - 1)]
         emb = posemb.step_emb(I, P, d)
         with T.count_matmuls() as counter:
-            dec.decoder_forward(tokens, pyr, emb, cfg, params)
+            dec.decoder_forward(pyr + [tokens], emb, cfg, params)
         assert counter.macs == want, "case %d: %d != %d" % (case, counter.macs, want)
 
     one = flops.estimate_decoder_flops(dec.DecoderConfig(R=1, d=16, heads=2),

@@ -9,7 +9,10 @@ matmul of a step is an adapter, the decoder stack, the classifier or the
 triplet loss's Gram matrix, both directly and through perfbench/run.py's
 ``layer_summary``, which reads config keys of its own under ``--trace 1``.
 It checks that the encoder's fused conv nodes are counted and charged to
-the encoder's span, which the tracer times by name.
+the encoder's span, which the tracer times by name, and pins the graph
+nodes of one step of each training workload.
+A strict expected failure pins the tracer's ``conv2d`` patch, which
+still passes the bias ``conv2d`` no longer takes.
 It also loads each workload's config from perfbench/workloads.py, so
 deleting a config key that a workload sets fails here too.
 """
@@ -19,16 +22,18 @@ import sys
 from contextlib import ExitStack
 
 import numpy as np
+import pytest
 
-from denseil import harness, optim, tensor as tn
+from denseil import harness, imageops, optim, tensor as tn
 from denseil.config import run_config_from_dict
+from denseil.data import CHANNELS
 from denseil.model import build_model
 from denseil.rng import SAMPLER_STREAM, stream
 from micro import micro_corpus, micro_run_config
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
-from tracing import Tracer  # noqa: E402
+from tracing import Tracer, count_nodes  # noqa: E402
 import run as bench_run  # noqa: E402
 import workloads  # noqa: E402
 
@@ -108,6 +113,36 @@ def test_traced_step_counts_the_fused_encoder_nodes():
     layers = tracer.layer_metrics(1)
     assert layers["tensor.nodes_per_step"] == len(nodes)
     assert layers["encoder.fwd_ms"] > 0 and layers["encoder.bwd_ms"] > 0
+
+
+def test_a_desk_step_builds_a_pinned_number_of_graph_nodes():
+    # the graph of one step of each training workload, walked as the
+    # tracer counts it; the count depends on the config, not the pixels
+    for encoder_only, want in ((False, 162), (True, 73)):
+        cfg = run_config_from_dict(workloads.training_config(101,
+                                                             encoder_only))
+        s, data = cfg.sampling, cfg.data
+        clips = np.random.default_rng(0).normal(size=(
+            s.k_ids * s.t_per_id, s.chunks, CHANNELS, data.height,
+            data.width)).astype(cfg.np_dtype())
+        labels = np.repeat(np.arange(s.k_ids), s.t_per_id)
+        logits, embeddings, _ = harness.forward_batch(build_model(cfg), clips,
+                                                      training=True)
+        loss, _, _ = harness.total_loss(
+            logits, embeddings, labels, triplet_weight=cfg.loss.triplet_weight)
+        assert count_nodes(loss) == want, encoder_only
+
+
+@pytest.mark.xfail(raises=TypeError, strict=True,
+                   reason="traced_conv passes conv2d a bias it no longer takes")
+def test_traced_conv2d_runs_under_the_tracer():
+    # no workload calls conv2d while tracing; this pins the tracer's
+    # conv2d patch until it is pointed at conv_bn_relu
+    with ExitStack() as stack:
+        Tracer().install(stack)
+        out = imageops.conv2d(tn.Tensor(np.ones((1, 4, 4, 2))),
+                              tn.Tensor(np.ones((3, 2, 3, 3))))
+    assert out.shape == (1, 4, 4, 3)
 
 
 def test_workload_configs_load():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import struct
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from denseil import tensor as tn
+from denseil import data, tensor as tn
 from denseil.data import (NUM_BANDS, Corpus, CorpusError, SynthConfig,
                           Tracklet, TrackletFormatError, _body_box,
                           _draw_figures, _glyph_size,
@@ -449,6 +450,30 @@ def test_write_corpus_refuses_two_tracklets_with_one_file_name(tmp_path):
     with pytest.raises(TrackletFormatError, match="id002_t05_cam1.dilt"):
         write_corpus(corpus, tmp_path / "corpus")
     assert not (tmp_path / "corpus").exists()
+
+
+def test_a_failed_corpus_rewrite_leaves_the_previous_corpus_whole(
+        tmp_path, monkeypatch):
+    # a rewrite that stops at its 6th tracklet must not leave five new
+    # tracklets under the old manifest, which loads as a mix of the two
+    old = generate_dataset(SMALL)
+    write_corpus(old, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    new = generate_dataset(dataclasses.replace(SMALL, seed=12))
+    calls = []
+
+    def failing(path, tracklet):
+        calls.append(path)
+        if len(calls) == 6:
+            raise OSError("no space left on device")
+        write_tracklet(path, tracklet)
+
+    monkeypatch.setattr(data, "write_tracklet", failing)
+    with pytest.raises(OSError, match="no space"):
+        write_corpus(new, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert corpus_fingerprint(load_corpus(tmp_path)) == corpus_fingerprint(old)
+    assert corpus_fingerprint(new) != corpus_fingerprint(old)
 
 
 def test_load_corpus_requires_manifest(tmp_path):

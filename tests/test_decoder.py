@@ -39,11 +39,13 @@ def head(d, num_ids, rng):
 
 
 def build_stack(cfg, L, I, P, seed=0, clips=1):
+    """Decoder params and ``decoder_forward``'s L levels, each [clips*I*P, d]
+    rows, clip-major; the last is the decoder input."""
     rng = np.random.default_rng(seed)
     params, _ = draw_params(decoder_table(cfg, L), rng)
-    tokens = t(rng.normal(size=(clips, I * P, cfg.d)))
-    pyr = [t(rng.normal(size=(clips, I * P, cfg.d))) for _ in range(L - 1)]
-    return params, tokens, pyr
+    tokens = t(rng.normal(size=(clips * I * P, cfg.d)))
+    pyr = [t(rng.normal(size=(clips * I * P, cfg.d))) for _ in range(L - 1)]
+    return params, pyr + [tokens]
 
 
 # ------------------------------------------------------------ attention core
@@ -161,60 +163,71 @@ def test_dense_attention_rejects_width_mismatch():
 
 def test_forward_r0_is_mean_of_tokens_plus_emb():
     cfg = dec.DecoderConfig(R=0, d=8, heads=1)
-    _, tokens, pyr = build_stack(cfg, L=2, I=2, P=2, seed=70)
+    _, levels = build_stack(cfg, L=2, I=2, P=2, seed=70)
     emb = posemb.step_emb(2, 2, 8)
-    out, dense_attn = dec.decoder_forward(tokens, pyr, emb, cfg, {})
-    want = (tokens.data + emb).mean(axis=1)
+    out, dense_attn = dec.decoder_forward(levels, emb, cfg, {})
+    want = (levels[-1].data + emb).reshape(1, 4, 8).mean(axis=1)
     assert np.array_equal(out.data, want)
     assert dense_attn == []
 
 
+def test_forward_rejects_rows_that_are_not_whole_clips_of_the_table():
+    # the clip count is the row count over the positional table's rows
+    cfg = dec.DecoderConfig(R=1, d=8, heads=2)
+    params, levels = build_stack(cfg, L=2, I=2, P=3, seed=69, clips=2)
+    out, _ = dec.decoder_forward(levels, posemb.step_emb(2, 3, 8), cfg, params)
+    assert out.shape == (2, 8)
+    for I, P in ((1, 5), (3, 3), (2, 4), (13, 1)):  # 5, 9, 8 and 13 rows
+        with pytest.raises(T.ShapeError,
+                           match="positional table has %d rows, tokens 12"
+                           % (I * P)):
+            dec.decoder_forward(levels, posemb.step_emb(I, P, 8), cfg, params)
+
+
 def test_forward_permutation_invariant_without_positions():
     cfg = dec.DecoderConfig(R=2, d=8, heads=2)
-    params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=71)
+    params, levels = build_stack(cfg, L=3, I=2, P=2, seed=71)
     zeros = np.zeros((4, 8))
-    base, _ = dec.decoder_forward(tokens, pyr, zeros, cfg, params)
+    base, _ = dec.decoder_forward(levels, zeros, cfg, params)
     rng = np.random.default_rng(72)
     for _ in range(5):
         perm = rng.permutation(4)
-        tokens_p = t(tokens.data[:, perm])
-        pyr_p = [t(m.data[:, perm]) for m in pyr]
-        out, _ = dec.decoder_forward(tokens_p, pyr_p, zeros, cfg, params)
+        levels_p = [t(m.data[perm]) for m in levels]
+        out, _ = dec.decoder_forward(levels_p, zeros, cfg, params)
         assert np.abs(out.data - base.data).max() <= 1e-8
 
 
 def test_forward_frame_swap_changes_embedding_with_positions():
     cfg = dec.DecoderConfig(R=1, d=8, heads=2)
-    params, tokens, pyr = build_stack(cfg, L=2, I=4, P=2, seed=73)
+    params, levels = build_stack(cfg, L=2, I=4, P=2, seed=73)
     emb = posemb.step_emb(4, 2, 8)
-    base, _ = dec.decoder_forward(tokens, pyr, emb, cfg, params)
+    base, _ = dec.decoder_forward(levels, emb, cfg, params)
     # swap frames 1 and 3 consistently in tokens and sources
     perm = np.arange(8).reshape(4, 2)[[2, 1, 0, 3]].reshape(-1)
-    tokens_s = t(tokens.data[:, perm])
-    pyr_s = [t(m.data[:, perm]) for m in pyr]
-    swapped, _ = dec.decoder_forward(tokens_s, pyr_s, emb, cfg, params)
+    levels_s = [t(m.data[perm]) for m in levels]
+    swapped, _ = dec.decoder_forward(levels_s, emb, cfg, params)
     assert np.abs(swapped.data - base.data).max() > 1e-6
 
 
 def test_forward_residual_identity_with_zeroed_projections():
     for fusion in ("attention", "concatenation"):
         cfg = dec.DecoderConfig(R=2, d=8, heads=2, fusion=fusion)
-        params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=74)
+        params, levels = build_stack(cfg, L=3, I=2, P=2, seed=74)
         for name, p in params.items():
             if name.endswith((".wo", ".w2", ".b2", ".wcat")):
                 p.data = np.zeros_like(p.data)
         emb = posemb.step_emb(2, 2, 8)
-        out, _ = dec.decoder_forward(tokens, pyr, emb, cfg, params)
-        passthrough = tokens.data + emb
-        ln = T.layer_norm(t(passthrough[0]), params["decoder.final_ln.gamma"],
+        out, _ = dec.decoder_forward(levels, emb, cfg, params)
+        passthrough = levels[-1].data + emb
+        ln = T.layer_norm(t(passthrough), params["decoder.final_ln.gamma"],
                           params["decoder.final_ln.beta"])
         assert np.allclose(out.data, ln.data.mean(axis=0), atol=1e-12)
 
 
 def test_forward_dense_key_count_and_row_sums():
     cfg = dec.DecoderConfig(R=2, d=8, heads=2)  # default sources 2..L
-    params, tokens, pyr = build_stack(cfg, L=4, I=2, P=3, seed=75, clips=2)
-    _, dense_attn = dec.decoder_forward(tokens, pyr, posemb.step_emb(2, 3, 8),
+    params, levels = build_stack(cfg, L=4, I=2, P=3, seed=75, clips=2)
+    _, dense_attn = dec.decoder_forward(levels, posemb.step_emb(2, 3, 8),
                                         cfg, params)
     S = 3  # blocks 2, 3, 4
     n = 6
@@ -223,7 +236,7 @@ def test_forward_dense_key_count_and_row_sums():
         assert w_dense.shape == (2, 2, n, (S + 1) * n)
         assert np.allclose(w_dense.sum(axis=3), 1.0, atol=1e-6)
     # self-attention over the same batch: each clip's n rows see n keys
-    x = T.reshape(tokens, (2 * n, 8))
+    x = levels[-1]
     prefix = "decoder.block1.selfattn."
     _, w_self = dec.multi_head_attention(
         x, x, *[params[prefix + w] for w in ("wq", "wk", "wv", "wo")], 2, 2)
@@ -256,21 +269,20 @@ def test_dense_sources_wiring():
 
 def test_transenc_ignores_sources_at_forward():
     cfg = dec.DecoderConfig(R=1, d=8, heads=2, dense_sources=())
-    params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=77)
-    out, dense_attn = dec.decoder_forward(tokens, pyr, np.zeros((4, 8)), cfg, params)
+    params, levels = build_stack(cfg, L=3, I=2, P=2, seed=77)
+    out, dense_attn = dec.decoder_forward(levels, np.zeros((4, 8)), cfg, params)
     assert dense_attn == [None]
     assert out.shape == (1, 8)
 
 
 def test_forward_gradcheck_one_block():
     cfg = dec.DecoderConfig(R=1, d=6, heads=2)
-    params, tokens, pyr = build_stack(cfg, L=2, I=2, P=2, seed=78)
+    params, levels = build_stack(cfg, L=2, I=2, P=2, seed=78)
     emb = posemb.step_emb(2, 2, 6)
-    tensors = [tokens] + pyr + list(params.values())
+    tensors = levels + list(params.values())
 
     def loss(*ts):
-        out, _ = dec.decoder_forward(ts[0], list(ts[1:1 + len(pyr)]), emb, cfg,
-                                     params)
+        out, _ = dec.decoder_forward(list(ts[:len(levels)]), emb, cfg, params)
         return T.sum_all(T.mul(out, out))
 
     gradcheck(loss, tensors)
@@ -278,14 +290,13 @@ def test_forward_gradcheck_one_block():
 
 def test_forward_gradcheck_batch_of_two():
     cfg = dec.DecoderConfig(R=1, d=4, heads=2)
-    params, tokens, pyr = build_stack(cfg, L=2, I=2, P=1, seed=79, clips=2)
+    params, levels = build_stack(cfg, L=2, I=2, P=1, seed=79, clips=2)
     emb = posemb.step_emb(2, 1, 4)
     weights = t(np.random.default_rng(79).normal(size=(2, 4)))
-    tensors = [tokens] + pyr + list(params.values())
+    tensors = levels + list(params.values())
 
     def loss(*ts):
-        out, _ = dec.decoder_forward(ts[0], list(ts[1:1 + len(pyr)]), emb, cfg,
-                                     params)
+        out, _ = dec.decoder_forward(list(ts[:len(levels)]), emb, cfg, params)
         return T.sum_all(T.mul(T.mul(out, out), weights))
 
     gradcheck(loss, tensors)
@@ -293,27 +304,26 @@ def test_forward_gradcheck_batch_of_two():
 
 def test_forward_clips_do_not_interact():
     cfg = dec.DecoderConfig(R=2, d=8, heads=2, dense_sources=(1, 2, 3))
-    params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=85, clips=2)
+    params, levels = build_stack(cfg, L=3, I=2, P=2, seed=85, clips=2)
     emb = posemb.step_emb(2, 2, 8)
+    n = 4  # rows per clip
     first_clip = t([[1.0], [0.0]])
 
-    def run(tokens, pyr):
+    def run(levels):
         """Clip 0's embedding, attention and the gradients of its norm."""
         for p in params.values():
             p.grad = None
-        inputs = [t(tokens.data, rg=True)] + [t(m.data, rg=True) for m in pyr]
-        out, dense_attn = dec.decoder_forward(inputs[0], inputs[1:], emb, cfg,
-                                              params)
+        inputs = [t(m.data, rg=True) for m in levels]
+        out, dense_attn = dec.decoder_forward(inputs, emb, cfg, params)
         T.backward(T.sum_all(T.mul(T.mul(out, out), first_clip)))
-        grads = [x.grad[0] for x in inputs] + [p.grad for p in params.values()]
+        grads = [x.grad[:n] for x in inputs] + [p.grad for p in params.values()]
         return out.data[0], dense_attn, grads
 
-    base, base_attn, base_grads = run(tokens, pyr)
+    base, base_attn, base_grads = run(levels)
     rng = np.random.default_rng(86)
-    clip1 = np.array([0.0, 1.0])[:, None, None]
-    moved = t(tokens.data + clip1 * rng.normal(size=tokens.shape))
-    moved_pyr = [t(m.data + clip1 * rng.normal(size=m.shape)) for m in pyr]
-    out, attn, grads = run(moved, moved_pyr)
+    clip1 = (np.arange(2 * n) >= n)[:, None]
+    moved = [t(m.data + clip1 * rng.normal(size=m.shape)) for m in levels]
+    out, attn, grads = run(moved)
     assert np.abs(out - base).max() <= 1e-12
     for want, got in zip(base_grads, grads):
         assert np.abs(got - want).max() <= 1e-12
@@ -372,10 +382,10 @@ CHANNELS = (4, 8, 16, 32)  # encoder widths; only their count L matters here
 
 
 def instrumented_macs(cfg, L, I, P, seed=0):
-    params, tokens, pyr = build_stack(cfg, L, I, P, seed)
+    params, levels = build_stack(cfg, L, I, P, seed)
     emb = posemb.step_emb(I, P, cfg.d)
     with T.count_matmuls() as counter:
-        dec.decoder_forward(tokens, pyr, emb, cfg, params)
+        dec.decoder_forward(levels, emb, cfg, params)
     return counter.macs
 
 
@@ -454,8 +464,8 @@ def test_flops_adapter_breakdown_separate():
 
 def test_dump_attention_csv(tmp_path):
     cfg = dec.DecoderConfig(R=2, d=8, heads=2)
-    params, tokens, pyr = build_stack(cfg, L=3, I=2, P=2, seed=84)
-    _, dense_attn = dec.decoder_forward(tokens, pyr, posemb.step_emb(2, 2, 8),
+    params, levels = build_stack(cfg, L=3, I=2, P=2, seed=84)
+    _, dense_attn = dec.decoder_forward(levels, posemb.step_emb(2, 2, 8),
                                         cfg, params)
     path = tmp_path / "attn.csv"
     rows = dec.dump_attention(dense_attn, 2, 2, cfg.sources_for(3), path)

@@ -337,11 +337,11 @@ def test_an_overflow_in_a_batchs_decoder_stage_raises_from_embed_tracklets(
     calls = []
     stack_partitions = model_module.stack_partitions
 
-    def flooded(pyramid, partitions, weights, b):
-        calls.append(b)
+    def flooded(pyramid, partitions, weights):
+        calls.append(len(pyramid[0].data) // cfg.sampling.chunks)  # clips
         if _on_worker():  # batch 1, the first of the pair
             pyramid = [tn.Tensor(p.data * np.float32(3e38)) for p in pyramid]
-        return stack_partitions(pyramid, partitions, weights, b)
+        return stack_partitions(pyramid, partitions, weights)
 
     monkeypatch.setattr(model_module, "stack_partitions", flooded)
     # batch 1's job runs on the worker thread, under the caller's errstate

@@ -100,21 +100,23 @@ def test_stack_partitions_shapes():
     rng = np.random.default_rng(54)
     pyramid = [t(nhwc(rng.normal(size=(2, 3, 8, 4)))), t(nhwc(rng.normal(size=(2, 5, 4, 2))))]
     adapters = [t(rng.normal(size=(3, 6))), t(rng.normal(size=(5, 6)))]
-    last, earlier = partition.stack_partitions(pyramid, 2, adapters, 1)
-    assert last.shape == (1, 4, 6)
-    assert len(earlier) == 1 and earlier[0].shape == (1, 4, 6)
-    # two one-frame clips: the same rows, split clip-major
-    last2, earlier2 = partition.stack_partitions(pyramid, 2, adapters, 2)
-    assert last2.shape == (2, 2, 6)
-    assert np.array_equal(last2.data.reshape(4, 6), last.data[0])
-    assert np.array_equal(earlier2[0].data.reshape(4, 6), earlier[0].data[0])
+    levels = partition.stack_partitions(pyramid, 2, adapters)
+    assert len(levels) == 2
+    assert all(level.shape == (4, 6) for level in levels)
+    # the rows are the pooled tokens mapped by the block's adapter
+    for level, block, adapter in zip(levels, pyramid, adapters):
+        want = partition.ppool(block, 2).data @ adapter.data
+        assert np.array_equal(level.data, want)
+    # a block without an adapter is neither pooled nor mapped
+    first, last = partition.stack_partitions(pyramid, 2, [None, adapters[1]])
+    assert first is None and np.array_equal(last.data, levels[1].data)
 
 
 def test_stack_partitions_zero_adapter_zeroes_tokens():
     pyramid = [T.Tensor(np.ones((1, 4, 4, 2))), T.Tensor(np.ones((1, 2, 2, 3)))]
     adapters = [T.Tensor(np.zeros((2, 5))), T.Tensor(np.zeros((3, 5)))]
-    last, earlier = partition.stack_partitions(pyramid, 2, adapters, 1)
-    assert np.all(last.data == 0) and np.all(earlier[0].data == 0)
+    first, last = partition.stack_partitions(pyramid, 2, adapters)
+    assert np.all(last.data == 0) and np.all(first.data == 0)
 
 
 def test_stack_partitions_identity_adapter():
@@ -122,12 +124,12 @@ def test_stack_partitions_identity_adapter():
     x = nhwc(rng.normal(size=(2, 4, 6, 3)))
     pyramid = [t(x), t(nhwc(rng.normal(size=(2, 4, 3, 3))))]
     adapters = [t(np.eye(4)), t(np.eye(4))]
-    _, earlier = partition.stack_partitions(pyramid, 3, adapters, 1)
-    assert np.array_equal(earlier[0].data[0], partition.ppool(t(x), 3).data)
+    first, _ = partition.stack_partitions(pyramid, 3, adapters)
+    assert np.array_equal(first.data, partition.ppool(t(x), 3).data)
 
 
 def test_stack_partitions_rejects_short_block():
     pyramid = [T.Tensor(np.zeros((1, 8, 4, 2))), T.Tensor(np.zeros((1, 2, 2, 3)))]
     adapters = [T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((3, 4)))]
     with pytest.raises(T.ShapeError):
-        partition.stack_partitions(pyramid, 3, adapters, 1)
+        partition.stack_partitions(pyramid, 3, adapters)

@@ -434,8 +434,9 @@ def test_a_refused_walk_stores_no_gradient():
 
 def _desk_graph(dtype):
     """A micro encoder block feeding a decoder layer, as a desk step does:
-    two convs with fused BN-ReLU over a constant input, attention from
-    learned queries to the rows of two clips, a residual and layer norm.
+    two convs, each with batch norm and ReLU, over a constant input,
+    attention from learned queries to the rows of two clips, a residual
+    and layer norm.
     No non-leaf has two consumers, so backward and ``backward_ref`` add
     every gradient in the same order, whichever topological order each
     walks."""
@@ -447,8 +448,8 @@ def _desk_graph(dtype):
     h = T.Tensor(rng.normal(size=(2, 4, 4, 3)).astype(dtype))
     for cin, cout, stride in ((3, 8, 1), (8, 8, 2)):
         h = im.conv2d(h, leaf(cout, cin, 3, 3), stride=stride)
-        h = im.batchnorm_nchw(h, leaf(cout), leaf(cout), im.BNState(cout, dtype),
-                              training=True, relu=True)
+        h = T.relu(im.batchnorm_nchw(h, leaf(cout), leaf(cout),
+                                     im.BNState(cout, dtype), training=True))
     kv = T.matmul(T.reshape(h, (8, 8)), leaf(8, 8))
     queries = leaf(4, 8)
     out, _ = T.attention(T.matmul(queries, leaf(8, 8)), kv, kv, heads=2, clips=2)
