@@ -96,7 +96,7 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
                                 cfg.sampling.t_per_id, sampler):
             clips = np.stack([restricted_sample(tr, cfg.sampling.chunks,
                                                 sampler)
-                              for tr in batch]).astype(dtype)
+                              for tr in batch]).astype(dtype, copy=False)
             labels = np.array([tr.identity for tr in batch])
             try:
                 # the attention weights and, once Adam has read them, the
@@ -144,7 +144,7 @@ def eval_clip(cfg: RunConfig, tracklet) -> np.ndarray:
     rng = stream(cfg.seed,
                  eval_stream_id(tracklet.identity, tracklet.tracklet_id))
     clip = restricted_sample(tracklet, cfg.sampling.chunks, rng)
-    return clip[None].astype(cfg.np_dtype())
+    return clip[None].astype(cfg.np_dtype(), copy=False)
 
 
 def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:

@@ -85,21 +85,20 @@ def _conv(x: np.ndarray, w: np.ndarray, stride: int, need_dx: bool):
         cols.reshape(n, ho, wo, kh, kw * c)[...] = _windows(xp, ho, wo, kh, kw, stride)
         return cols
 
-    def weight_matrix():  # [cout, kh*kw*C], a copy of w
+    def weight_matrix():  # [cout, kh*kw*C], a copy unless w is a model kernel
         return w.transpose(0, 2, 3, 1).reshape(cout, kh * kw * c)
 
-    # the columns are kh*kw copies of x and the weight matrix a copy of w,
-    # so backward rebuilds both rather than keep them from here to there;
-    # w is as here until the optimizer steps after backward
+    # the columns are kh*kw copies of x, so backward rebuilds them rather
+    # than keep them from here to there; w is as here until the optimizer
+    # steps after backward
     out = im2col(*buffers()) @ weight_matrix().T
 
     def back(g):
         g2 = g.reshape(-1, cout)
 
         def weight_grad(xp, cols):
-            # contiguous, so Adam's elementwise passes over it are not strided
-            return np.ascontiguousarray(
-                (g2.T @ im2col(xp, cols)).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2))
+            # a view of the GEMM output, laid out as a model kernel
+            return (g2.T @ im2col(xp, cols)).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2)
 
         # dw, the columns' rebuild included, runs on the worker thread while
         # this one builds dx. Each makes the serial code's numpy calls and

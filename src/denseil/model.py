@@ -110,6 +110,10 @@ def draw_params(table, rng, dtype=np.float64):
     is an [in, out] matrix's first dim or an [out, in, kh, kw] kernel's
     in * kh * kw. A norm is a unit ``.gamma`` and a zero ``.beta``. With
     ``rng`` None every weight is zero and nothing is drawn.
+
+    A kernel keeps its [Cout, C, kh, kw] shape in [Cout, kh, kw, C] memory,
+    the layout of conv's GEMM weight matrix, so no conv pass copies it; code
+    that sets a parameter writes into its array and so keeps the layout.
     """
     params, states = {}, {}
     for repeat, entries in table:
@@ -128,6 +132,8 @@ def draw_params(table, rng, dtype=np.float64):
                                    else fan ** -0.5, shape)
                     arrays = {"": w} if name else {}
                 for suffix, arr in arrays.items():
+                    if arr.ndim == 4:  # astype keeps this layout
+                        arr = arr.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
                     params[name + suffix] = Tensor(arr.astype(dtype),
                                                    requires_grad=True)
     return params, states
@@ -196,7 +202,7 @@ def load_model(path, cfg: "RunConfig") -> Model:
     model = Model(cfg, *draw_params(param_table(cfg), None, dtype))
     records = load_checkpoint(path)
     for name, param in model.params.items():
-        param.data = _take(records, path, name, param.shape).astype(dtype)
+        param.data[...] = _take(records, path, name, param.shape)
     for name, st in model.states.items():
         key = "bnstate.%s." % name
         st.running_mean = _take(records, path, key + "mean",

@@ -26,17 +26,18 @@ def gradcheck(fn, tensors, step=1e-5, tol=1e-4):
     worst = 0.0
     for t in tensors:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        numeric = np.zeros(flat.size)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
+        # perturbed in place by index: reshape(-1) of a strided array, such
+        # as a model kernel, is a copy, so writes to it would not reach fn
+        data = t.data
+        numeric = np.zeros(data.shape)
+        for i in np.ndindex(data.shape):
+            keep = data[i]
+            data[i] = keep + step
             up = float(fn(*tensors).data)
-            flat[i] = keep - step
+            data[i] = keep - step
             down = float(fn(*tensors).data)
-            flat[i] = keep
+            data[i] = keep
             numeric[i] = (up - down) / (2.0 * step)
-        numeric = numeric.reshape(t.data.shape)
         rel = np.abs(analytic - numeric) / np.maximum(
             1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
         worst = max(worst, float(rel.max()))

@@ -14,7 +14,9 @@ nodes of one step of each training workload.
 A strict expected failure pins the tracer's ``conv2d`` patch, which
 still passes the bias ``conv2d`` no longer takes.
 It also loads each workload's config from perfbench/workloads.py, so
-deleting a config key that a workload sets fails here too.
+deleting a config key that a workload sets fails here too, and checks that
+the digests the benchmark and the weight pins take read values, not the
+kernels' memory layout.
 """
 
 import os
@@ -30,6 +32,7 @@ from denseil.data import CHANNELS
 from denseil.model import build_model
 from denseil.rng import SAMPLER_STREAM, stream
 from micro import micro_corpus, micro_run_config
+from test_config import weights_sha256
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -154,3 +157,18 @@ def test_workload_configs_load():
             assert cfg.decoder.R == (0 if encoder_only else 2)
         assert run_config_from_dict(workloads.retrieval_config(seed)).seed \
             == seed
+
+
+def test_digests_do_not_see_the_kernel_layout():
+    # the model lays its kernels out for the conv GEMM; a C-contiguous copy
+    # of each holds the same values, so unchanged digests mean unchanged
+    # values whichever layout the kernels have
+    cfg = run_config_from_dict(workloads.training_config(101, False))
+    model = build_model(cfg)
+    digests = (workloads._param_digest(model.params), weights_sha256(model))
+    kernels = [p for p in model.params.values() if p.data.ndim == 4]
+    assert kernels and not any(p.data.flags.c_contiguous for p in kernels)
+    for p in kernels:
+        p.data = np.ascontiguousarray(p.data)
+    assert (workloads._param_digest(model.params),
+            weights_sha256(model)) == digests

@@ -217,7 +217,7 @@ def test_conv2d_backward_matches_padded_col2im_byte_for_byte():
             for name, a, r in zip(("dx", "dw"), got, want):
                 assert a.dtype == r.dtype and a.shape == r.shape, (name, case)
                 assert np.array_equal(_bytes(a), _bytes(r)), (name, case)
-            assert got[1].flags.c_contiguous, case
+            assert got[1].transpose(0, 2, 3, 1).flags.c_contiguous, case
 
 
 def test_first_conv_backward_without_dx_matches_padded_col2im_byte_for_byte():
@@ -233,7 +233,7 @@ def test_first_conv_backward_without_dx_matches_padded_col2im_byte_for_byte():
         dx, dw = out._backward(g.copy())
         want = conv2d_backward_ref(x, w, g, stride)[1]
         assert dx is None
-        assert dw.dtype == want.dtype and dw.flags.c_contiguous
+        assert dw.dtype == want.dtype and dw.transpose(0, 2, 3, 1).flags.c_contiguous
         assert np.array_equal(_bytes(dw), _bytes(want)), dtype.__name__
 
 
@@ -490,6 +490,42 @@ def test_conv_bn_relu_matches_conv2d_then_batchnorm_byte_for_byte():
                     a, b = getattr(states[1], name), getattr(states[0], name)
                     assert a.dtype == b.dtype, (name, case)
                     assert np.array_equal(_bytes(a), _bytes(b)), (name, case)
+
+
+def gemm_layout(w):
+    """Kernel ``w`` [Cout, C, kh, kw] in [Cout, kh, kw, C] memory, as the
+    model lays out every kernel."""
+    return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def test_conv_bn_relu_does_not_depend_on_the_kernel_layout_byte_for_byte():
+    # a model kernel, in the GEMM's layout, against a C-contiguous copy of
+    # it at the desk encoder's eight convs; dw is laid out as a model kernel
+    rng = np.random.default_rng(49)
+    for dtype in (np.float32, np.float64):
+        for layer, (shape, cout, stride) in enumerate(DESK_CONVS):
+            x = rng.normal(size=shape).astype(dtype)
+            w = gemm_layout(rng.normal(size=(cout, shape[3], 3, 3)).astype(dtype))
+            g = rng.normal(size=shape[:1] + (
+                shape[1] // stride, shape[2] // stride, cout)).astype(dtype)
+            got = []
+            for kernel in (w, np.ascontiguousarray(w)):
+                out = im.conv_bn_relu(
+                    T.Tensor(x, requires_grad=layer > 0),
+                    T.Tensor(kernel, requires_grad=True),
+                    T.Tensor(np.ones(cout, dtype), requires_grad=True),
+                    T.Tensor(np.zeros(cout, dtype), requires_grad=True),
+                    im.BNState(cout, dtype), True, stride)
+                dx, dw = out._backward(g.copy())[:2]
+                assert dw.strides == w.strides, (dtype.__name__, layer)
+                got.append((out.data, dx, dw))
+            case = (dtype.__name__, layer)
+            for name, a, b in zip(("out", "dx", "dw"), *got):
+                if layer == 0 and name == "dx":
+                    assert a is b is None, case
+                    continue
+                assert a.dtype == b.dtype and a.shape == b.shape, (name, case)
+                assert np.array_equal(_bytes(a), _bytes(b)), (name, case)
 
 
 def _cell(fn, name):

@@ -1,13 +1,22 @@
+import pathlib
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from denseil import imageops
 from denseil.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from denseil.config import run_config_from_dict
 from denseil.imageops import RunningStatsError
 from denseil.losses import total_loss
 from denseil.model import build_model, forward_batch, load_model, save_model
+from denseil.optim import Adam
 from denseil.rng import stream
-from denseil.tensor import backward
+from denseil.tensor import backward, no_grad
 from micro import micro_corpus, micro_run_config
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def random_clips(cfg, b=3, seed=17):
@@ -248,3 +257,79 @@ def test_load_rejects_unread_interaction_attention_records(tmp_path):
             with pytest.raises(CheckpointError,
                                match="unexpected record '%s'" % name):
                 load_model(tmp_path / "extra.dil1", cfg)
+
+
+def kernels(model):
+    """The model's conv kernels, by name."""
+    return {n: p for n, p in model.params.items() if p.data.ndim == 4}
+
+
+def in_gemm_layout(w):
+    """Whether kernel ``w`` [Cout, C, kh, kw] lies in [Cout, kh, kw, C]
+    memory, the layout of conv's GEMM weight matrix."""
+    return w.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def test_kernels_are_built_loaded_and_stepped_in_the_gemm_layout():
+    for dtype in ("float32", "float64"):
+        cfg = micro_run_config(dtype=dtype)
+        built = build_model(cfg)
+        for model in (built, load_model(GOLDEN / "final.dil1", cfg)):
+            assert len(kernels(model)) == 4, dtype
+            for name, w in kernels(model).items():
+                assert in_gemm_layout(w.data) and not w.data.flags.c_contiguous, name
+        opt = Adam(built.params)
+        logits, embeddings, _ = forward_batch(built, random_clips(cfg, b=4),
+                                              training=True)
+        backward(total_loss(logits, embeddings, np.array([0, 0, 1, 1]),
+                            1.0)[0])
+        opt.step(1e-3)
+        for name, w in kernels(built).items():
+            assert w.grad.strides == w.data.strides, name
+            assert opt.m[name].strides == opt.v[name].strides == w.data.strides, name
+            assert in_gemm_layout(w.data), name
+
+
+def _weight_matrix_bytes(model, clip):
+    """A B=1 eval forward's embedding, and the bytes that conv's weight
+    matrices hold on return under tracemalloc, one total per call."""
+    code, starts, held = imageops.__file__, [], []
+
+    def profile(frame, event, arg):
+        if (frame.f_code.co_name != "weight_matrix"
+                or frame.f_code.co_filename != code):
+            return
+        if event == "call":
+            starts.append(tracemalloc.get_traced_memory()[0])
+        elif event == "return":
+            held.append(tracemalloc.get_traced_memory()[0] - starts.pop())
+
+    tracemalloc.start()
+    sys.setprofile(profile)
+    try:
+        with no_grad():
+            emb = forward_batch(model, clip, training=False)[1].data
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return emb, held
+
+
+def test_an_eval_forward_copies_no_kernel():
+    # A conv's peak memory mostly falls in its im2col, not at the GEMM, so
+    # what is measured is what each weight matrix allocates. The same
+    # weights in C-contiguous kernels cost one kernel copy per conv.
+    cfg = run_config_from_dict({})
+    model = build_model(cfg)
+    for st in model.states.values():
+        st.num_batches = 1  # unit running statistics
+    clip = random_clips(cfg, b=1)
+    emb, held = _weight_matrix_bytes(model, clip)
+    nbytes = [w.data.nbytes for w in kernels(model).values()]
+    for w in kernels(model).values():
+        w.data = np.ascontiguousarray(w.data)
+    emb_c, held_c = _weight_matrix_bytes(model, clip)
+    assert np.array_equal(emb, emb_c)
+    assert len(held) == len(held_c) == len(nbytes) == 8
+    assert max(held) < 1024 < min(nbytes)
+    assert sum(held_c) >= sum(nbytes)
