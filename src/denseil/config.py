@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
+from .checkpoint import replacing
 from .data import CHANNELS, MAX_CORPUS_VALUES, SynthConfig
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
@@ -202,6 +203,6 @@ def load_run_config(path) -> RunConfig:
 
 
 def write_run_config(cfg: RunConfig, path):
-    with open(path, "w") as f:
+    with replacing([path]) as (tmp,), open(tmp, "w") as f:
         json.dump(run_config_to_dict(cfg), f, indent=2, sort_keys=True)
         f.write("\n")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tn
+from .checkpoint import replacing
 from .imageops import BNState, batchnorm_rows
 from .partition import token_index
 from .tensor import ShapeError, Tensor
@@ -111,7 +112,7 @@ def dense_attention(H_r: Tensor, sources, params, prefix: str, heads: int, fusio
     if fusion == "attention":
         q_in = tn.layer_norm(H_r, params[prefix + ".ln.gamma"],
                              params[prefix + ".ln.beta"])
-        kv = tn.concat(sources + [H_r], 0) if sources else H_r
+        kv = tn.concat(sources + [H_r], 0)
         out, weights = multi_head_attention(
             q_in, kv,
             params[prefix + ".wq"], params[prefix + ".wk"],
@@ -209,7 +210,7 @@ def dump_attention(dense_attn, I: int, P: int, source_ids, path) -> int:
     n = I * P
     labels = ["Z^%d" % l for l in source_ids] + ["H"]
     rows = 0
-    with open(path, "w", newline="") as fh:
+    with replacing([path]) as (tmp,), open(tmp, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["block", "head", "query_frame", "query_part",
                       "key_source", "key_frame", "key_part", "weight"])

@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import imageops
 from . import tensor as tn
+from .checkpoint import replacing
 from .config import ConfigError, RunConfig, write_run_config
 from .data import CHANNELS, Corpus, pk_batches, restricted_sample
 from .decoder import FUSIONS
@@ -172,7 +172,7 @@ def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
     rows = []
     with tn.no_grad():
         for first in starts[:-1:2]:
-            with imageops.worker_job(embed, first) as job:
+            with tn.worker_job(embed, first) as job:
                 second = embed(first + size)
             rows += [job.result(), second]
         if len(starts) % 2:
@@ -256,7 +256,7 @@ def ablate(cfg: RunConfig, axis: str, corpus: Corpus, outdir=None, log=None):
                     + (report.flops["total"],))
     if outdir:
         path = os.path.join(outdir, "ablation_%s.csv" % axis)
-        with open(path, "w", newline="") as f:
+        with replacing([path]) as (tmp,), open(tmp, "w", newline="") as f:
             out = csv.writer(f)
             out.writerow((axis,) + ABLATION_METRICS + ("decoder_flops",))
             for label, *metrics, flops in rows:
@@ -276,7 +276,9 @@ def write_run_artifacts(outdir, model: Model, report: RunReport):
     Everything except the wall clock is a pure function of (config, seed).
     """
     save_model(os.path.join(outdir, "final.dil1"), model)
-    with open(os.path.join(outdir, "report.csv"), "w", newline="") as f:
+    report_path, summary_path = (os.path.join(outdir, name)
+                                 for name in ("report.csv", "summary.json"))
+    with replacing([report_path]) as (tmp,), open(tmp, "w", newline="") as f:
         out = csv.writer(f)
         out.writerow(("epoch", "cross_entropy", "triplet", "lr"))
         for epoch, ce, tri, lr in report.epoch_rows:
@@ -288,6 +290,6 @@ def write_run_artifacts(outdir, model: Model, report: RunReport):
     summary["final_cross_entropy"] = report.epoch_rows[-1][1]
     summary["final_triplet"] = report.epoch_rows[-1][2]
     summary["wall_clock_seconds"] = report.wall_clock
-    with open(os.path.join(outdir, "summary.json"), "w") as f:
+    with replacing([summary_path]) as (tmp,), open(tmp, "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")

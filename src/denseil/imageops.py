@@ -8,14 +8,9 @@ slice/concat nodes would build thousands of tiny nodes per call.
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
-
 import numpy as np
 
-from .tensor import EPS, ShapeError, Tensor, array_mean, check_finite
+from .tensor import EPS, ShapeError, Tensor, array_mean, check_finite, worker_job
 
 
 class RunningStatsError(ValueError):
@@ -120,45 +115,6 @@ def _conv(x: np.ndarray, w: np.ndarray, stride: int, need_dx: bool):
         return dx, job.result()
 
     return out.reshape(n, ho, wo, cout), back
-
-
-# The package's one worker thread, made on first use: conv backward's weight
-# gradients and, in an evaluation of two or more batches, the first batch
-# of each pair.
-_pool = None
-
-
-def _worker() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(1, thread_name_prefix="denseil-worker")
-    return _pool
-
-
-@contextmanager
-def worker_job(fn, *args):
-    """Run ``fn(*args)`` on the worker thread while the ``with`` body runs
-    on this one; yields the job's future.
-
-    The job runs in a copy of the caller's context, so it sees the scopes
-    open where it was submitted, np.errstate and ``tn.no_grad`` among them;
-    MAC totals count every thread. Leaving the block waits for the job, also
-    when the body raises, and an error of the caller's own is the one raised.
-    """
-    job = _worker().submit(contextvars.copy_context().run, fn, *args)
-    try:
-        yield job
-    finally:
-        wait((job,))
-
-
-def _drop_worker():
-    # a forked child has no copy of the thread, so it makes its own
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_drop_worker)
 
 
 def _windows(xp: np.ndarray, ho: int, wo: int, kh: int, kw: int, stride: int):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import contextvars
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from itertools import accumulate
 from types import SimpleNamespace
@@ -108,7 +110,7 @@ def array_mean(a: np.ndarray, axis, keepdims: bool = False, total=None):
 
 
 # ---------------------------------------------------------------------------
-# scopes: matmul instrumentation and no_grad
+# scopes: matmul instrumentation, no_grad and the worker thread
 
 _macs = 0  # the multiply-adds of every forward matmul so far, on any thread
 _macs_lock = threading.Lock()  # ``+=`` is a read, an add and a write
@@ -147,6 +149,45 @@ def no_grad():
         yield
     finally:
         _no_grad.reset(token)
+
+
+# The package's one worker thread, made on first use: conv backward's weight
+# gradients and, in an evaluation of two or more batches, the first batch
+# of each pair.
+_pool = None
+
+
+def _worker() -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(1, thread_name_prefix="denseil-worker")
+    return _pool
+
+
+@contextmanager
+def worker_job(fn, *args):
+    """Run ``fn(*args)`` on the worker thread while the ``with`` body runs
+    on this one; yields the job's future.
+
+    The job runs in a copy of the caller's context, so it sees the scopes
+    open where it was submitted, np.errstate and ``no_grad`` among them;
+    MAC totals count every thread. Leaving the block waits for the job, also
+    when the body raises, and an error of the caller's own is the one raised.
+    """
+    job = _worker().submit(contextvars.copy_context().run, fn, *args)
+    try:
+        yield job
+    finally:
+        wait((job,))
+
+
+def _drop_worker():
+    # a forked child has no copy of the thread, so it makes its own
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_worker)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,17 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from denseil import checkpoint as ck
+from denseil import harness
+from denseil.config import write_run_config
+from denseil.decoder import dump_attention
+from denseil.harness import (ABLATION_METRICS, RunReport, ablate,
+                             write_run_artifacts)
+from denseil.model import build_model
+from micro import micro_run_config
 
 
 def test_round_trip_values_and_order(tmp_path):
@@ -48,6 +56,70 @@ def test_failed_save_leaves_the_previous_file_whole(tmp_path):
                                   "x": "not a number"})
     assert path.read_bytes() == good
     assert sorted(p.name for p in tmp_path.iterdir()) == ["final.dil1"]
+
+
+# Each writer of the package, called once with good input and, with bad=True,
+# with other input that fails after its first rows have been written.
+
+def _write_config(outdir, monkeypatch, bad):
+    cfg = micro_run_config()
+    # "seed" sorts after every section, so json.dump has written those
+    write_run_config(replace(cfg, seed=object()) if bad else cfg,
+                     outdir / "config.json")
+
+
+def _report(epoch_rows, metric_value):
+    return RunReport(epoch_rows, [("mAP", metric_value)], {"total": 7}, 0.0)
+
+
+def _write_report(outdir, monkeypatch, bad):
+    rows = [(1, 0.5, 0.25, 1e-3), (2, 0.4, 0.2, 1e-3)]
+    if bad:  # a row of three fields fails to unpack after one is written
+        rows = [rows[0], (2, 0.4, 0.2)]
+    write_run_artifacts(outdir, build_model(micro_run_config()),
+                        _report(rows, 0.5))
+
+
+def _write_summary(outdir, monkeypatch, bad):
+    # "mAP" sorts after the flops keys, which json.dump has written
+    write_run_artifacts(outdir, build_model(micro_run_config()),
+                        _report([(1, 0.5, 0.25, 1e-3)],
+                                object() if bad else 0.5))
+
+
+def _write_ablation(outdir, monkeypatch, bad):
+    def train_run(cfg, corpus, outdir=None, log=None):
+        # the last setting's metrics are not numbers
+        value = "x" if bad and cfg.decoder.R == 2 else 0.5
+        return None, RunReport([], [(m, value) for m in ABLATION_METRICS],
+                               {"total": 7}, 0.0)
+
+    monkeypatch.setattr(harness, "train_run", train_run)
+    ablate(micro_run_config(), "R", None, outdir=str(outdir))
+
+
+def _write_attention(outdir, monkeypatch, bad):
+    # two frames of one part, one source: four keys per query
+    block = np.full((1, 2, 2, 4), 0.25)
+    blocks = [block, np.full(block.shape, "x", dtype=object) if bad else block]
+    dump_attention(blocks, 2, 1, (2,), outdir / "attention.csv")
+
+
+@pytest.mark.parametrize("name, write", [
+    ("config.json", _write_config),
+    ("report.csv", _write_report),
+    ("summary.json", _write_summary),
+    ("ablation_R.csv", _write_ablation),
+    ("attention.csv", _write_attention),
+], ids=["config", "report", "summary", "ablation", "attention"])
+def test_a_failed_write_leaves_the_previous_file_whole(tmp_path, monkeypatch,
+                                                       name, write):
+    write(tmp_path, monkeypatch, bad=False)
+    good = (tmp_path / name).read_bytes()
+    with pytest.raises((TypeError, ValueError)):
+        write(tmp_path, monkeypatch, bad=True)
+    assert (tmp_path / name).read_bytes() == good
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_magic_bytes(tmp_path):

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import csv
 import dataclasses
@@ -523,6 +524,66 @@ def test_manifest_malformed_field_exits_3(workspace, capsys, column, value):
     assert "manifest.csv, row 1: missing or malformed field: " in err
 
 
+@pytest.mark.parametrize("column", ["identity", "camera"])
+def test_manifest_row_disagreeing_with_its_tracklet_header_exits_3(
+        workspace, capsys, column):
+    tmp_path, cfg_path, data_dir = workspace
+
+    def moved(lines):
+        first = lines[1].split(",")
+        at = lines[0].split(",").index(column)
+        first[at] = str(int(first[at]) + 1)  # still a valid integer
+        return [lines[0], ",".join(first)] + lines[2:]
+
+    _rewrite_manifest(data_dir, moved)
+    err = _exits_3_with_one_line(["train", "--config", str(cfg_path), "--data",
+                                  str(data_dir), "--out", str(tmp_path / "out")],
+                                 capsys)
+    assert err.endswith("id000_t00_cam0.dilt: header disagrees with manifest\n")
+
+
+def test_tracklet_shorter_than_its_header_exits_3(workspace, capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    path = data_dir / "id000_t00_cam0.dilt"
+    path.write_bytes(path.read_bytes()[:4 + 27])  # the magic, 27 of 28 bytes
+    err = _exits_3_with_one_line(["train", "--config", str(cfg_path), "--data",
+                                  str(data_dir), "--out", str(tmp_path / "out")],
+                                 capsys)
+    assert err.endswith("%s: truncated header\n" % path)
+
+
+def test_every_file_the_commands_write_is_renamed_into_place(tmp_path,
+                                                           monkeypatch):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(micro_dict(epochs=2,
+                                              checkpoint_interval=1)))
+    data_dir, run_dir = tmp_path / "corpus", tmp_path / "run"
+    opened, real_open = [], builtins.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            opened.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    for argv in (["gen-data", "--config", cfg_path, "--out", data_dir],
+                 ["train", "--config", cfg_path, "--data", data_dir,
+                  "--out", run_dir],
+                 ["ablate", "--config", cfg_path, "--axis", "variant",
+                  "--data", data_dir, "--out", tmp_path / "ablate"],
+                 ["dump-attn", "--checkpoint", run_dir / "final.dil1",
+                  "--tracklet", data_dir / "id000_t02_cam2.dilt",
+                  "--out", tmp_path / "attn.csv"]):
+        assert main([str(a) for a in argv]) == 0
+    monkeypatch.undo()
+    suffix = ".%d.tmp" % os.getpid()
+    assert [p for p in opened if not p.endswith(suffix)] == []
+    written = {p[:-len(suffix)] for p in opened}
+    files = {str(p) for p in tmp_path.rglob("*") if p.is_file()}
+    assert files - written == {str(cfg_path)}
+    assert written <= files  # and each renamed into place
+
+
 def test_a_manifest_write_that_fails_leaves_the_directory_as_it_was(
         workspace, capsys, monkeypatch):
     # a manifest cut at a row boundary would load as a smaller corpus, so a
@@ -666,6 +727,20 @@ def test_checkpoint_undecodable_record_name_exits_3(workspace, capsys):
                      + struct.pack("<I", 0) + struct.pack("<f", 1.0))
     _exits_3_with_one_line(["eval", "--checkpoint", str(ckpt),
                             "--data", str(data_dir)], capsys)
+
+
+def test_checkpoint_with_a_duplicate_record_exits_3(workspace, capsys):
+    tmp_path, cfg_path, data_dir = workspace
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.json").write_text(cfg_path.read_text())
+    ckpt = run_dir / "final.dil1"
+    save_checkpoint(ckpt, {"w": np.ones(2, np.float32)})
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob + blob[4:])  # the one record, twice
+    err = _exits_3_with_one_line(["eval", "--checkpoint", str(ckpt),
+                                  "--data", str(data_dir)], capsys)
+    assert err.endswith("duplicate record 'w'\n")
 
 
 def test_malformed_checkpoint_records_exit_3(workspace, capsys):
@@ -940,11 +1015,11 @@ def test_flops_and_eval_start_no_thread(workspace):
     script = (
         "import sys, threading\n"
         "from denseil.cli import main\n"
-        "from denseil import imageops\n"
+        "from denseil import tensor\n"
         "assert main(['flops', '--config', sys.argv[1]]) == 0\n"
         "assert main(['eval', '--checkpoint', sys.argv[2],"
         " '--data', sys.argv[4]]) == 0\n"
-        "assert imageops._pool is None\n"
+        "assert tensor._pool is None\n"
         "assert threading.active_count() == 1\n"
         # two batches, one pair: the first batch goes to the one worker
         "assert main(['eval', '--checkpoint', sys.argv[3],"

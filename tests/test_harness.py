@@ -184,8 +184,8 @@ def test_the_worker_gets_one_job_per_pair_of_eval_batches_and_none_from_a_query(
         monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
-    spy = _SubmitSpy(imageops._worker())
-    monkeypatch.setattr(imageops, "_pool", spy)
+    spy = _SubmitSpy(tn._worker())
+    monkeypatch.setattr(tn, "_pool", spy)
     embed_tracklet(model, cfg, corpus.query[0])
     assert spy.calls == 0
     embed_tracklets(model, cfg, corpus.query[:4])  # exactly one batch

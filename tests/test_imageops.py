@@ -266,14 +266,14 @@ def test_conv2d_forward_keeps_no_columns():
 def test_conv2d_backward_drops_its_rebuilt_columns(monkeypatch):
     # the caller makes the padded input and the columns and hands them to
     # the job, which only fills them; none outlives the backward
-    pool, made = im._worker(), []
+    pool, made = T._worker(), []
 
     class Spy:
         def submit(self, fn, *args):
             made.extend(weakref.ref(a) for a in args if isinstance(a, np.ndarray))
             return pool.submit(fn, *args)
 
-    monkeypatch.setattr(im, "_pool", Spy())
+    monkeypatch.setattr(T, "_pool", Spy())
     rng = np.random.default_rng(46)
     shape, cout, stride = DESK_CONVS[1]
     out = im.conv2d(T.Tensor(rng.normal(size=shape), requires_grad=True),
@@ -284,7 +284,7 @@ def test_conv2d_backward_drops_its_rebuilt_columns(monkeypatch):
     try:
         out._backward(g)
         # the worker drops its finished job before it takes the next
-        im._worker().submit(int).result()
+        T._worker().submit(int).result()
         assert [ref().shape for ref in made if ref() is not None] == []
         assert len(made) == 2
     finally:
@@ -310,7 +310,7 @@ class _WorkerError(Exception):
 def test_conv2d_backward_joins_the_worker_when_dx_fails(monkeypatch):
     # dx overflows on the caller while the worker's job, slowed down, fails
     # too: the caller's error is the one raised, once the job has finished
-    pool = im._worker()
+    pool = T._worker()
     jobs = []
 
     class Slow:
@@ -322,7 +322,7 @@ def test_conv2d_backward_joins_the_worker_when_dx_fails(monkeypatch):
             jobs.append(pool.submit(slow_and_failing))
             return jobs[-1]
 
-    monkeypatch.setattr(im, "_pool", Slow())
+    monkeypatch.setattr(T, "_pool", Slow())
     x = np.full((2, 4, 4, 3), 1e-30, np.float32)
     w = np.full((4, 3, 3, 3), 1e20, np.float32)
     out = im.conv2d(T.Tensor(x, requires_grad=True),

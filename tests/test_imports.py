@@ -1,6 +1,6 @@
-"""Static checks: every module-level import in the package is used, and
-every module-level definition is named somewhere in the package or the
-benchmark."""
+"""Static checks: every module-level import in the package is used, every
+module-level definition is named somewhere in the package or the
+benchmark, and only ``tensor.py`` imports thread machinery."""
 
 import ast
 import pathlib
@@ -13,6 +13,8 @@ BENCH = ROOT / "perfbench"
 # criterion 1's reducer: the acceptance gradchecks sum every op's output
 # with it, though no package code calls it
 KEPT = {("tensor.py", "sum_all")}
+# the worker thread's owner: it alone may import these (at any depth)
+THREAD_MODULES = {"threading", "contextvars", "concurrent"}
 
 
 def unused_imports(source: str):
@@ -105,3 +107,28 @@ def test_the_check_finds_a_dead_definition():
     assert dead_definitions(sources, readers) == [("a.py", "UNUSED")]
     assert dead_definitions(sources, {}) == [("a.py", "UNUSED"),
                                              ("a.py", "orphan")]
+
+
+def imported_packages(source: str):
+    """The top-level package of every absolute import, at any depth."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_tensor_imports_thread_machinery(path):
+    found = THREAD_MODULES & set(imported_packages(path.read_text(encoding="utf-8")))
+    want = THREAD_MODULES if path.name == "tensor.py" else set()
+    assert found == want, "%s imports %s" % (path.name, sorted(found))
+
+
+def test_the_check_finds_a_thread_import_at_any_depth():
+    source = ("import os\nfrom . import tensor\nfrom .threading import x\n\n"
+              "def f():\n    from concurrent.futures import wait\n"
+              "    import contextvars, threading as t\n")
+    assert sorted(imported_packages(source)) == [
+        "concurrent", "contextvars", "os", "threading"]

@@ -544,7 +544,7 @@ def test_closures_keep_no_copies_of_graph_data(dtype):
     try:
         T.backward(loss)
         # the conv worker drops its finished job before it takes the next
-        im._worker().submit(int).result()
+        T._worker().submit(int).result()
         assert all(ref() is None for ref in saved)
     finally:
         gc.enable()
