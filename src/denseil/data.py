@@ -12,6 +12,7 @@ import csv
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -236,7 +237,7 @@ def restricted_sample(tracklet: Tracklet, chunks: int, rng) -> np.ndarray:
         raise CorpusError(
             "tracklet has %d frames, cannot cut %d chunks" % (t_full, chunks))
     heights = band_heights(t_full, chunks)
-    starts = np.cumsum(heights) - heights
+    starts = [0, *accumulate(heights[:-1])]
     return tracklet.frames[starts + rng.integers(heights)]
 
 

@@ -271,18 +271,14 @@ def ablate(cfg: RunConfig, axis: str, corpus: Corpus, outdir=None, log=None):
 
 def write_run_artifacts(outdir, model: Model, report: RunReport):
     """final.dil1 + report.csv + summary.json, into the ``outdir`` that
-    ``train_run`` made.
+    ``train_run`` made. All three are written beside their names and
+    renamed into place once each is whole, so a write that fails leaves
+    the previous run's three files.
 
     Everything except the wall clock is a pure function of (config, seed).
     """
-    save_model(os.path.join(outdir, "final.dil1"), model)
-    report_path, summary_path = (os.path.join(outdir, name)
-                                 for name in ("report.csv", "summary.json"))
-    with replacing([report_path]) as (tmp,), open(tmp, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(("epoch", "cross_entropy", "triplet", "lr"))
-        for epoch, ce, tri, lr in report.epoch_rows:
-            out.writerow((epoch, repr(ce), repr(tri), repr(lr)))
+    paths = [os.path.join(outdir, name)
+             for name in ("final.dil1", "report.csv", "summary.json")]
     summary = {name: value for name, value in report.metric_rows}
     summary["decoder_flops_per_forward"] = report.flops["total"]
     summary["flops_breakdown"] = report.flops
@@ -290,6 +286,13 @@ def write_run_artifacts(outdir, model: Model, report: RunReport):
     summary["final_cross_entropy"] = report.epoch_rows[-1][1]
     summary["final_triplet"] = report.epoch_rows[-1][2]
     summary["wall_clock_seconds"] = report.wall_clock
-    with replacing([summary_path]) as (tmp,), open(tmp, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with replacing(paths) as (model_tmp, report_tmp, summary_tmp):
+        save_model(model_tmp, model)
+        with open(report_tmp, "w", newline="") as f:
+            out = csv.writer(f)
+            out.writerow(("epoch", "cross_entropy", "triplet", "lr"))
+            for epoch, ce, tri, lr in report.epoch_rows:
+                out.writerow((epoch, repr(ce), repr(tri), repr(lr)))
+        with open(summary_tmp, "w") as f:
+            json.dump(summary, f, indent=2, sort_keys=True)
+            f.write("\n")

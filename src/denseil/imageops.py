@@ -140,18 +140,44 @@ class BNState:
 
     ``num_batches`` doubles as the trained/untrained flag: eval before the
     first training pass has no statistics to use and is an error.
+
+    The statistics are set by rebinding ``running_mean`` and ``running_var``,
+    as ``update`` and ``load_model`` do, never by writing into them: eval's
+    constants are kept per pair of those arrays.
     """
 
     def __init__(self, channels: int, dtype=np.float64):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
         self.num_batches = 0
+        self._eval = (None, None, {})  # (mean, var, {k: eval_constants(k)})
 
     def update(self, mean, var):
         m = MOMENTUM
         self.running_mean = (1.0 - m) * self.running_mean + m * mean
         self.running_var = (1.0 - m) * self.running_var + m * var
         self.num_batches += 1
+
+    def eval_constants(self, k: int):
+        """Eval's read-only (mean tile, ``1 / sqrt(var + EPS)``, its tile),
+        each tile k copies, made once per pair of running arrays and per k.
+
+        An entry keeps the arrays it was made from and serves only while
+        they are the ones bound. It is swapped in by one assignment, so a
+        batch on the worker thread reads a whole entry too.
+        """
+        mean, var = self.running_mean, self.running_var
+        entry = self._eval
+        if entry[0] is not mean or entry[1] is not var:
+            entry = self._eval = (mean, var, {})
+        constants = entry[2].get(k)
+        if constants is None:
+            inv = 1.0 / np.sqrt(var + EPS)
+            constants = (_tile(mean, k), inv, _tile(inv, k))
+            for a in constants:
+                a.flags.writeable = False
+            entry[2][k] = constants
+        return constants
 
 
 MOMENTUM = 0.1  # weight of each training batch in the running statistics
@@ -222,14 +248,15 @@ def _bn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, state: BNState,
         var = array_mean(rows, 0, total=_colsum(sq, c))
         del sq
         state.update(mu, var)
+        inv = 1.0 / np.sqrt(var + EPS)
+        inv_k = _tile(inv, k)
     else:
         if state.num_batches == 0:
             raise RunningStatsError(
                 "batch norm eval requested before any training pass accumulated statistics")
-        mu, var = state.running_mean, state.running_var
-        xw -= _tile(mu, k)
-    inv = 1.0 / np.sqrt(var + EPS)
-    xw *= _tile(inv, k)
+        mu_k, inv, inv_k = state.eval_constants(k)
+        xw -= mu_k
+    xw *= inv_k
     xhat = xw
     out = xhat * _tile(gamma, k)
     out += _tile(beta, k)

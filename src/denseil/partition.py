@@ -30,23 +30,35 @@ def token_index(I: int, P: int):
 
 
 def ppool(block: Tensor, P: int) -> Tensor:
-    """Average-pool channels-last [I,H,W,C] into part tokens [(I*P), C], frame-major."""
+    """Average-pool channels-last [I,H,W,C] into part tokens [(I*P), C], frame-major.
+
+    When P divides H, one mean over a [I, P, H/P, W, C] view pools every
+    band; it adds each band's rows in the order the band's own mean does.
+    """
     if block.data.ndim != 4:
         raise ShapeError("ppool expects a 4-D block")
     n, h, w, c = block.shape
+    x = block.data
     heights = band_heights(h, P)
     starts = [0, *accumulate(heights)]
-    out = np.empty((n, P, c), dtype=block.data.dtype)
-    for b in range(P):
-        out[:, b] = array_mean(block.data[:, starts[b]:starts[b + 1]], (1, 2))
+    equal = h % P == 0
+    if equal:
+        out = array_mean(x.reshape(n, P, h // P, w, c), (2, 3))
+    else:
+        out = np.empty((n, P, c), dtype=x.dtype)
+        for b in range(P):
+            out[:, b] = array_mean(x[:, starts[b]:starts[b + 1]], (1, 2))
     out = out.reshape(n * P, c)
 
     def back(g):
         g3 = g.reshape(n, P, c)
-        dx = np.zeros_like(block.data)
-        for b in range(P):
-            r0, r1 = starts[b], starts[b + 1]
-            dx[:, r0:r1] = (g3[:, b] / ((r1 - r0) * w))[:, None, None, :]
+        dx = np.empty(x.shape, dtype=x.dtype)
+        if equal:
+            dx.reshape(n, P, h // P, w, c)[...] = (g3 / (h // P * w))[:, :, None, None]
+        else:
+            for b in range(P):
+                r0, r1 = starts[b], starts[b + 1]
+                dx[:, r0:r1] = (g3[:, b] / ((r1 - r0) * w))[:, None, None, :]
         return (dx,)
 
     return Tensor(out, _parents=(block,), _backward=back)

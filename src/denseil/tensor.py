@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 EPS = 1e-5  # added to the variance by layer norm and batch norm
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))  # a tensor's dtypes
 
 
 class ShapeError(ValueError):
@@ -48,16 +49,17 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        arr = data if type(data) is np.ndarray else np.asarray(data)
+        if arr.dtype not in _FLOATS:
             arr = arr.astype(np.float64)
         self.data = arr
-        if _no_grad.get():
-            _parents, _backward = (), None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        if _no_grad.get():
+            self.requires_grad = bool(requires_grad)
+            self._parents, self._backward = (), None
+        else:
+            self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+            self._parents, self._backward = _parents, _backward
         check_finite(arr)
 
     @property
@@ -83,8 +85,10 @@ class Tensor:
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """``np.all(np.isfinite(a))``."""
-    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+    """``np.all(np.isfinite(a))``: argmin finds a False, if there is one,
+    with less per-call work than a logical-and reduce."""
+    finite = np.isfinite(a).reshape(-1)
+    return not finite.size or bool(finite[finite.argmin()])
 
 
 def check_finite(a: np.ndarray) -> None:
@@ -100,8 +104,10 @@ def array_mean(a: np.ndarray, axis, keepdims: bool = False, total=None):
     cast back into the sum's dtype. ``total`` is that sum when the caller
     has it already; it is left unchanged. The mean must be an array, not a
     scalar."""
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    count = np.intp(math.prod(a.shape[i] for i in axes))
+    if isinstance(axis, tuple):
+        count = np.intp(math.prod([a.shape[i] for i in axis]))
+    else:
+        count = np.intp(a.shape[axis])
     if total is None:
         out = total = np.add.reduce(a, axis=axis, keepdims=keepdims)
     else:
@@ -315,13 +321,15 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[..., m, k] @ [..., k, n] -> [..., m, n]; leading (stack) dims must match."""
-    if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
+    x, y = a.data, b.data
+    xs, ys = x.shape, y.shape
+    if len(xs) < 2 or len(xs) != len(ys) or xs[:-2] != ys[:-2]:
         raise ShapeError("matmul expects equally stacked operands of rank >= 2, "
-                         "got %s and %s" % (a.shape, b.shape))
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError("matmul: inner dims disagree, %s vs %s" % (a.shape, b.shape))
-    _count(math.prod(a.shape[:-1]) * a.shape[-1] * b.shape[-1])
-    out = a.data @ b.data
+                         "got %s and %s" % (xs, ys))
+    if xs[-1] != ys[-2]:
+        raise ShapeError("matmul: inner dims disagree, %s vs %s" % (xs, ys))
+    _count(x.size * ys[-1])
+    out = x @ y
     return Tensor(out, _parents=(a, b),
                   _backward=lambda g: (g @ b.data.swapaxes(-1, -2),
                                        a.data.swapaxes(-1, -2) @ g))
@@ -452,25 +460,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
         raise ShapeError("attention: %d query and %d key rows do not split into "
                          "%d clips" % (q.shape[0], k.shape[0], clips))
     dh = d // heads
-    c = float(1.0 / np.sqrt(dh))
+    c = 1.0 / math.sqrt(dh)
 
     def split(x):  # [groups*clips*n, d] -> [clips, heads, groups*n, dh]
         x = x.reshape(-1, clips, n, heads, dh).transpose(1, 3, 0, 2, 4).copy()
         return x.reshape(clips, heads, -1, dh)
 
+    def split_t(x):  # split(x).swapaxes(-1, -2) in its own C order: kᵀ
+        x = x.reshape(-1, clips, n, heads, dh).transpose(1, 3, 4, 0, 2).copy()
+        return x.reshape(clips, heads, dh, -1)
+
     def unsplit(g):
         g = g.reshape(clips, heads, -1, n, dh)
         return g.transpose(2, 0, 3, 1, 4).reshape(-1, d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    _count(2 * qh.size * kh.shape[2])  # q kᵀ and weights v
-    kT = kh.transpose(0, 1, 3, 2).copy()
+    qh, kT, vh = split(q.data), split_t(k.data), split(v.data)
+    _count(2 * qh.size * kT.shape[3])  # q kᵀ and weights v
     attn = qh @ kT
     attn *= c
     # finite scores give finite weights: each row's largest exp is 1
     if not _all_finite(attn):
         raise NumericError("non-finite attention scores of shape %s" % (attn.shape,))
-    attn -= np.maximum.reduce(attn, axis=-1, keepdims=True)
+    # on finite scores fmax's row max is maximum's, bar the sign of a zero
+    # max, which exp(±0) = 1 erases; fmax reduces rows with less overhead
+    attn -= np.fmax.reduce(attn, axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     out = (attn @ vh).transpose(0, 2, 1, 3).copy().reshape(clips * n, d)
@@ -485,7 +498,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, clips: int = 1):
         da -= np.add.reduce(da * attn, axis=-1, keepdims=True)
         da *= attn
         da *= c
-        dq = da @ split(k.data).transpose(0, 1, 3, 2).copy().swapaxes(-1, -2)
+        dq = da @ split_t(k.data).swapaxes(-1, -2)
         dkT = split(q.data).swapaxes(-1, -2) @ da
         return unsplit(dq), unsplit(dkT.transpose(0, 1, 3, 2)), unsplit(dv)
 

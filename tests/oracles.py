@@ -367,6 +367,23 @@ def render_tracklet_ref(cfg, base, gain, offset, rng):
     return frames
 
 
+def ppool_ref(x, P, g):
+    """Part pooling of channels-last [N,H,W,C] one band at a time, each
+    band's mean taken by np.mean: (tokens [N*P, C], frame-major, and the
+    input gradient of the token gradient ``g``)."""
+    n, h, w, c = x.shape
+    base, rem = divmod(h, P)
+    out = np.empty((n, P, c), dtype=x.dtype)
+    dx = np.zeros_like(x)
+    g3 = g.reshape(n, P, c)
+    r0 = 0
+    for b, hb in enumerate([base + 1] * rem + [base] * (P - rem)):
+        out[:, b] = x[:, r0:r0 + hb].mean(axis=(1, 2))
+        dx[:, r0:r0 + hb] = (g3[:, b] / (hb * w))[:, None, None, :]
+        r0 += hb
+    return out.reshape(n * P, c), dx
+
+
 def restricted_sample_ref(tracklet, chunks, rng):
     """Restricted random sampling chunk by chunk: one scalar draw per
     contiguous chunk, the extra frames going to the first chunks."""

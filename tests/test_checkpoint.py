@@ -122,6 +122,19 @@ def test_a_failed_write_leaves_the_previous_file_whole(tmp_path, monkeypatch,
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+def test_a_failed_summary_write_leaves_the_previous_run_whole(tmp_path):
+    names = ("final.dil1", "report.csv", "summary.json")
+    write_run_artifacts(tmp_path, build_model(micro_run_config(seed=1)),
+                        _report([(1, 0.5, 0.25, 1e-3)], 0.5))
+    good = {name: (tmp_path / name).read_bytes() for name in names}
+    # another run, every file of which differs, whose summary cannot be written
+    with pytest.raises(TypeError):
+        write_run_artifacts(tmp_path, build_model(micro_run_config(seed=2)),
+                            _report([(1, 0.4, 0.2, 1e-3)], object()))
+    assert {name: (tmp_path / name).read_bytes() for name in names} == good
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_magic_bytes(tmp_path):
     path = tmp_path / "d.ckpt"
     ck.save_checkpoint(path, {})

@@ -137,7 +137,7 @@ def _trained_on_odd_split(dtype):
 # numpy's Python-level wrappers that a query's ops replace with ufuncs,
 # ``ufunc.reduce`` and ndarray methods: (file, function)
 NUMPY_WRAPPERS = {("fromnumeric.py", name)
-                  for name in ("all", "prod", "transpose", "swapaxes")} | {
+                  for name in ("all", "prod", "transpose", "swapaxes", "cumsum")} | {
     ("_methods.py", "_mean"), ("_methods.py", "_all"),
     ("_shape_base_impl.py", "tile"), ("_stride_tricks_impl.py", "as_strided")}
 
@@ -166,6 +166,30 @@ def test_a_query_runs_no_numpy_python_wrappers():
     finally:
         sys.setprofile(None)
     assert seen == []
+
+
+def test_a_query_scans_every_tensor_conv_output_and_attention_score(
+        monkeypatch):
+    cfg, model = _trained_on_odd_split("float32")
+    tr = micro_corpus(data=ODD_DATA).query[0]
+    calls = {"scan": 0, "tensor": 0, "conv": 0, "attention": 0}
+
+    def counting(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(tn, "_all_finite", counting("scan", tn._all_finite))
+    monkeypatch.setattr(tn.Tensor, "__init__",
+                        counting("tensor", tn.Tensor.__init__))
+    monkeypatch.setattr(imageops, "conv_bn_relu",
+                        counting("conv", imageops.conv_bn_relu))
+    monkeypatch.setattr(tn, "attention", counting("attention", tn.attention))
+    embed_tracklet(model, cfg, tr)
+    # two encoder blocks of two convs, one self- and one interaction attention
+    assert (calls["conv"], calls["attention"]) == (4, 2)
+    assert calls["scan"] == calls["tensor"] + calls["conv"] + calls["attention"]
 
 
 class _SubmitSpy:

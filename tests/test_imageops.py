@@ -619,3 +619,66 @@ def test_conv_windows_match_as_strided(dtype, stride):
     assert got.dtype == want.dtype and np.shares_memory(got, xp)
     cols = (n * ho * wo, kh * kw * c)
     assert got.reshape(cols).tobytes() == want.reshape(cols).tobytes()
+
+
+# eval batch norm's constants, kept per pair of running arrays
+
+
+def _eval_layer(dtype):
+    """An eval conv_bn_relu layer as a function of its BNState, with its
+    gamma and beta arrays."""
+    rng = np.random.default_rng(60)
+    x = rng.normal(size=(8, 8, 4, 6)).astype(dtype)
+    w = rng.normal(size=(12, 6, 3, 3)).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, 12).astype(dtype)
+    beta = rng.normal(size=12).astype(dtype)
+
+    def run(state):
+        with T.no_grad():
+            return im.conv_bn_relu(T.Tensor(x), T.Tensor(w), T.Tensor(gamma),
+                                   T.Tensor(beta), state, False, 1).data
+
+    return run, gamma, beta
+
+
+def _fresh_state(state):
+    """A new BNState holding copies of ``state``'s statistics."""
+    fresh = im.BNState(state.running_mean.size, state.running_mean.dtype)
+    fresh.running_mean = state.running_mean.copy()
+    fresh.running_var = state.running_var.copy()
+    fresh.num_batches = state.num_batches
+    return fresh
+
+
+def _update(state, rng):
+    c, dtype = state.running_mean.size, state.running_mean.dtype
+    state.update(rng.normal(size=c).astype(dtype),
+                 rng.uniform(0.5, 2.0, c).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_second_eval_call_tiles_no_running_statistics(monkeypatch, dtype):
+    run, gamma, beta = _eval_layer(dtype)
+    state = im.BNState(12, dtype)
+    _update(state, np.random.default_rng(61))
+    tiled, real = [], im._tile
+    monkeypatch.setattr(im, "_tile", lambda v, k: tiled.append(v) or real(v, k))
+    first = run(state)
+    assert len(tiled) == 4  # the mean, 1 / sqrt(var + EPS), gamma and beta
+    del tiled[:]
+    assert run(state).tobytes() == first.tobytes()
+    assert len(tiled) == 2 and tiled[0] is gamma and tiled[1] is beta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_after_update_matches_a_fresh_state_byte_for_byte(dtype):
+    run, _, _ = _eval_layer(dtype)
+    rng = np.random.default_rng(62)
+    state = im.BNState(12, dtype)
+    seen = set()
+    for _ in range(3):
+        _update(state, rng)
+        got = run(state).tobytes()
+        assert got == run(_fresh_state(state)).tobytes()
+        assert got not in seen  # each update moves the output
+        seen.add(got)

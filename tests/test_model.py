@@ -221,6 +221,39 @@ def test_load_rejects_unread_adapter_records(tmp_path):
             load_model(tmp_path / "extra.dil1", cfg)
 
 
+def test_eval_after_loading_another_checkpoint_matches_fresh_states(tmp_path):
+    cfg = micro_run_config()
+    clips = random_clips(cfg)
+    paths = []
+    for seed in (1, 2):  # two checkpoints with other running statistics
+        model = build_model(cfg)
+        rng = stream(seed, 0)
+        for st in model.states.values():
+            c = st.running_mean.size
+            st.update(rng.normal(size=c), rng.uniform(0.5, 2.0, c))
+        paths.append(tmp_path / ("m%d.dil1" % seed))
+        save_model(str(paths[-1]), model)
+    def embed(model):
+        with no_grad():
+            return forward_batch(model, clips, training=False)[1].data.tobytes()
+
+    outputs = []
+    for path in paths:
+        model = load_model(str(path), cfg)
+        got = embed(model)
+        assert embed(model) == got  # from the constants the first call kept
+        for name, st in model.states.items():
+            fresh = imageops.BNState(st.running_mean.size, st.running_mean.dtype)
+            fresh.running_mean = st.running_mean.copy()
+            fresh.running_var = st.running_var.copy()
+            fresh.num_batches = st.num_batches
+            model.states[name] = fresh
+        assert embed(model) == got
+        outputs.append(got)
+        del model
+    assert outputs[0] != outputs[1]
+
+
 def test_float64_model_survives_float32_storage(tmp_path):
     cfg = micro_run_config(dtype="float64")
     model = build_model(cfg)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from denseil import partition, tensor as T
-from oracles import gradcheck, nhwc
+from oracles import gradcheck, nhwc, ppool_ref
 
 
 def t(data, rg=False):
     return T.Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg)
 
 
-def ppool_ref(x, P):
+def ppool_pixel_ref(x, P):
     """Per-pixel averaging oracle over [N,H,W,C], python loops only."""
     n, h, w, c = x.shape
     base, rem = divmod(h, P)
@@ -61,7 +61,26 @@ def test_ppool_matches_pixel_oracle_exactly():
     rng = np.random.default_rng(51)
     x = nhwc(rng.integers(-4, 5, size=(2, 3, 7, 4)).astype(np.float64))
     for P in (1, 2, 3, 7):
-        assert np.array_equal(partition.ppool(t(x), P).data, ppool_ref(x, P))
+        assert np.array_equal(partition.ppool(t(x), P).data, ppool_pixel_ref(x, P))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ppool_matches_the_band_by_band_oracle_byte_for_byte(dtype):
+    rng = np.random.default_rng(56)
+    # (H, W, C, P): the desk levels at P = 4, other equal bands, then
+    # unequal ones, which config allows
+    shapes = [(16, 8, 16, 4), (8, 4, 32, 4), (4, 2, 64, 4), (4, 2, 128, 4),
+              (16, 8, 16, 2), (8, 4, 32, 8), (6, 3, 5, 1),
+              (16, 8, 16, 3), (4, 2, 64, 3), (7, 3, 5, 2)]
+    for h, w, c, P in shapes:
+        x = rng.normal(size=(8, h, w, c)).astype(dtype)
+        g = rng.normal(size=(8 * P, c)).astype(dtype)
+        out = partition.ppool(T.Tensor(x, requires_grad=True), P)
+        (dx,) = out._backward(g)
+        for got, want in zip((out.data, dx), ppool_ref(x, P, g)):
+            assert got.dtype == want.dtype == dtype, (h, w, c, P)
+            assert got.shape == want.shape, (h, w, c, P)
+            assert got.tobytes() == want.tobytes(), (h, w, c, P)
 
 
 def test_ppool_frame_permutation_safe():

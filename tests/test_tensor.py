@@ -119,6 +119,18 @@ def test_all_finite_matches_np_all_isfinite():
         assert T._all_finite(a) is bool(np.all(np.isfinite(a)))
 
 
+def test_all_finite_finds_a_non_finite_value_anywhere():
+    for bad in (np.nan, np.inf, -np.inf):
+        for shape in ((2048,), (8, 16, 8, 16), (3, 5)):
+            a = np.ones(shape, dtype=np.float32)
+            for i in (0, a.size // 2, a.size - 1):
+                b = a.copy()
+                b.reshape(-1)[i] = bad
+                assert T._all_finite(b) is False
+                assert T._all_finite(b.T) is False  # a strided view
+            assert T._all_finite(a) is True and T._all_finite(a.T) is True
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_attention_row_reductions_match_the_methods_byte_for_byte(dtype):
     # tensor.attention's row max and row sum, on weights-shaped arrays
@@ -129,6 +141,22 @@ def test_attention_row_reductions_match_the_methods_byte_for_byte(dtype):
                 == a.max(axis=-1, keepdims=True).tobytes())
         assert (np.add.reduce(a, axis=-1, keepdims=True).tobytes()
                 == a.sum(axis=-1, keepdims=True).tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_row_max_by_fmax_gives_the_weights_of_max_byte_for_byte(dtype):
+    # finite scores: the max itself matches, and where a row's max is a
+    # zero whose sign differs, the shifted exps still match
+    rng = np.random.default_rng(47)
+    for shape in ((1, 4, 32, 128), (3, 2, 16, 16), (2, 1, 5, 3)):
+        a = rng.normal(0.0, 4.0, shape).astype(dtype)
+        assert (np.fmax.reduce(a, axis=-1, keepdims=True).tobytes()
+                == a.max(axis=-1, keepdims=True).tobytes())
+    a = np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -2.0], [-0.0, -0.0, -3.0],
+                  [-1.5, -0.0, -2.5]], dtype=dtype)
+    got = np.fmax.reduce(a, axis=-1, keepdims=True)
+    want = a.max(axis=-1, keepdims=True)
+    assert np.exp(a - got).tobytes() == np.exp(a - want).tobytes()
 
 
 # ---------------------------------------------------------------- layer norm
