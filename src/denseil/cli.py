@@ -25,41 +25,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser():
-    parser = _Parser(prog="denseil",
-                     description="Video identity retrieval at desk scale.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("gen-data", help="render the synthetic corpus")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("train", help="train a model on a corpus")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("eval", help="score a checkpoint on the eval split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-
-    p = sub.add_parser("ablate", help="sweep one axis, same seed and corpus")
-    p.add_argument("--config", required=True)
-    p.add_argument("--axis", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("dump-attn",
-                       help="write interaction attention weights as CSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tracklet", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("flops", help="analytic decoder cost for a config")
-    p.add_argument("--config", required=True)
-    return parser
-
-
 def _sibling_config(checkpoint_path):
     from .config import ConfigError, load_run_config
     path = os.path.join(os.path.dirname(os.path.abspath(checkpoint_path)),
@@ -162,14 +127,31 @@ def cmd_flops(args):
     return 0
 
 
+# name: (handler, help, required options), read by build_parser and main
 _COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "dump-attn": cmd_dump_attn,
-    "flops": cmd_flops,
+    "gen-data": (cmd_gen_data, "render the synthetic corpus",
+                 ("--config", "--out")),
+    "train": (cmd_train, "train a model on a corpus",
+              ("--config", "--data", "--out")),
+    "eval": (cmd_eval, "score a checkpoint on the eval split",
+             ("--checkpoint", "--data")),
+    "ablate": (cmd_ablate, "sweep one axis, same seed and corpus",
+               ("--config", "--axis", "--data", "--out")),
+    "dump-attn": (cmd_dump_attn, "write interaction attention weights as CSV",
+                  ("--checkpoint", "--tracklet", "--out")),
+    "flops": (cmd_flops, "analytic decoder cost for a config", ("--config",)),
 }
+
+
+def build_parser():
+    parser = _Parser(prog="denseil",
+                     description="Video identity retrieval at desk scale.")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, required=True)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -188,7 +170,7 @@ def main(argv=None) -> int:
         # overflow and invalid operations fail the command; subnormal
         # results are ordinary in attention, so underflow stays quiet
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[args.command][0](args)
     except ArithmeticError as err:
         print("denseil: numeric failure: %s" % err, file=sys.stderr)
         return 2

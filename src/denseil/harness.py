@@ -15,7 +15,8 @@ from .data import CHANNELS, Corpus, pk_batches, restricted_sample
 from .decoder import FUSIONS
 from .flops import estimate_decoder_flops
 from .losses import total_loss
-from .metrics import EvalTable, cmc_and_map, metrics_rows, pairwise_distances
+from .metrics import (RANKS, EvalTable, cmc_and_map, metrics_rows,
+                      pairwise_distances)
 from .model import Model, build_model, forward_batch, save_model
 from .optim import Adam, lr_at
 from .rng import SAMPLER_STREAM, eval_stream_id, stream
@@ -33,10 +34,7 @@ class RunReport:
     wall_clock: float
 
     def metric(self, name):
-        for key, value in self.metric_rows:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.metric_rows)[name]
 
 
 def decoder_flops(cfg: RunConfig) -> dict:
@@ -199,7 +197,7 @@ def evaluate_model(model: Model, cfg: RunConfig, corpus: Corpus):
                       [tr.camera for tr in queries],
                       [tr.identity for tr in galleries],
                       [tr.camera for tr in galleries])
-    cmc, mean_ap, skipped = cmc_and_map(table, max_rank=20)
+    cmc, mean_ap, skipped = cmc_and_map(table)
     return metrics_rows(cmc, mean_ap, skipped)
 
 
@@ -231,7 +229,7 @@ ABLATIONS = {
     "d": lambda cfg: [(str(d), _decoder(cfg, d=d)) for d in (32, 64, 128)],
     "P": lambda cfg: [(str(p), replace(cfg, partitions=p)) for p in (1, 2, 4)],
 }
-ABLATION_METRICS = ("mAP", "R-1", "R-5", "R-10", "R-20")
+ABLATION_METRICS = ("mAP",) + tuple("R-%d" % rank for rank in RANKS)
 
 
 def ablate(cfg: RunConfig, axis: str, corpus: Corpus, outdir=None, log=None):

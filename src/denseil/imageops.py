@@ -22,6 +22,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 
     Channels-last in and out: returns [N,Ho,Wo,Cout]. Padding is (k-1)//2
     per side, so stride 1 preserves H,W and stride 2 halves even dims.
+    The model no longer calls it: the encoder runs ``conv_bn_relu``. It
+    stays as a patch point of ``perfbench/tracing.py`` and as the tests'
+    unfused byte reference until ROADMAP item 17 removes it.
     """
     out, back = _conv(x.data, w.data, stride, x.requires_grad)
     return Tensor(out, _parents=(x, w), _backward=back)
@@ -299,8 +302,9 @@ def batchnorm_nchw(x: Tensor, gamma: Tensor, beta: Tensor, state: BNState,
                    training: bool) -> Tensor:
     """Per-channel batch norm over channels-last [N,H,W,C]; stats over (N,H,W).
 
-    The name predates the channels-last layout and is kept for callers that
-    refer to it.
+    The model no longer calls it, as ``conv2d`` says: it stays as a patch
+    point of ``perfbench/tracing.py`` and as the tests' unfused byte
+    reference. The name predates the channels-last layout.
     """
     if x.data.ndim != 4:
         raise ShapeError("batchnorm_nchw expects a 4-D tensor")

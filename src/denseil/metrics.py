@@ -14,6 +14,9 @@ import numpy as np
 from .tensor import ShapeError
 
 
+RANKS = (1, 5, 10, 20)  # the CMC ranks reported, as R-1 .. R-20
+
+
 class EvalTableError(ValueError):
     """No query has a valid cross-camera match; nothing can be scored."""
 
@@ -45,7 +48,7 @@ class EvalTable:
             raise ShapeError("gallery labels do not match distance columns")
 
 
-def cmc_and_map(table: EvalTable, max_rank: int = 20):
+def cmc_and_map(table: EvalTable, max_rank: int = RANKS[-1]):
     """Returns (cmc[max_rank], mAP, skipped_queries), all queries at once."""
     # stable sort keeps lower gallery indices first on ties
     order = table.dist.argsort(axis=1, kind="stable")
@@ -72,9 +75,5 @@ def cmc_and_map(table: EvalTable, max_rank: int = 20):
 
 def metrics_rows(cmc: np.ndarray, mean_ap: float, skipped: int):
     """The (metric, value) rows written to results CSVs."""
-    rows = [("mAP", mean_ap)]
-    for rank in (1, 5, 10, 20):
-        if rank <= len(cmc):
-            rows.append(("R-%d" % rank, float(cmc[rank - 1])))
-    rows.append(("skipped_queries", skipped))
-    return rows
+    ranks = [("R-%d" % r, float(cmc[r - 1])) for r in RANKS if r <= len(cmc)]
+    return [("mAP", mean_ap), *ranks, ("skipped_queries", skipped)]

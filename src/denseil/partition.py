@@ -7,8 +7,6 @@ frame-major: row (i-1)*P + (p-1) belongs to frame i, partition p (1-based).
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as np
 
 from .tensor import ShapeError, Tensor, array_mean, matmul
@@ -32,36 +30,34 @@ def token_index(I: int, P: int):
 def ppool(block: Tensor, P: int) -> Tensor:
     """Average-pool channels-last [I,H,W,C] into part tokens [(I*P), C], frame-major.
 
-    When P divides H, one mean over a [I, P, H/P, W, C] view pools every
-    band; it adds each band's rows in the order the band's own mean does.
+    ``band_heights`` makes at most two runs of equal bands, the taller run
+    first. One mean over an [I, k, hb, W, C] view pools each run's k bands;
+    it adds each band's rows in the order the band's own mean does.
     """
     if block.data.ndim != 4:
         raise ShapeError("ppool expects a 4-D block")
     n, h, w, c = block.shape
     x = block.data
     heights = band_heights(h, P)
-    starts = [0, *accumulate(heights)]
-    equal = h % P == 0
-    if equal:
-        out = array_mean(x.reshape(n, P, h // P, w, c), (2, 3))
-    else:
-        out = np.empty((n, P, c), dtype=x.dtype)
-        for b in range(P):
-            out[:, b] = array_mean(x[:, starts[b]:starts[b + 1]], (1, 2))
-    out = out.reshape(n * P, c)
+    rem, cut = h % P, h % P * heights[0]  # the taller run's bands and rows
+
+    def runs(a, t):
+        # per run of k equal bands: a's rows as [I, k, hb, W, C], t's bands
+        for rows, bands in ((a[:, :cut], t[:, :rem]), (a[:, cut:], t[:, rem:])):
+            if bands.shape[1]:
+                yield rows.reshape(n, bands.shape[1], -1, w, c), bands
+
+    out = np.empty((n, P, c), dtype=x.dtype)
+    for rows, bands in runs(x, out):
+        bands[...] = array_mean(rows, (2, 3))
 
     def back(g):
-        g3 = g.reshape(n, P, c)
         dx = np.empty(x.shape, dtype=x.dtype)
-        if equal:
-            dx.reshape(n, P, h // P, w, c)[...] = (g3 / (h // P * w))[:, :, None, None]
-        else:
-            for b in range(P):
-                r0, r1 = starts[b], starts[b + 1]
-                dx[:, r0:r1] = (g3[:, b] / ((r1 - r0) * w))[:, None, None, :]
+        for rows, bands in runs(dx, g.reshape(n, P, c)):
+            rows[...] = (bands / (rows.shape[2] * w))[:, :, None, None]
         return (dx,)
 
-    return Tensor(out, _parents=(block,), _backward=back)
+    return Tensor(out.reshape(n * P, c), _parents=(block,), _backward=back)
 
 
 def stack_partitions(pyramid, P: int, adapters):

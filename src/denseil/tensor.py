@@ -9,6 +9,7 @@ build, so identical inputs give bit-identical outputs across runs.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import threading
@@ -159,15 +160,13 @@ def no_grad():
 
 # The package's one worker thread, made on first use: conv backward's weight
 # gradients and, in an evaluation of two or more batches, the first batch
-# of each pair.
-_pool = None
-
-
+# of each pair. A forked child has no copy of the thread, so it makes its own.
+@functools.cache
 def _worker() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(1, thread_name_prefix="denseil-worker")
-    return _pool
+    return ThreadPoolExecutor(1, thread_name_prefix="denseil-worker")
+
+
+os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
 @contextmanager
@@ -185,15 +184,6 @@ def worker_job(fn, *args):
         yield job
     finally:
         wait((job,))
-
-
-def _drop_worker():
-    # a forked child has no copy of the thread, so it makes its own
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_drop_worker)
 
 
 # ---------------------------------------------------------------------------

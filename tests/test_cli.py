@@ -1025,7 +1025,7 @@ def test_flops_and_eval_start_no_thread(workspace):
         "assert main(['flops', '--config', sys.argv[1]]) == 0\n"
         "assert main(['eval', '--checkpoint', sys.argv[2],"
         " '--data', sys.argv[4]]) == 0\n"
-        "assert tensor._pool is None\n"
+        "assert tensor._worker.cache_info().currsize == 0\n"
         "assert threading.active_count() == 1\n"
         # two batches, one pair: the first batch goes to the one worker
         "assert main(['eval', '--checkpoint', sys.argv[3],"

@@ -273,7 +273,7 @@ def test_conv2d_backward_drops_its_rebuilt_columns(monkeypatch):
             made.extend(weakref.ref(a) for a in args if isinstance(a, np.ndarray))
             return pool.submit(fn, *args)
 
-    monkeypatch.setattr(T, "_pool", Spy())
+    monkeypatch.setattr(T, "_worker", Spy)
     rng = np.random.default_rng(46)
     shape, cout, stride = DESK_CONVS[1]
     out = im.conv2d(T.Tensor(rng.normal(size=shape), requires_grad=True),
@@ -322,7 +322,7 @@ def test_conv2d_backward_joins_the_worker_when_dx_fails(monkeypatch):
             jobs.append(pool.submit(slow_and_failing))
             return jobs[-1]
 
-    monkeypatch.setattr(T, "_pool", Slow())
+    monkeypatch.setattr(T, "_worker", Slow)
     x = np.full((2, 4, 4, 3), 1e-30, np.float32)
     w = np.full((4, 3, 3, 3), 1e20, np.float32)
     out = im.conv2d(T.Tensor(x, requires_grad=True),
