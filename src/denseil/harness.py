@@ -153,13 +153,22 @@ def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
     it. Eval batch norm uses running statistics, so a row does not depend
     on its batch-mates beyond float rounding.
 
-    Batches run in pairs: the worker thread embeds the first of a pair
-    while this thread embeds the second. An odd last batch runs here
-    alone, so a one-batch evaluation or a query starts no thread. Each
-    batch makes the serial calls, so the bytes are the serial ones.
+    Two lanes share the batches: this thread and one worker job each take
+    the next unclaimed batch until none is left, and each writes its rows
+    into that batch's slot. A lane that raises stops the other before its
+    next batch. A one-batch evaluation or a query runs here and starts no
+    thread. Each batch makes the serial calls, so the bytes are the serial
+    ones whichever thread runs it. No tracklets give a [0, d] array; frames
+    that do not fit ``cfg`` raise ConfigError.
     """
+    _check_frame_shape(cfg, tracklets)
     size = cfg.sampling.k_ids * cfg.sampling.t_per_id
     starts = range(0, len(tracklets), size)
+    if not starts:
+        return np.empty((0, cfg.decoder.d), cfg.np_dtype())
+    slots = [None] * len(starts)
+    todo = iter(enumerate(starts))  # next() is atomic under the GIL
+    failed = []
 
     def embed(start):
         clips = np.concatenate([eval_clip(cfg, tr)
@@ -167,15 +176,24 @@ def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
         # the normed embeddings alone: a batch keeps no attention weights
         return forward_batch(model, clips, training=False)[1].data
 
-    rows = []
+    def lane():
+        try:
+            for b, start in todo:
+                if failed:
+                    return
+                slots[b] = embed(start)
+        except BaseException:
+            failed.append(True)
+            raise
+
     with tn.no_grad():
-        for first in starts[:-1:2]:
-            with tn.worker_job(embed, first) as job:
-                second = embed(first + size)
-            rows += [job.result(), second]
-        if len(starts) % 2:
-            rows.append(embed(starts[-1]))
-    return np.concatenate(rows)
+        if len(starts) == 1:
+            lane()
+        else:
+            with tn.worker_job(lane) as job:
+                lane()
+            job.result()
+    return np.concatenate(slots)
 
 
 def embed_tracklet(model: Model, cfg: RunConfig, tracklet) -> np.ndarray:
@@ -189,7 +207,6 @@ def evaluate_model(model: Model, cfg: RunConfig, corpus: Corpus):
     queries, galleries = corpus.query, corpus.gallery
     if not queries or not galleries:
         raise ValueError("corpus is missing an eval split")
-    _check_frame_shape(cfg, queries + galleries)
     both = embed_tracklets(model, cfg, queries + galleries)
     q, g = both[:len(queries)], both[len(queries):]
     table = EvalTable(pairwise_distances(q, g),

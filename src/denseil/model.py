@@ -154,11 +154,15 @@ def forward_batch(model: Model, clips: np.ndarray, training: bool):
     block's interaction weights, as ``decoder_forward`` gives them).
     Embeddings are the post-norm features the metric side ranks.
     """
-    b, i = clips.shape[0], clips.shape[1]
-    frames = clips.reshape((b * i,) + clips.shape[2:])
-    x = Tensor(np.ascontiguousarray(frames.transpose(0, 2, 3, 1)))
-    pyramid = encode_clip(x, model.cfg.encoder, model.params, model.states,
-                          training)
+    b, i, c, h, w = clips.shape
+    frames = clips.reshape(b * i, c, h, w)
+    # one channel at a time, so each copy's inner loop runs along a row,
+    # not over the C values of one pixel; the bytes are the transpose's
+    x = np.empty((b * i, h, w, c), clips.dtype)
+    for ch in range(c):
+        x[..., ch] = frames[:, ch]
+    pyramid = encode_clip(Tensor(x), model.cfg.encoder, model.params,
+                          model.states, training)
     levels = stack_partitions(pyramid, model.cfg.partitions,
                               model.adapter_weights())
     emb = step_emb(i, model.cfg.partitions, model.cfg.decoder.d)

@@ -978,22 +978,27 @@ def test_overflow_in_a_weight_gradient_exits_2_at_its_step(workspace, capsys,
 def test_an_overflow_in_an_eval_batchs_decoder_stage_exits_2(workspace,
                                                              capsys,
                                                              monkeypatch):
-    # 8 eval tracklets in batches of 4, one pair: batch 1 runs on the
-    # worker thread, and an overflow in its decoder stage must fail the
-    # command all the same
+    # 8 eval tracklets in batches of 4, one on each lane: the worker's
+    # batch overflows in its decoder stage, and that must fail the command
+    # all the same
     tmp_path, cfg_path, data_dir = workspace
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
                  "--out", str(run_dir)]) == 0
     capsys.readouterr()
     stack_partitions = model.stack_partitions
+    worker_in = threading.Event()
     calls = []
 
     def flooded(pyramid, partitions, weights):
         calls.append(len(pyramid[0].data))  # frames in the batch
         if threading.current_thread().name.startswith("denseil-worker"):
+            worker_in.set()
             pyramid = [tensor.Tensor(p.data * np.float32(3e38))
                        for p in pyramid]
+        else:
+            # the caller's batch holds the other until the worker has one
+            assert worker_in.wait(10.0)
         return stack_partitions(pyramid, partitions, weights)
 
     monkeypatch.setattr(model, "stack_partitions", flooded)
@@ -1027,7 +1032,7 @@ def test_flops_and_eval_start_no_thread(workspace):
         " '--data', sys.argv[4]]) == 0\n"
         "assert tensor._worker.cache_info().currsize == 0\n"
         "assert threading.active_count() == 1\n"
-        # two batches, one pair: the first batch goes to the one worker
+        # two batches: the one worker runs a lane beside the caller
         "assert main(['eval', '--checkpoint', sys.argv[3],"
         " '--data', sys.argv[4]]) == 0\n"
         "names = sorted(t.name for t in threading.enumerate())\n"

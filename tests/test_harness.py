@@ -7,7 +7,9 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import wait
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +106,24 @@ def test_corpus_frame_shape_must_match_config():
         evaluate_model(build_model(cfg), cfg, micro_corpus())
 
 
+def test_a_query_with_frames_of_another_shape_raises_naming_both():
+    cfg, model = _trained_on_odd_split("float32")  # 16 x 8 frames
+    query = micro_corpus(data={"height": 32, "width": 16}).query[0]
+    with pytest.raises(ConfigError, match=r"\(3, 32, 16\).*\(3, 16, 8\)"):
+        embed_tracklet(model, cfg, query)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_embedding_no_tracklets_gives_an_empty_table_and_starts_no_job(
+        monkeypatch, dtype):
+    cfg, model = _trained_on_odd_split(dtype)
+    spy = _spy_on_worker(monkeypatch)
+    empty = embed_tracklets(model, cfg, [])
+    assert empty.shape == (0, cfg.decoder.d)
+    assert empty.dtype == cfg.np_dtype()
+    assert spy.calls == 0
+
+
 def test_metric_rows_structure():
     cfg = micro_run_config(epochs=1)
     _, report = train_run(cfg, micro_corpus())
@@ -197,27 +217,38 @@ class _SubmitSpy:
 
     def __init__(self, pool):
         self.pool = pool
-        self.calls = 0
+        self.jobs = []
+
+    @property
+    def calls(self):
+        return len(self.jobs)
 
     def submit(self, *args):
-        self.calls += 1
-        return self.pool.submit(*args)
+        self.jobs.append(self.pool.submit(*args))
+        return self.jobs[-1]
 
 
-def test_the_worker_gets_one_job_per_pair_of_eval_batches_and_none_from_a_query(
+def _spy_on_worker(monkeypatch):
+    spy = _SubmitSpy(tn._worker())
+    monkeypatch.setattr(tn, "_worker", lambda: spy)
+    return spy
+
+
+def test_the_worker_gets_one_job_per_eval_of_two_or_more_batches(
         monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
-    spy = _SubmitSpy(tn._worker())
-    monkeypatch.setattr(tn, "_worker", lambda: spy)
+    spy = _spy_on_worker(monkeypatch)
     embed_tracklet(model, cfg, corpus.query[0])
     assert spy.calls == 0
     embed_tracklets(model, cfg, corpus.query[:4])  # exactly one batch
     assert spy.calls == 0
-    evaluate_model(model, cfg, corpus)  # 10 tracklets in batches of 4
+    embed_tracklets(model, cfg, corpus.query)  # batches of 4 and 1
     assert spy.calls == 1
+    evaluate_model(model, cfg, corpus)  # 10 tracklets in batches of 4
+    assert spy.calls == 2
     embed_tracklets(model, cfg, ((corpus.query + corpus.gallery) * 2)[:16])
-    assert spy.calls == 1 + 2  # four batches, two pairs
+    assert spy.calls == 3  # four batches, one job
     # a training step's conv backwards hand it one job per conv
     clips = np.stack([tr.frames[:cfg.sampling.chunks]
                       for tr in corpus.train[:2]])
@@ -312,7 +343,8 @@ def _on_worker():
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_the_worker_runs_the_first_batch_of_each_pair(monkeypatch, dtype):
+def test_each_eval_batch_runs_once_on_one_of_the_two_lanes(monkeypatch,
+                                                            dtype):
     # the desk encoder's four blocks, on small frames
     cfg = micro_run_config(dtype=dtype, data=ODD_DATA,
                            encoder={"channels": [16, 32, 64, 128]})
@@ -321,18 +353,11 @@ def test_the_worker_runs_the_first_batch_of_each_pair(monkeypatch, dtype):
     clips = np.stack([tr.frames[:cfg.sampling.chunks]
                       for tr in corpus.train[:4]]).astype(cfg.np_dtype())
     forward_batch(model, clips, training=True)  # batch-norm statistics
-    tracklets = corpus.query + corpus.gallery  # batches of 4, 4 and 2
-    batches, serial = [], []
-    for start in range(0, len(tracklets), 4):
-        batches.append(np.concatenate([harness.eval_clip(cfg, tr)
-                                       for tr in tracklets[start:start + 4]]))
-        serial.append(forward_batch(model, batches[-1],
-                                    training=False)[1].data)
     L = len(cfg.encoder.channels)
     block_of = {id(model.params["encoder.block%d.conv%d.w" % (l, k)]): l
                 for l in range(1, L + 1) for k in (1, 2)}
-    convs, forwards = [], []
     conv_bn_relu = imageops.conv_bn_relu
+    convs, forwards, batches = [], [], []
 
     def recording_conv(x, w, *args, **kwargs):
         convs.append((block_of[id(w)], _on_worker()))
@@ -345,34 +370,108 @@ def test_the_worker_runs_the_first_batch_of_each_pair(monkeypatch, dtype):
 
     monkeypatch.setattr(imageops, "conv_bn_relu", recording_conv)
     monkeypatch.setattr(harness, "forward_batch", recording_forward)
-    embedded = embed_tracklets(model, cfg, tracklets)
-    assert sorted(forwards) == [([0], True), ([1], False), ([2], False)]
-    on_caller = sorted(block for block, worker in convs if not worker)
-    on_worker = sorted(block for block, worker in convs if worker)
-    assert on_caller == sorted(list(range(1, L + 1)) * 2 * 2)
-    assert on_worker == sorted(list(range(1, L + 1)) * 2)
-    assert embedded.tobytes() == np.concatenate(serial).tobytes()
+    # 1 to 5 batches of 4, short last batches among them; no two alike
+    for count in (3, 8, 10, 16, 18):
+        tracklets = ((corpus.query + corpus.gallery) * 2)[:count]
+        batches[:] = [np.concatenate([harness.eval_clip(cfg, tr)
+                                      for tr in tracklets[i:i + 4]])
+                      for i in range(0, count, 4)]
+        serial = [forward_batch(model, b, training=False)[1].data
+                  for b in batches]
+        del convs[:], forwards[:]
+        embedded = embed_tracklets(model, cfg, tracklets)
+        assert sorted(b for b, _ in forwards) \
+            == [[i] for i in range(len(batches))]
+        if len(batches) == 1:
+            assert forwards == [([0], False)]  # on the caller
+        # each batch's convs, every block's two, ran on its batch's thread
+        for worker in (False, True):
+            ran = sum(on == worker for _, on in forwards)
+            assert sorted(b for b, on in convs if on == worker) \
+                == sorted(list(range(1, L + 1)) * 2 * ran)
+        assert embedded.tobytes() == np.concatenate(serial).tobytes()
+
+
+def test_the_lanes_claim_every_batch_once_under_a_short_switch_interval(
+        monkeypatch):
+    # batches that cost next to nothing, so that the two lanes claim their
+    # next batch at nearly the same moments, thousands of times
+    cfg = micro_run_config()
+    frames = np.zeros((cfg.sampling.chunks, 3, cfg.data.height,
+                       cfg.data.width))
+    tracklets = [SimpleNamespace(frames=frames, index=i) for i in range(4000)]
+    monkeypatch.setattr(harness, "eval_clip",
+                        lambda cfg, tr: np.array([[tr.index]], float))
+    monkeypatch.setattr(harness, "forward_batch",
+                        lambda model, clips, training:
+                        (None, SimpleNamespace(data=clips)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            embedded = embed_tracklets(None, cfg, tracklets)
+            assert embedded.ravel().tolist() == list(range(4000))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_an_overflow_in_a_batchs_decoder_stage_raises_from_embed_tracklets(
         monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
+    spy = _spy_on_worker(monkeypatch)
+    caller_in = threading.Event()
     calls = []
     stack_partitions = model_module.stack_partitions
 
     def flooded(pyramid, partitions, weights):
         calls.append(len(pyramid[0].data) // cfg.sampling.chunks)  # clips
-        if _on_worker():  # batch 1, the first of the pair
+        if _on_worker():
+            # the worker's first batch overflows once the caller is in its
+            # own first batch
+            assert caller_in.wait(10.0)
             pyramid = [tn.Tensor(p.data * np.float32(3e38)) for p in pyramid]
+        else:
+            # the caller's batch ends after the worker's lane has failed
+            caller_in.set()
+            assert wait(spy.jobs, timeout=10.0).done
         return stack_partitions(pyramid, partitions, weights)
 
     monkeypatch.setattr(model_module, "stack_partitions", flooded)
-    # batch 1's job runs on the worker thread, under the caller's errstate
+    # the worker's lane runs under the caller's errstate
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
             embed_tracklets(model, cfg, corpus.query + corpus.gallery)
-    assert calls == [4, 4]  # batch 3 never runs
+    assert calls == [4, 4]  # the short third batch never starts
+    assert not tn._no_grad.get()
+
+
+def test_a_failing_worker_lane_stops_the_caller_before_its_next_batch(
+        monkeypatch):
+    cfg, model = _trained_on_odd_split("float32")
+    corpus = micro_corpus(data=ODD_DATA)
+    spy = _spy_on_worker(monkeypatch)
+    third = threading.Event()
+    lanes = []
+    encode_clip = model_module.encode_clip
+
+    def encoder(*args, **kwargs):
+        lanes.append(_on_worker())
+        if _on_worker():
+            # the worker fails in its first batch, while the caller is in
+            # its third
+            assert third.wait(10.0)
+            raise RuntimeError("worker lane failed")
+        if lanes.count(False) == 3:
+            third.set()
+            assert wait(spy.jobs, timeout=10.0).done
+        return encode_clip(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "encode_clip", encoder)
+    tracklets = ((corpus.query + corpus.gallery) * 2)[:18]  # five batches
+    with pytest.raises(RuntimeError, match="worker lane failed"):
+        embed_tracklets(model, cfg, tracklets)
+    assert sorted(lanes) == [False] * 3 + [True]  # the fifth never starts
     assert not tn._no_grad.get()
 
 
@@ -380,19 +479,23 @@ def test_an_error_in_the_encoder_stage_joins_the_running_job_first(
         monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)
+    worker_in = threading.Event()
     failing = threading.Event()
     job = {}
     encode_clip = model_module.encode_clip
     decoder_forward = model_module.decoder_forward
 
     def encoder(*args, **kwargs):
-        if not _on_worker():  # batch 2, the caller's
-            failing.set()
-            raise RuntimeError("encoder failed")
-        return encode_clip(*args, **kwargs)
+        if _on_worker():
+            worker_in.set()
+            return encode_clip(*args, **kwargs)
+        # the caller fails in its first batch, once the worker is in its own
+        assert worker_in.wait(10.0)
+        failing.set()
+        raise RuntimeError("encoder failed")
 
     def slow_decoder(*args, **kwargs):
-        # batch 1's job outlives the caller's failure in batch 2
+        # the worker's batch outlives the caller's failure
         assert failing.wait(10.0)
         time.sleep(0.2)
         job["no_grad"] = tn._no_grad.get()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from denseil import imageops
+from denseil import model as model_module
 from denseil.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from denseil.config import run_config_from_dict
 from denseil.imageops import RunningStatsError
@@ -142,6 +143,28 @@ def test_batched_forward_equals_single_clip_calls():
         assert np.abs(embeddings.data[k] - one[1].data[0]).max() <= 1e-12
         for got, want in zip(dense_attn, one[2]):
             assert np.abs(got[k] - want[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_forward_batch_gives_the_encoder_the_transposed_frames_byte_for_byte(
+        monkeypatch, dtype):
+    cfg = micro_run_config(dtype=dtype)
+    clips = random_clips(cfg)
+    seen = []
+    encode_clip = model_module.encode_clip
+
+    def capture(x, *args):
+        seen.append(x.data)
+        return encode_clip(x, *args)
+
+    monkeypatch.setattr(model_module, "encode_clip", capture)
+    forward_batch(build_model(cfg), clips, training=True)
+    frames = clips.reshape((-1,) + clips.shape[2:])
+    want = np.ascontiguousarray(frames.transpose(0, 2, 3, 1))
+    (got,) = seen
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 def test_eval_mode_requires_trained_stats():
