@@ -144,42 +144,41 @@ class BNState:
     ``num_batches`` doubles as the trained/untrained flag: eval before the
     first training pass has no statistics to use and is an error.
 
-    The statistics are set by rebinding ``running_mean`` and ``running_var``,
-    as ``update`` and ``load_model`` do, never by writing into them: eval's
-    constants are kept per pair of those arrays.
+    Only ``set`` binds the statistics: it makes both arrays read-only (a
+    write raises ``ValueError``, a rebind ``AttributeError``) and keeps
+    them in one tuple with an empty dict of their eval constants.
     """
 
     def __init__(self, channels: int, dtype=np.float64):
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+        self.set(np.zeros(channels, dtype), np.ones(channels, dtype))
         self.num_batches = 0
-        self._eval = (None, None, {})  # (mean, var, {k: eval_constants(k)})
+
+    def set(self, mean: np.ndarray, var: np.ndarray):
+        mean.flags.writeable = var.flags.writeable = False
+        self._stats = (mean, var, {})  # {k: eval_constants(k)}
+
+    running_mean = property(lambda self: self._stats[0])
+    running_var = property(lambda self: self._stats[1])
 
     def update(self, mean, var):
         m = MOMENTUM
-        self.running_mean = (1.0 - m) * self.running_mean + m * mean
-        self.running_var = (1.0 - m) * self.running_var + m * var
+        self.set((1.0 - m) * self.running_mean + m * mean,
+                 (1.0 - m) * self.running_var + m * var)
         self.num_batches += 1
 
     def eval_constants(self, k: int):
         """Eval's read-only (mean tile, ``1 / sqrt(var + EPS)``, its tile),
-        each tile k copies, made once per pair of running arrays and per k.
-
-        An entry keeps the arrays it was made from and serves only while
-        they are the ones bound. It is swapped in by one assignment, so a
-        batch on the worker thread reads a whole entry too.
+        each tile k copies, made once per ``set`` and per k. One read of
+        ``_stats`` gives a batch on the worker thread a whole entry too.
         """
-        mean, var = self.running_mean, self.running_var
-        entry = self._eval
-        if entry[0] is not mean or entry[1] is not var:
-            entry = self._eval = (mean, var, {})
-        constants = entry[2].get(k)
+        mean, var, constants_by_k = self._stats
+        constants = constants_by_k.get(k)
         if constants is None:
             inv = 1.0 / np.sqrt(var + EPS)
             constants = (_tile(mean, k), inv, _tile(inv, k))
             for a in constants:
                 a.flags.writeable = False
-            entry[2][k] = constants
+            constants_by_k[k] = constants
         return constants
 
 

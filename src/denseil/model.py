@@ -209,13 +209,12 @@ def load_model(path, cfg: "RunConfig") -> Model:
         param.data[...] = _take(records, path, name, param.shape)
     for name, st in model.states.items():
         key = "bnstate.%s." % name
-        st.running_mean = _take(records, path, key + "mean",
-                                st.running_mean.shape).astype(dtype)
-        st.running_var = _take(records, path, key + "var",
-                               st.running_var.shape).astype(dtype)
-        if (st.running_var < 0).any():
+        mean = _take(records, path, key + "mean", st.running_mean.shape)
+        var = _take(records, path, key + "var", st.running_var.shape)
+        if (var < 0).any():
             raise CheckpointError("%s: record %r has a negative variance"
                                   % (path, key + "var"))
+        st.set(mean.astype(dtype), var.astype(dtype))
         count = _take(records, path, key + "count", ())
         if not (count >= 0 and count == np.floor(count)):
             raise CheckpointError("%s: record %r is %r, not a batch count"

@@ -439,8 +439,7 @@ def test_criterion_10_format_round_trips(tmp_path):
     model = build_model(cfg)
     for state in model.states.values():
         # give the running stats something nonzero to carry through
-        state.running_mean += 0.25
-        state.running_var *= 1.5
+        state.set(state.running_mean + 0.25, state.running_var * 1.5)
         state.num_batches = 3
     p1, p2 = tmp_path / "m1.dil1", tmp_path / "m2.dil1"
     save_model(str(p1), model)

@@ -359,8 +359,7 @@ def test_classify_head_hand_case_antipodal_columns():
     params, bn_state = head(d, 2, rng)
     u = rng.normal(size=d)
     params["head.cls.w"].data = np.stack([u, -u], axis=1)
-    bn_state.running_mean = rng.normal(size=d)
-    bn_state.running_var = rng.uniform(0.5, 2.0, d)
+    bn_state.set(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
     bn_state.num_batches = 1
     x = rng.normal(size=(3, d))
     logits, bn = dec.classify_head(t(x), params, bn_state, training=False)

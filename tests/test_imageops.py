@@ -621,7 +621,7 @@ def test_conv_windows_match_as_strided(dtype, stride):
     assert got.reshape(cols).tobytes() == want.reshape(cols).tobytes()
 
 
-# eval batch norm's constants, kept per pair of running arrays
+# eval batch norm's constants, kept per set of the running statistics
 
 
 def _eval_layer(dtype):
@@ -641,11 +641,10 @@ def _eval_layer(dtype):
     return run, gamma, beta
 
 
-def _fresh_state(state):
+def fresh_state(state):
     """A new BNState holding copies of ``state``'s statistics."""
     fresh = im.BNState(state.running_mean.size, state.running_mean.dtype)
-    fresh.running_mean = state.running_mean.copy()
-    fresh.running_var = state.running_var.copy()
+    fresh.set(state.running_mean.copy(), state.running_var.copy())
     fresh.num_batches = state.num_batches
     return fresh
 
@@ -679,6 +678,24 @@ def test_eval_after_update_matches_a_fresh_state_byte_for_byte(dtype):
     for _ in range(3):
         _update(state, rng)
         got = run(state).tobytes()
-        assert got == run(_fresh_state(state)).tobytes()
+        assert got == run(fresh_state(state)).tobytes()
         assert got not in seen  # each update moves the output
         seen.add(got)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_running_statistics_change_only_through_set(dtype):
+    run, _, _ = _eval_layer(dtype)
+    state = im.BNState(12, dtype)
+    _update(state, np.random.default_rng(63))
+    before = run(state).tobytes()
+    for name in ("running_mean", "running_var"):
+        stats = getattr(state, name)
+        with pytest.raises(ValueError):
+            stats += 1.0
+        with pytest.raises(AttributeError):
+            setattr(state, name, stats + 1.0)
+    assert run(state).tobytes() == before  # nothing moved
+    state.set(state.running_mean + 0.25, state.running_var * 1.5)
+    got = run(state).tobytes()
+    assert got != before and got == run(fresh_state(state)).tobytes()

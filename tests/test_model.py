@@ -16,6 +16,7 @@ from denseil.optim import Adam
 from denseil.rng import stream
 from denseil.tensor import backward, no_grad
 from micro import micro_corpus, micro_run_config
+from test_imageops import fresh_state
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -230,6 +231,16 @@ def test_load_rejects_missing_and_extra_records(tmp_path):
         load_model(tmp_path / "extra.dil1", cfg)
 
 
+def test_load_rejects_a_negative_variance(tmp_path):
+    cfg = micro_run_config()
+    save_model(tmp_path / "m.dil1", build_model(cfg))
+    records = load_checkpoint(tmp_path / "m.dil1")
+    key = "bnstate.head.bn.var"
+    save_checkpoint(tmp_path / "bad.dil1", dict(records, **{key: -records[key]}))
+    with pytest.raises(CheckpointError, match="%r has a negative variance" % key):
+        load_model(tmp_path / "bad.dil1", cfg)
+
+
 def test_load_rejects_unread_adapter_records(tmp_path):
     # a record for a block the decoder does not read is not this model's
     cfg = micro_run_config(encoder=FOUR_BLOCKS, decoder={"dense_sources": [4]})
@@ -266,11 +277,7 @@ def test_eval_after_loading_another_checkpoint_matches_fresh_states(tmp_path):
         got = embed(model)
         assert embed(model) == got  # from the constants the first call kept
         for name, st in model.states.items():
-            fresh = imageops.BNState(st.running_mean.size, st.running_mean.dtype)
-            fresh.running_mean = st.running_mean.copy()
-            fresh.running_var = st.running_var.copy()
-            fresh.num_batches = st.num_batches
-            model.states[name] = fresh
+            model.states[name] = fresh_state(st)
         assert embed(model) == got
         outputs.append(got)
         del model
