@@ -91,9 +91,8 @@ def cmd_dump_attn(args):
     from .config import ConfigError
     from .data import read_tracklet
     from .decoder import dump_attention
-    from .harness import _check_frame_shape, eval_clip
-    from .model import forward_batch, load_model
-    from .tensor import no_grad
+    from .harness import eval_forward
+    from .model import load_model
     cfg = _sibling_config(args.checkpoint)
     dec = cfg.decoder
     for off, setting in ((dec.R == 0, "decoder.R is 0"),
@@ -106,10 +105,7 @@ def cmd_dump_attn(args):
                               "to dump" % setting)
     model = load_model(args.checkpoint, cfg)
     tracklet = read_tracklet(args.tracklet)
-    _check_frame_shape(cfg, [tracklet])
-    with no_grad():
-        _, _, dense_attn = forward_batch(model, eval_clip(cfg, tracklet),
-                                         training=False)
+    dense_attn = eval_forward(model, cfg, [tracklet])[2]
     source_ids = cfg.decoder.sources_for(cfg.encoder.num_blocks)
     rows = dump_attention(dense_attn, cfg.sampling.chunks, cfg.partitions,
                           source_ids, args.out)

@@ -145,13 +145,22 @@ def eval_clip(cfg: RunConfig, tracklet) -> np.ndarray:
     return clip[None].astype(cfg.np_dtype(), copy=False)
 
 
+def eval_forward(model: Model, cfg: RunConfig, tracklets):
+    """``forward_batch``'s eval-mode outputs for the tracklets' fixed
+    samples as one batch, under ``tn.no_grad``: no graph is built. Frames
+    that do not fit ``cfg`` raise ConfigError."""
+    _check_frame_shape(cfg, tracklets)
+    clips = np.concatenate([eval_clip(cfg, tr) for tr in tracklets])
+    with tn.no_grad():
+        return forward_batch(model, clips, training=False)
+
+
 def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
     """The tracklets' fixed samples, embedded in eval mode: [N, d].
 
-    One forward pass per training batch of clips, under ``tn.no_grad``: no
-    graph is built, so each activation is freed once the forward code drops
-    it. Eval batch norm uses running statistics, so a row does not depend
-    on its batch-mates beyond float rounding.
+    One ``eval_forward`` per training batch of clips. Eval batch norm uses
+    running statistics, so a row does not depend on its batch-mates beyond
+    float rounding.
 
     Two lanes share the batches: this thread and one worker job each take
     the next unclaimed batch until none is left, and each writes its rows
@@ -161,38 +170,31 @@ def embed_tracklets(model: Model, cfg: RunConfig, tracklets) -> np.ndarray:
     ones whichever thread runs it. No tracklets give a [0, d] array; frames
     that do not fit ``cfg`` raise ConfigError.
     """
-    _check_frame_shape(cfg, tracklets)
     size = cfg.sampling.k_ids * cfg.sampling.t_per_id
-    starts = range(0, len(tracklets), size)
-    if not starts:
+    batches = [tracklets[s:s + size] for s in range(0, len(tracklets), size)]
+    if not batches:
         return np.empty((0, cfg.decoder.d), cfg.np_dtype())
-    slots = [None] * len(starts)
-    todo = iter(enumerate(starts))  # next() is atomic under the GIL
+    slots = [None] * len(batches)
+    todo = iter(enumerate(batches))  # next() is atomic under the GIL
     failed = []
-
-    def embed(start):
-        clips = np.concatenate([eval_clip(cfg, tr)
-                                for tr in tracklets[start:start + size]])
-        # the normed embeddings alone: a batch keeps no attention weights
-        return forward_batch(model, clips, training=False)[1].data
 
     def lane():
         try:
-            for b, start in todo:
+            for b, batch in todo:
                 if failed:
                     return
-                slots[b] = embed(start)
+                # the normed embeddings alone: no attention weights are kept
+                slots[b] = eval_forward(model, cfg, batch)[1].data
         except BaseException:
             failed.append(True)
             raise
 
-    with tn.no_grad():
-        if len(starts) == 1:
+    if len(batches) == 1:
+        lane()
+    else:
+        with tn.worker_job(lane) as job:
             lane()
-        else:
-            with tn.worker_job(lane) as job:
-                lane()
-            job.result()
+        job.result()
     return np.concatenate(slots)
 
 

@@ -144,9 +144,10 @@ class BNState:
     ``num_batches`` doubles as the trained/untrained flag: eval before the
     first training pass has no statistics to use and is an error.
 
-    Only ``set`` binds the statistics: it makes both arrays read-only (a
-    write raises ``ValueError``, a rebind ``AttributeError``) and keeps
-    them in one tuple with an empty dict of their eval constants.
+    Only ``set`` binds the statistics: it refuses non-finite ones with
+    NumericError, makes both arrays read-only (a write raises
+    ``ValueError``, a rebind ``AttributeError``) and keeps them in one
+    tuple with an empty dict of their eval constants.
     """
 
     def __init__(self, channels: int, dtype=np.float64):
@@ -154,6 +155,8 @@ class BNState:
         self.num_batches = 0
 
     def set(self, mean: np.ndarray, var: np.ndarray):
+        check_finite(mean)
+        check_finite(var)
         mean.flags.writeable = var.flags.writeable = False
         self._stats = (mean, var, {})  # {k: eval_constants(k)}
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import denseil
-from denseil import imageops, model, optim, tensor
+from denseil import harness, imageops, model, optim, tensor
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
 from denseil.config import ConfigError, run_config_from_dict
@@ -122,7 +122,7 @@ def test_dump_attn_builds_no_graph_and_writes_the_same_bytes(workspace,
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
                  "--out", str(run_dir)]) == 0
-    forward = model.forward_batch
+    forward = harness.forward_batch
     graphs = []  # per dump: did the forward pass build a graph?
 
     def recording_forward(*args, **kwargs):
@@ -130,7 +130,7 @@ def test_dump_attn_builds_no_graph_and_writes_the_same_bytes(workspace,
         graphs.append(bool(out[1]._parents))
         return out
 
-    monkeypatch.setattr(model, "forward_batch", recording_forward)
+    monkeypatch.setattr(harness, "forward_batch", recording_forward)
 
     def dump(name):
         path = tmp_path / name

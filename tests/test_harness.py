@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from denseil import harness, imageops
+from denseil import harness, imageops, optim
 from denseil import model as model_module
 from denseil import tensor as tn
 from denseil.checkpoint import load_checkpoint
@@ -232,6 +232,24 @@ def _spy_on_worker(monkeypatch):
     spy = _SubmitSpy(tn._worker())
     monkeypatch.setattr(tn, "_worker", lambda: spy)
     return spy
+
+
+def test_every_worker_job_has_finished_when_adam_step_returns(monkeypatch):
+    # a benchmark that ends a training step when Adam.step returns times
+    # all of the step's work only while no job outlives the step
+    spy = _spy_on_worker(monkeypatch)
+    step = optim.Adam.step
+    seen = []  # per step: (jobs submitted so far, all of them finished)
+
+    def checked_step(self, lr):
+        step(self, lr)
+        seen.append((spy.calls, all(job.done() for job in spy.jobs)))
+
+    monkeypatch.setattr(optim.Adam, "step", checked_step)
+    cfg = micro_run_config(epochs=1)
+    train_run(cfg, micro_corpus())
+    assert seen and seen[0][0] > 0  # conv backwards submit jobs each step
+    assert all(done for _, done in seen)
 
 
 def test_the_worker_gets_one_job_per_eval_of_two_or_more_batches(

@@ -589,6 +589,22 @@ def test_conv_bn_relu_raises_on_a_non_finite_conv_output_before_the_statistics_m
         assert state.num_batches == count and state.running_mean is mean
 
 
+def test_a_batch_variance_that_overflows_raises_and_moves_no_statistics():
+    # finite pre-activations whose squared deviations overflow float32: the
+    # output stays finite (1 / sqrt(inf) is 0), so only the statistics show it
+    x = np.zeros((2, 2, 2, 3), np.float32)
+    x[0, ..., 0], x[1, ..., 0] = 3e19, -3e19
+    eye = T.Tensor(np.eye(3, dtype=np.float32)[:, :, None, None])
+    g, b = T.Tensor(np.ones(3, np.float32)), T.Tensor(np.zeros(3, np.float32))
+    state = im.BNState(3, np.float32)
+    mean, var = state.running_mean, state.running_var
+    with np.errstate(over="ignore"), pytest.raises(T.NumericError):
+        im.conv_bn_relu(T.Tensor(x), eye, g, b, state, True, 1)
+    assert state.running_mean is mean and state.running_var is var
+    assert mean.tolist() == [0.0] * 3 and var.tolist() == [1.0] * 3
+    assert state.num_batches == 0
+
+
 # numpy calls without wrappers: each stand-in against the call it replaces
 
 
