@@ -17,6 +17,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .tensor import NumericError
+
 MAGIC = b"DIL1"
 
 
@@ -42,13 +44,22 @@ def replacing(paths):
 
 
 def save_checkpoint(path, records) -> None:
-    """Write name -> array records; values are cast to float32. The file is
-    written beside ``path`` and renamed over it, so ``path`` holds either
-    the whole new file or, when the write fails, what it held before."""
+    """Write name -> array records; values are cast to float32, and a finite
+    value that the cast makes infinite raises NumericError naming its record
+    before any byte is written. The file is written beside ``path`` and
+    renamed over it, so ``path`` holds either the whole new file or, when
+    the write fails, what it held before."""
+    arrays = {}
+    for name, value in records.items():
+        with np.errstate(over="ignore"):  # refused below, by record name
+            arr = np.asarray(value, dtype="<f4")  # tobytes() handles layout; keeps 0-d rank
+        if (np.isinf(arr) & np.isfinite(value)).any():
+            raise NumericError("%s: record %r is beyond float32's range"
+                               % (path, name))
+        arrays[name] = arr
     with replacing([path]) as (tmp,), open(tmp, "wb") as fh:
         fh.write(MAGIC)
-        for name, value in records.items():
-            arr = np.asarray(value, dtype="<f4")  # tobytes() handles layout; keeps 0-d rank
+        for name, arr in arrays.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

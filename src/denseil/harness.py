@@ -83,7 +83,6 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
         write_run_config(cfg, os.path.join(outdir, "config.json"))
     opt = Adam(model.params)
     sampler = stream(cfg.seed, SAMPLER_STREAM)
-    dtype = cfg.np_dtype()
     epoch_rows = []
     step = 0
     for epoch in range(cfg.epochs):
@@ -93,8 +92,7 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
         for batch in pk_batches(corpus.train, cfg.sampling.k_ids,
                                 cfg.sampling.t_per_id, sampler):
             clips = np.stack([restricted_sample(tr, cfg.sampling.chunks,
-                                                sampler)
-                              for tr in batch]).astype(dtype, copy=False)
+                                                sampler) for tr in batch])
             labels = np.array([tr.identity for tr in batch])
             try:
                 # the attention weights and, once Adam has read them, the
@@ -138,11 +136,10 @@ def train_run(cfg: RunConfig, corpus: Corpus, outdir=None, log=None):
 
 def eval_clip(cfg: RunConfig, tracklet) -> np.ndarray:
     """The tracklet's one fixed restricted sample, as a [1, I, C, H, W]
-    batch in the run dtype: what evaluation embeds it from."""
+    batch in the corpus dtype: what evaluation embeds it from."""
     rng = stream(cfg.seed,
                  eval_stream_id(tracklet.identity, tracklet.tracklet_id))
-    clip = restricted_sample(tracklet, cfg.sampling.chunks, rng)
-    return clip[None].astype(cfg.np_dtype(), copy=False)
+    return restricted_sample(tracklet, cfg.sampling.chunks, rng)[None]
 
 
 def eval_forward(model: Model, cfg: RunConfig, tracklets):

@@ -147,18 +147,19 @@ def build_model(cfg: "RunConfig") -> Model:
 def forward_batch(model: Model, clips: np.ndarray, training: bool):
     """Embed a [B, I, C, H, W] batch of clips.
 
-    The frames go channels-last once and through the encoder, whose batch
-    norm sees the whole batch at once. The decoder then runs once over all
-    B clips' pooled and adapted pyramids, attention staying within each
-    clip. Returns (logits [B, num_ids], embeddings [B, d], each decoder
-    block's interaction weights, as ``decoder_forward`` gives them).
-    Embeddings are the post-norm features the metric side ranks.
+    The frames go channels-last and into the run dtype in one copy, then
+    through the encoder, whose batch norm sees the whole batch at once.
+    The decoder then runs once over all B clips' pooled and adapted
+    pyramids, attention staying within each clip. Returns (logits
+    [B, num_ids], embeddings [B, d], each decoder block's interaction
+    weights, as ``decoder_forward`` gives them). Embeddings are the
+    post-norm features the metric side ranks.
     """
     b, i, c, h, w = clips.shape
     frames = clips.reshape(b * i, c, h, w)
     # one channel at a time, so each copy's inner loop runs along a row,
     # not over the C values of one pixel; the bytes are the transpose's
-    x = np.empty((b * i, h, w, c), clips.dtype)
+    x = np.empty((b * i, h, w, c), model.cfg.np_dtype())
     for ch in range(c):
         x[..., ch] = frames[:, ch]
     pyramid = encode_clip(Tensor(x), model.cfg.encoder, model.params,

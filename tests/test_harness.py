@@ -327,6 +327,26 @@ def test_embed_tracklets_matches_a_graph_building_forward_byte_for_byte(
         == np.concatenate(rows).tobytes()
 
 
+def test_clips_reach_forward_batch_in_the_corpus_dtype(monkeypatch):
+    # forward_batch's layout copy casts them: no caller casts a clip first
+    cfg = micro_run_config(epochs=1, dtype="float64")
+    corpus = micro_corpus()
+    seen = []
+    forward = harness.forward_batch
+
+    def spy(model, clips, training):
+        seen.append((training, clips.dtype))
+        return forward(model, clips, training)
+
+    monkeypatch.setattr(harness, "forward_batch", spy)
+    model, _ = train_run(cfg, corpus)
+    harness.eval_forward(model, cfg, corpus.query[:2])
+    corpus_dtype = corpus.train[0].frames.dtype
+    assert corpus_dtype == np.float32 != cfg.np_dtype()
+    assert {training for training, _ in seen} == {True, False}
+    assert all(dtype == corpus_dtype for _, dtype in seen)
+
+
 def test_embed_tracklets_builds_no_graph(monkeypatch):
     cfg, model = _trained_on_odd_split("float32")
     corpus = micro_corpus(data=ODD_DATA)

@@ -14,7 +14,7 @@ from denseil.losses import total_loss
 from denseil.model import build_model, forward_batch, load_model, save_model
 from denseil.optim import Adam
 from denseil.rng import stream
-from denseil.tensor import backward, no_grad
+from denseil.tensor import NumericError, backward, no_grad
 from micro import micro_corpus, micro_run_config
 from test_imageops import fresh_state
 
@@ -168,6 +168,23 @@ def test_forward_batch_gives_the_encoder_the_transposed_frames_byte_for_byte(
     assert got.tobytes() == want.tobytes()
 
 
+def test_forward_batch_casts_frames_into_the_run_dtype_byte_for_byte():
+    # float32 frames into a float64 run: the layout copy does the cast
+    cfg = micro_run_config(dtype="float64")
+    frames = random_clips(cfg).astype(np.float32)
+    logits, embeddings, dense_attn = forward_batch(build_model(cfg), frames,
+                                                   training=True)
+    want = forward_batch(build_model(cfg), frames.astype(np.float64),
+                         training=True)
+    assert logits.data.dtype == embeddings.data.dtype == np.float64
+    assert logits.data.tobytes() == want[0].data.tobytes()
+    assert embeddings.data.tobytes() == want[1].data.tobytes()
+    assert len(dense_attn) == len(want[2]) == cfg.decoder.R
+    for got, expected in zip(dense_attn, want[2]):
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_eval_mode_requires_trained_stats():
     cfg = micro_run_config()
     model = build_model(cfg)
@@ -239,6 +256,28 @@ def test_load_rejects_a_negative_variance(tmp_path):
     save_checkpoint(tmp_path / "bad.dil1", dict(records, **{key: -records[key]}))
     with pytest.raises(CheckpointError, match="%r has a negative variance" % key):
         load_model(tmp_path / "bad.dil1", cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_save_refuses_a_finite_value_beyond_float32_and_keeps_the_file(
+        tmp_path):
+    # a float64 run's statistics can be finite yet overflow the float32 cast
+    cfg = micro_run_config(dtype="float64")
+    model = build_model(cfg)
+    path = tmp_path / "m.dil1"
+    save_model(path, model)
+    good = path.read_bytes()
+    name = "encoder.block1.bn1"
+    state = model.states[name]
+    var = state.running_var.copy()
+    var[0] = 1e39
+    state.set(state.running_mean, var)
+    for over in ("warn", "raise"):
+        with np.errstate(over=over), pytest.raises(
+                NumericError, match=r"'bnstate\.%s\.var'" % name):
+            save_model(path, model)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["m.dil1"]
 
 
 def test_load_rejects_unread_adapter_records(tmp_path):
