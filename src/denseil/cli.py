@@ -90,8 +90,7 @@ def cmd_ablate(args):
 def cmd_dump_attn(args):
     from .config import ConfigError
     from .data import read_tracklet
-    from .decoder import dump_attention
-    from .harness import eval_forward
+    from .harness import dump_attention
     from .model import load_model
     cfg = _sibling_config(args.checkpoint)
     dec = cfg.decoder
@@ -105,10 +104,7 @@ def cmd_dump_attn(args):
                               "to dump" % setting)
     model = load_model(args.checkpoint, cfg)
     tracklet = read_tracklet(args.tracklet)
-    dense_attn = eval_forward(model, cfg, [tracklet])[2]
-    source_ids = cfg.decoder.sources_for(cfg.encoder.num_blocks)
-    rows = dump_attention(dense_attn, cfg.sampling.chunks, cfg.partitions,
-                          source_ids, args.out)
+    rows = dump_attention(model, cfg, tracklet, args.out)
     print("wrote %d weights to %s" % (rows, args.out))
     return 0
 

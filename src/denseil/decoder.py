@@ -10,15 +10,12 @@ backbone at once; queries always come from the normalized hidden state.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tn
-from .checkpoint import replacing
 from .imageops import BNState, batchnorm_rows
-from .partition import token_index
 from .tensor import ShapeError, Tensor
 
 FUSIONS = ("attention", "summation", "concatenation")
@@ -192,33 +189,3 @@ def classify_head(embeddings: Tensor, params, bn_state: BNState, training: bool)
                         params["head.bn.beta"], bn_state, training)
     logits = tn.matmul(bn, params["head.cls.w"])
     return logits, bn
-
-
-# ---------------------------------------------------------------------------
-# attention dump
-
-
-def dump_attention(dense_attn, I: int, P: int, source_ids, path) -> int:
-    """Write the first clip's interaction-attention weights as CSV rows;
-    returns the row count. ``dense_attn`` is ``decoder_forward``'s list of
-    per-block weights.
-
-    Key columns identify the scale each weight looked at: Z^l for a pooled
-    encoder block, H for the decoder's own hidden state.
-    """
-    idx = token_index(I, P)
-    n = I * P
-    labels = ["Z^%d" % l for l in source_ids] + ["H"]
-    rows = 0
-    with replacing([path]) as (tmp,), open(tmp, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["block", "head", "query_frame", "query_part",
-                      "key_source", "key_frame", "key_part", "weight"])
-        for b, weights in enumerate(dense_attn, start=1):
-            for (h, qi, ki), w in np.ndenumerate(weights[0]):
-                qf, qp = idx[qi]
-                kf, kp = idx[ki % n]
-                out.writerow([b, h + 1, qf, qp, labels[ki // n], kf, kp,
-                              repr(float(w))])
-                rows += 1
-    return rows

@@ -19,6 +19,7 @@ from .metrics import (RANKS, EvalTable, cmc_and_map, metrics_rows,
                       pairwise_distances)
 from .model import Model, build_model, forward_batch, save_model
 from .optim import Adam, lr_at
+from .partition import token_index
 from .rng import SAMPLER_STREAM, eval_stream_id, stream
 
 
@@ -310,3 +311,27 @@ def write_run_artifacts(outdir, model: Model, report: RunReport):
         with open(summary_tmp, "w") as f:
             json.dump(summary, f, indent=2, sort_keys=True)
             f.write("\n")
+
+
+def dump_attention(model: Model, cfg: RunConfig, tracklet, path) -> int:
+    """Write the interaction-attention weights of the tracklet's fixed
+    sample as CSV, through ``replacing``; returns the row count.
+
+    Key columns name the scale each weight looked at: Z^l for pooled
+    encoder block l, H for the decoder's own hidden state. Frames and
+    parts are 1-based, in ``token_index``'s frame-major order.
+    """
+    dense_attn = eval_forward(model, cfg, [tracklet])[2]
+    idx = token_index(cfg.sampling.chunks, cfg.partitions)
+    labels = ["Z^%d" % l for l in
+              cfg.decoder.sources_for(cfg.encoder.num_blocks)] + ["H"]
+    with replacing([path]) as (tmp,), open(tmp, "w", newline="") as f:
+        out = csv.writer(f)
+        out.writerow(("block", "head", "query_frame", "query_part",
+                      "key_source", "key_frame", "key_part", "weight"))
+        for b, weights in enumerate(dense_attn, start=1):
+            for (h, qi, ki), w in np.ndenumerate(weights[0]):
+                source, k = divmod(ki, len(idx))
+                out.writerow((b, h + 1, *idx[qi], labels[source], *idx[k],
+                              repr(float(w))))
+    return sum(weights[0].size for weights in dense_attn)

@@ -47,10 +47,10 @@ class Model:
 NORMS = ("layernorm", "batchnorm")  # entries that build a gamma and a beta
 
 
-def encoder_table(channels, in_channels=CHANNELS):
+def encoder_table(channels):
     """Two 3x3 convs per block, each followed by a batch norm."""
     entries = []
-    for l, (cin, cout) in enumerate(zip((in_channels,) + channels, channels),
+    for l, (cin, cout) in enumerate(zip((CHANNELS,) + channels, channels),
                                     start=1):
         for k, c_from in ((1, cin), (2, cout)):
             entries += [("encoder.block%d.conv%d.w" % (l, k),

@@ -56,7 +56,7 @@ def traced_step(cfg):
                                         cfg.sampling.t_per_id, sampler))
         clips = np.stack([harness.restricted_sample(tr, cfg.sampling.chunks,
                                                     sampler)
-                          for tr in batch]).astype(cfg.np_dtype())
+                          for tr in batch])
         labels = np.array([tr.identity for tr in batch])
         logits, embeddings, _ = harness.forward_batch(model, clips,
                                                       training=True)

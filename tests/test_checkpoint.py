@@ -7,7 +7,6 @@ import pytest
 from denseil import checkpoint as ck
 from denseil import harness
 from denseil.config import write_run_config
-from denseil.decoder import dump_attention
 from denseil.harness import (ABLATION_METRICS, RunReport, ablate,
                              write_run_artifacts)
 from denseil.model import build_model
@@ -102,7 +101,12 @@ def _write_attention(outdir, monkeypatch, bad):
     # two frames of one part, one source: four keys per query
     block = np.full((1, 2, 2, 4), 0.25)
     blocks = [block, np.full(block.shape, "x", dtype=object) if bad else block]
-    dump_attention(blocks, 2, 1, (2,), outdir / "attention.csv")
+    monkeypatch.setattr(harness, "eval_forward",
+                        lambda *args: (None, None, blocks))
+    # micro's two encoder blocks make that source Z^2
+    cfg = micro_run_config(decoder={"R": 2}, sampling={"chunks": 2},
+                           partitions=1)
+    harness.dump_attention(None, cfg, None, outdir / "attention.csv")
 
 
 @pytest.mark.parametrize("name, write", [

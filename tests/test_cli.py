@@ -2,8 +2,10 @@ import builtins
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import json
 import os
+import pathlib
 import re
 import shutil
 import struct
@@ -19,9 +21,10 @@ import denseil
 from denseil import harness, imageops, model, optim, tensor
 from denseil.checkpoint import load_checkpoint, save_checkpoint
 from denseil.cli import main
-from denseil.config import ConfigError, run_config_from_dict
-from denseil.data import (load_corpus, read_tracklet, write_corpus,
-                          write_tracklet)
+from denseil.config import (ConfigError, load_run_config,
+                            run_config_from_dict)
+from denseil.data import (generate_dataset, load_corpus, read_tracklet,
+                          write_corpus, write_tracklet)
 from micro import micro_dict
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -114,6 +117,26 @@ def test_dump_attn(workspace, capsys):
                         "key_frame,key_part,weight")
     # R=1 block, 2 heads, n=8 queries, sources {2} -> keys 2n=16
     assert len(lines) == 1 + 1 * 2 * 8 * 16
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN_DUMP_SHA = ("a579c559a3a10bc98ef61428b439c4254a910c5528cdd866c3886cfd"
+                   "90073e91")
+
+
+def test_dump_attn_of_the_golden_checkpoint_writes_pinned_bytes(tmp_path,
+                                                                 capsys):
+    # the first query tracklet of the golden run's own corpus
+    cfg = load_run_config(GOLDEN / "config.json")
+    tracklet = tmp_path / "query.dilt"
+    write_tracklet(tracklet, generate_dataset(cfg.data).query[0])
+    out_csv = tmp_path / "attn.csv"
+    assert main(["dump-attn", "--checkpoint", str(GOLDEN / "final.dil1"),
+                 "--tracklet", str(tracklet), "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().out == "wrote 256 weights to %s\n" % out_csv
+    blob = out_csv.read_bytes()
+    assert blob.count(b"\n") == 257
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DUMP_SHA
 
 
 def test_dump_attn_builds_no_graph_and_writes_the_same_bytes(workspace,

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -456,27 +454,3 @@ def test_flops_adapter_breakdown_separate():
     # L is the number of widths: the default sources are blocks 2 and 3
     est = flops.estimate_decoder_flops(dec.DecoderConfig(), 4, 2, (4, 8, 16))
     assert est["adapters"] == 8 * (8 + 16) * 64
-
-
-# ------------------------------------------------------------ attention dump
-
-
-def test_dump_attention_csv(tmp_path):
-    cfg = dec.DecoderConfig(R=2, d=8, heads=2)
-    params, levels = build_stack(cfg, L=3, I=2, P=2, seed=84)
-    _, dense_attn = dec.decoder_forward(levels, posemb.step_emb(2, 2, 8),
-                                        cfg, params)
-    path = tmp_path / "attn.csv"
-    rows = dec.dump_attention(dense_attn, 2, 2, cfg.sources_for(3), path)
-    n, S = 4, 2
-    assert rows == cfg.R * cfg.heads * n * (S + 1) * n
-    with open(path) as fh:
-        records = list(csv.DictReader(fh))
-    assert len(records) == rows
-    assert {r["key_source"] for r in records} == {"Z^2", "Z^3", "H"}
-    # weights per (block, head, query) sum to 1
-    total = {}
-    for r in records:
-        key = (r["block"], r["head"], r["query_frame"], r["query_part"])
-        total[key] = total.get(key, 0.0) + float(r["weight"])
-    assert all(abs(v - 1.0) < 1e-9 for v in total.values())

@@ -7,9 +7,8 @@ from denseil import tensor as T
 from oracles import encoder_nchw_ref, gradcheck, nhwc
 
 
-def make(cfg, seed=0, in_channels=3):
-    return draw_params(encoder_table(cfg.channels, in_channels),
-                       np.random.default_rng(seed))
+def make(cfg, seed=0):
+    return draw_params(encoder_table(cfg.channels), np.random.default_rng(seed))
 
 
 def test_four_block_shapes_keep_last_resolution():
@@ -75,8 +74,8 @@ def test_translation_covariance_block1():
 
 def test_encoder_gradcheck():
     cfg = enc.EncoderConfig(channels=(2, 3))
-    params, states = make(cfg, seed=9, in_channels=2)
-    x = T.Tensor(nhwc(np.random.default_rng(10).uniform(-1, 1, (1, 2, 8, 8))),
+    params, states = make(cfg, seed=9)
+    x = T.Tensor(nhwc(np.random.default_rng(10).uniform(-1, 1, (1, 3, 8, 8))),
                  requires_grad=True)
     tensors = [x] + list(params.values())
 

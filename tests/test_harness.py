@@ -1,3 +1,4 @@
+import csv
 import functools
 import gc
 import json
@@ -14,11 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from denseil import harness, imageops, optim
+from denseil import harness, imageops, optim, posemb
 from denseil import model as model_module
 from denseil import tensor as tn
 from denseil.checkpoint import load_checkpoint
 from denseil.config import ConfigError
+from denseil.decoder import decoder_forward
 from denseil.harness import (ABLATIONS, TrainingDiverged, ablate,
                              embed_tracklet, embed_tracklets, evaluate_model,
                              train_run)
@@ -27,6 +29,7 @@ from denseil.metrics import (EvalTable, cmc_and_map, metrics_rows,
                              pairwise_distances)
 from denseil.model import build_model, forward_batch
 from micro import micro_corpus, micro_run_config
+from test_decoder import build_stack
 
 
 def test_zero_lr_leaves_params_at_init():
@@ -781,3 +784,35 @@ def test_readme_ablate_row_names_the_table_axes_in_order():
 def test_ablate_unknown_axis():
     with pytest.raises(ValueError, match="axis"):
         ablate(micro_run_config(), "heads", micro_corpus())
+
+
+def test_dump_attention_csv(tmp_path, monkeypatch):
+    # a synthetic 3-block stack's weights: I=2 frames of P=2 parts
+    cfg = micro_run_config(decoder={"R": 2, "d": 8, "heads": 2},
+                           encoder={"channels": [4, 8, 16]},
+                           sampling={"chunks": 2}, partitions=2)
+    params, levels = build_stack(cfg.decoder, L=3, I=2, P=2, seed=84)
+    _, dense_attn = decoder_forward(levels, posemb.step_emb(2, 2, 8),
+                                    cfg.decoder, params)
+    calls = []
+
+    def eval_forward(*args):
+        calls.append(args)
+        return None, None, dense_attn
+
+    monkeypatch.setattr(harness, "eval_forward", eval_forward)
+    path = tmp_path / "attn.csv"
+    rows = harness.dump_attention("model", cfg, "tracklet", path)
+    assert calls == [("model", cfg, ["tracklet"])]
+    n, S = 4, 2
+    assert rows == cfg.decoder.R * cfg.decoder.heads * n * (S + 1) * n
+    with open(path) as fh:
+        records = list(csv.DictReader(fh))
+    assert len(records) == rows
+    assert {r["key_source"] for r in records} == {"Z^2", "Z^3", "H"}
+    # weights per (block, head, query) sum to 1
+    total = {}
+    for r in records:
+        key = (r["block"], r["head"], r["query_frame"], r["query_part"])
+        total[key] = total.get(key, 0.0) + float(r["weight"])
+    assert all(abs(v - 1.0) < 1e-9 for v in total.values())

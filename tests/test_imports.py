@@ -1,6 +1,7 @@
 """Static checks: every module-level import in the package is used, every
 module-level definition is named somewhere in the package or the
-benchmark, and only ``tensor.py`` imports thread machinery."""
+benchmark, only ``tensor.py`` imports thread machinery, and the model's
+layers write no files."""
 
 import ast
 import pathlib
@@ -15,6 +16,10 @@ BENCH = ROOT / "perfbench"
 KEPT = {("tensor.py", "sum_all")}
 # the worker thread's owner: it alone may import these (at any depth)
 THREAD_MODULES = {"threading", "contextvars", "concurrent"}
+# the model's layers compute; config, data, model and harness write the files
+LAYERS = ("tensor", "imageops", "encoder", "partition", "posemb", "decoder",
+          "losses", "metrics", "flops", "optim", "rng")
+FILE_MODULES = {"csv", "json", ".checkpoint"}
 
 
 def unused_imports(source: str):
@@ -132,3 +137,28 @@ def test_the_check_finds_a_thread_import_at_any_depth():
               "    import contextvars, threading as t\n")
     assert sorted(imported_packages(source)) == [
         "concurrent", "contextvars", "os", "threading"]
+
+
+def relative_imports(source: str):
+    """Each package module a relative import names, dot first, at any
+    depth: ``from .a.b import c`` gives ".a", ``from . import a`` ".a"."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = ([node.module] if node.module
+                     else [alias.name for alias in node.names])
+            yield from ("." + name.split(".")[0] for name in names)
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_model_layers_import_no_file_writers(name):
+    source = (SRC / (name + ".py")).read_text(encoding="utf-8")
+    found = FILE_MODULES & (set(imported_packages(source))
+                            | set(relative_imports(source)))
+    assert not found, "%s.py imports %s" % (name, sorted(found))
+
+
+def test_the_check_finds_a_relative_import_at_any_depth():
+    source = ("from . import tensor as tn, checkpoint\nfrom .data import x\n\n"
+              "def f():\n    from .checkpoint.io import replacing\n")
+    assert sorted(relative_imports(source)) == [
+        ".checkpoint", ".checkpoint", ".data", ".tensor"]
