@@ -8,6 +8,8 @@ slice/concat nodes would build thousands of tiny nodes per call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import EPS, ShapeError, Tensor, array_mean, check_finite, worker_job
@@ -39,7 +41,7 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
     the ``xhat`` its backward keeps, and no node keeps the conv output.
     Backward hands batch norm's input gradient to the conv's backward.
     """
-    pre, conv_back = _conv(x.data, w.data, stride, x.requires_grad)
+    pre, conv_back = _conv(x.data, w.data, stride, x.requires_grad, training)
     check_finite(pre)  # as the conv node would, before the statistics move
     out, bn_back = _bn(pre, gamma.data, beta.data, state, training, relu=True)
 
@@ -50,13 +52,17 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
     return Tensor(out, _parents=(x, w, gamma, beta), _backward=back)
 
 
-def _conv(x: np.ndarray, w: np.ndarray, stride: int, need_dx: bool):
+def _conv(x: np.ndarray, w: np.ndarray, stride: int, need_dx: bool,
+          split: bool = False):
     """The convolution of ``conv2d`` on arrays: its [N,Ho,Wo,Cout] output,
     a view of the GEMM's own buffer, and ``back(g)`` -> (dx, dw), dx None
     unless ``need_dx``.
 
     The columns are ordered (kh, kw, C), so each window row is one
-    contiguous kw*C run of the padded input.
+    contiguous kw*C run of the padded input. With ``split``, the frames
+    from ``_cut`` on run their padded copy, im2col and GEMM as a worker job
+    while this thread runs the rest; each part fills its own rows of one
+    output buffer, and every row rounds as in the one GEMM.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weights")
@@ -72,15 +78,16 @@ def _conv(x: np.ndarray, w: np.ndarray, stride: int, need_dx: bool):
     if ho < 1 or wo < 1:
         raise ShapeError("conv2d: output would be empty")
 
-    def buffers():
-        # the zeroed padded input and the columns, made on the calling thread
-        # so that they come from its heap arena, not the worker's
-        return (np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=x.dtype),
-                np.empty((n * ho * wo, kh * kw * c), dtype=x.dtype))
+    def buffers(frames):
+        # the zeroed padded input and the columns of that many frames, made
+        # on the calling thread so that they come from its heap arena, not
+        # the worker's
+        return (np.zeros((frames, h + 2 * ph, wd + 2 * pw, c), dtype=x.dtype),
+                np.empty((frames * ho * wo, kh * kw * c), dtype=x.dtype))
 
-    def im2col(xp, cols):
-        xp[:, ph:ph + h, pw:pw + wd] = x
-        cols.reshape(n, ho, wo, kh, kw * c)[...] = _windows(xp, ho, wo, kh, kw, stride)
+    def im2col(frames, xp, cols):
+        xp[:, ph:ph + h, pw:pw + wd] = frames
+        cols.reshape(len(frames), ho, wo, kh, kw * c)[...] = _windows(xp, ho, wo, kh, kw, stride)
         return cols
 
     def weight_matrix():  # [cout, kh*kw*C], a copy unless w is a model kernel
@@ -89,19 +96,33 @@ def _conv(x: np.ndarray, w: np.ndarray, stride: int, need_dx: bool):
     # the columns are kh*kw copies of x, so backward rebuilds them rather
     # than keep them from here to there; w is as here until the optimizer
     # steps after backward
-    out = im2col(*buffers()) @ weight_matrix().T
+    cut = _cut(n, ho * wo) if split else 0
+    if cut:
+        out = np.empty((n * ho * wo, cout), np.result_type(x, w))
+        r = cut * ho * wo
+
+        def gemm(part, rows, xp, cols):
+            np.matmul(im2col(x[part], xp, cols), weight_matrix().T, out=rows)
+
+        # buffers per part, not halves of one: numpy advises arrays of 4 MiB
+        # and more onto huge pages, which held more resident memory
+        with worker_job(gemm, slice(cut, n), out[r:], *buffers(n - cut)) as job:
+            gemm(slice(0, cut), out[:r], *buffers(cut))
+        job.result()
+    else:
+        out = im2col(x, *buffers(n)) @ weight_matrix().T
 
     def back(g):
         g2 = g.reshape(-1, cout)
 
         def weight_grad(xp, cols):
             # a view of the GEMM output, laid out as a model kernel
-            return (g2.T @ im2col(xp, cols)).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2)
+            return (g2.T @ im2col(x, xp, cols)).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2)
 
         # dw, the columns' rebuild included, runs on the worker thread while
         # this one builds dx. Each makes the serial code's numpy calls and
         # writes only arrays of its own, so no byte depends on the schedule.
-        with worker_job(weight_grad, *buffers()) as job:
+        with worker_job(weight_grad, *buffers(n)) as job:
             dx = None
             if need_dx:
                 # col2im one tap at a time, straight into dx: output row o of
@@ -118,6 +139,33 @@ def _conv(x: np.ndarray, w: np.ndarray, stride: int, need_dx: bool):
         return dx, job.result()
 
     return out.reshape(n, ho, wo, cout), back
+
+
+# A training conv of at least this many output rows splits its forward in
+# two (``_conv``). Every desk conv has 1,024 or more and runs faster split;
+# a 512-row micro conv took 27-53 us serial but 128-144 us split, which
+# is the worker job's round trip.
+_SPLIT_ROWS = 1024
+# A GEMM cut by rows gives the whole GEMM's bytes only where the second
+# part starts on the kernel's M-tile, the register blocking of Goto and
+# van de Geijn (ACM TOMS 2008). Cuts at multiples of 96 rows were byte-equal
+# on the default OpenBLAS kernel and seven forced ones (SkylakeX, Haswell,
+# Zen, SandyBridge, Nehalem, Cooperlake, Prescott), in float32 and float64,
+# with BLAS at one thread; cuts at 256, 512, 1,024 or m/2 differ under
+# Haswell, at 48 under SkylakeX.
+_ROW_TILE = 96
+
+
+def _cut(frames: int, rows: int) -> int:
+    """The frame at which a conv of ``frames`` frames, ``rows`` output rows
+    each, splits: the one nearest the middle whose first output row is a
+    multiple of ``_ROW_TILE``, or 0, no split, below ``_SPLIT_ROWS`` rows or
+    where no such frame lies inside."""
+    if frames * rows < _SPLIT_ROWS:
+        return 0
+    step = _ROW_TILE // math.gcd(rows, _ROW_TILE)
+    cut = (frames + step) // (2 * step) * step
+    return cut if cut < frames else 0
 
 
 def _windows(xp: np.ndarray, ho: int, wo: int, kh: int, kw: int, stride: int):

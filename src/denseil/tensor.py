@@ -158,10 +158,10 @@ def no_grad():
         _no_grad.reset(token)
 
 
-# The package's one worker thread, made on first use: conv backward's weight
-# gradients and, in an evaluation of two or more batches, one lane that takes
-# batches beside the caller. A forked child has no copy of the thread, so it
-# makes its own.
+# The package's one worker thread, made on first use: the second part of a
+# training conv's forward, conv backward's weight gradients and, in an
+# evaluation of two or more batches, one lane that takes batches beside the
+# caller. A forked child has no copy of the thread, so it makes its own.
 @functools.cache
 def _worker() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(1, thread_name_prefix="denseil-worker")

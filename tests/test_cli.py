@@ -981,8 +981,8 @@ def test_overflow_in_a_weight_gradient_exits_2_at_its_step(workspace, capsys,
     conv = imageops._conv
     first_convs = []
 
-    def flooded(x, w, stride, need_dx):
-        out, back = conv(x, w, stride, need_dx)
+    def flooded(x, w, stride, need_dx, split):
+        out, back = conv(x, w, stride, need_dx, split)
         if x.shape[3] != 3:
             return out, back
         first_convs.append(out)

@@ -19,7 +19,7 @@ from denseil import harness, imageops, optim, posemb
 from denseil import model as model_module
 from denseil import tensor as tn
 from denseil.checkpoint import load_checkpoint
-from denseil.config import ConfigError
+from denseil.config import ConfigError, run_config_from_dict
 from denseil.decoder import decoder_forward
 from denseil.harness import (ABLATIONS, TrainingDiverged, ablate,
                              embed_tracklet, embed_tracklets, evaluate_model,
@@ -276,6 +276,47 @@ def test_the_worker_gets_one_job_per_eval_of_two_or_more_batches(
     logits, _, _ = forward_batch(build_model(cfg), clips, training=True)
     tn.backward(tn.sum_all(logits))
     assert spy.calls == 3 + 2 * len(cfg.encoder.channels)
+
+
+def test_a_training_step_hands_the_worker_one_forward_job_per_conv(
+        monkeypatch):
+    # every desk conv has at least 1,024 output rows, so each training
+    # forward splits across the two threads; backward adds one dw job per
+    # conv, and an eval forward of the same batch adds none
+    cfg = run_config_from_dict({})
+    model = build_model(cfg)
+    d = cfg.data
+    clips = np.random.default_rng(0).normal(size=(
+        cfg.sampling.k_ids * cfg.sampling.t_per_id, cfg.sampling.chunks,
+        3, d.height, d.width))
+    convs = 2 * len(cfg.encoder.channels)
+    spy = _spy_on_worker(monkeypatch)
+    logits, _, _ = forward_batch(model, clips, training=True)
+    assert spy.calls == convs == 8
+    tn.backward(tn.sum_all(logits))
+    assert spy.calls == 2 * convs
+    with tn.no_grad():
+        forward_batch(model, clips, training=False)
+    assert spy.calls == 2 * convs
+
+
+def test_no_eval_splits_a_conv_even_without_a_row_minimum(monkeypatch):
+    # with every micro conv over the minimum, the eval job counts are those
+    # above, and a training step's convs each submit a forward job too
+    monkeypatch.setattr(imageops, "_SPLIT_ROWS", 1)
+    cfg, model = _trained_on_odd_split("float32")
+    corpus = micro_corpus(data=ODD_DATA)
+    spy = _spy_on_worker(monkeypatch)
+    embed_tracklet(model, cfg, corpus.query[0])
+    embed_tracklets(model, cfg, corpus.query[:4])  # exactly one batch
+    assert spy.calls == 0
+    embed_tracklets(model, cfg, corpus.query)  # batches of 4 and 1
+    assert spy.calls == 1
+    clips = np.stack([tr.frames[:cfg.sampling.chunks]
+                      for tr in corpus.train[:2]])
+    logits, _, _ = forward_batch(build_model(cfg), clips, training=True)
+    tn.backward(tn.sum_all(logits))
+    assert spy.calls == 1 + 4 * len(cfg.encoder.channels)
 
 
 @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12),

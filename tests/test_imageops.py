@@ -1,6 +1,8 @@
 import gc
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -11,6 +13,7 @@ import pytest
 from denseil import imageops as im
 from denseil import tensor as T
 from oracles import batchnorm_relu_ref, conv2d_backward_ref, gradcheck
+from test_harness import _spy_on_worker
 
 
 def t(data, rg=False):
@@ -443,12 +446,14 @@ def test_fused_batchnorm_relu_rejects_non_finite_pre_activations():
             im.conv_bn_relu(x, eye, g, b, im.BNState(2), True, 1)
 
 
-def test_conv_bn_relu_matches_conv2d_then_batchnorm_byte_for_byte():
-    # the desk encoder's eight convs, the first on frames that need no
-    # gradient, against the two nodes the fused one replaces
+def _fused_matches_unfused(convs, monkeypatch):
+    # the first conv on frames that need no gradient, against the two nodes
+    # the fused one replaces; a training forward of enough rows splits its
+    # GEMM across the two threads, while conv2d's stays one GEMM
+    spy = _spy_on_worker(monkeypatch)
     rng = np.random.default_rng(47)
     for dtype in (np.float32, np.float64):
-        for layer, (shape, cout, stride) in enumerate(DESK_CONVS):
+        for layer, (shape, cout, stride) in enumerate(convs):
             for training in (True, False):
                 x = rng.normal(size=shape).astype(dtype)
                 w = (rng.normal(size=(cout, shape[3], 3, 3)) * 0.3).astype(dtype)
@@ -476,9 +481,13 @@ def test_conv_bn_relu_matches_conv2d_then_batchnorm_byte_for_byte():
                 bn = ref._parents[0]
                 dconv, dgamma, dbeta = bn._backward(ref._backward(g.copy())[0])
                 want = (ref.data,) + bn._parents[0]._backward(dconv) + (dgamma, dbeta)
+                jobs = len(spy.jobs)
                 fused = im.conv_bn_relu(*leaves(), states[1], training, stride)
+                split = len(spy.jobs) - jobs
                 got = (fused.data,) + fused._backward(g.copy())
                 case = (dtype.__name__, layer, training)
+                rows = np.prod(fused.shape[:3])
+                assert split == (training and rows >= im._SPLIT_ROWS), case
                 assert (got[1] is None) == (want[1] is None) == (layer == 0), case
                 for name, a, b in zip(("out", "dx", "dw", "dgamma", "dbeta"),
                                       got, want):
@@ -490,6 +499,83 @@ def test_conv_bn_relu_matches_conv2d_then_batchnorm_byte_for_byte():
                     a, b = getattr(states[1], name), getattr(states[0], name)
                     assert a.dtype == b.dtype, (name, case)
                     assert np.array_equal(_bytes(a), _bytes(b)), (name, case)
+
+
+def test_conv_bn_relu_matches_conv2d_then_batchnorm_byte_for_byte(monkeypatch):
+    # the desk encoder's eight convs, each of at least 1,024 output rows
+    _fused_matches_unfused(DESK_CONVS, monkeypatch)
+
+
+def test_conv_bn_relu_splits_the_micro_convs_byte_for_byte_without_a_row_minimum(
+        monkeypatch):
+    # the micro step's four convs, of 512 output rows, cut at 288
+    monkeypatch.setattr(im, "_SPLIT_ROWS", 1)
+    _fused_matches_unfused(MICRO_CONVS, monkeypatch)
+
+
+# Runs the test ids it is given in a child whose environment sets
+# OPENBLAS_CORETYPE; exits 98 where numpy's BLAS is not its wheel's
+# OpenBLAS and 99 where OpenBLAS did not select that kernel.
+_KERNEL_CHILD = """
+import ctypes, glob, os, sys
+import denseil.cli  # BLAS at one thread, as in this suite
+import numpy as np
+import pytest
+
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                              "libscipy_openblas*.so"))
+corename = libs and getattr(ctypes.CDLL(libs[0]),
+                            "scipy_openblas_get_corename64_", None)
+if not corename:
+    sys.exit(98)
+corename.restype = ctypes.c_char_p
+if corename().decode() != os.environ["OPENBLAS_CORETYPE"]:
+    sys.exit(99)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+"""
+
+
+def test_conv_bn_relu_matches_conv2d_byte_for_byte_under_the_haswell_kernel():
+    # the row cuts keep every byte on a kernel of other M-tiles too
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    tests = ["tests/test_imageops.py::" + name for name in (
+        "test_conv_bn_relu_matches_conv2d_then_batchnorm_byte_for_byte",
+        "test_conv_bn_relu_splits_the_micro_convs_byte_for_byte_without_a_row_minimum")]
+    child = subprocess.run([sys.executable, "-c", _KERNEL_CHILD, *tests],
+                           cwd=root, env=env, capture_output=True, text=True,
+                           timeout=300)
+    if child.returncode == 98:
+        pytest.skip("numpy's BLAS is not the OpenBLAS of its wheel")
+    if child.returncode == 99:
+        pytest.skip("OpenBLAS cannot select its Haswell kernel on this CPU")
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert "2 passed" in child.stdout, child.stdout
+
+
+def test_conv_bn_relu_raises_an_overflow_in_the_workers_rows_under_the_callers_errstate(
+        monkeypatch):
+    # 16 frames of 8x8, 1,024 output rows, cut at frame 9: 1e20 * 1e20
+    # overflows float32 only in the rows the worker's GEMM makes
+    spy = _spy_on_worker(monkeypatch)
+    x = np.ones((16, 8, 8, 3), np.float32)
+    assert im._cut(16, 64) == 9
+    x[9:] = 1e20
+    w = T.Tensor(np.full((4, 3, 3, 3), 1e20, np.float32), requires_grad=True)
+    gamma = T.Tensor(np.ones(4, np.float32), requires_grad=True)
+    beta = T.Tensor(np.zeros(4, np.float32), requires_grad=True)
+    state = im.BNState(4, np.float32)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            im.conv_bn_relu(T.Tensor(x), w, gamma, beta, state, True, 1)
+    (job,) = spy.jobs
+    assert isinstance(job.exception(), FloatingPointError)
+    # and where overflow is ignored, the finiteness check sees those rows
+    with np.errstate(over="ignore"), pytest.raises(T.NumericError):
+        im.conv_bn_relu(T.Tensor(x), w, gamma, beta, state, True, 1)
+    assert state.num_batches == 0
 
 
 def gemm_layout(w):
